@@ -510,15 +510,16 @@ class BDDManager:
 
         This is the operation at the heart of the conjunctive-partitioning
         optimisation of Section 7.3: conjoining a partition of the transition
-        relation with the current frontier and quantifying variables out
+        relation with the current set of types and quantifying variables out
         without ever building the full conjunction.
 
         ``cache`` may be a caller-owned memo dictionary, persisted across
-        calls that share the same quantified variable set: the frontier
+        calls that share the same quantified variable set: the solver's
         fixpoint pushes monotonically growing sets through fixed relation
-        blocks, so later products recurse into subproblems earlier products
-        already solved.  The caller is responsible for clearing the cache
-        when node ids are invalidated (garbage collection).
+        blocks (one memo per step of the early-quantification schedule), so
+        later products recurse into subproblems earlier products already
+        solved.  The caller is responsible for clearing the cache when node
+        ids are invalidated (garbage collection).
         """
         levels = frozenset(self._var_levels[name] for name in names)
         if not levels:

@@ -30,7 +30,6 @@ def run(args) -> int:
         backend=getattr(args, "backend", None),
         budget=budget_from_args(args),
         degrade=getattr(args, "degrade", False),
-        batch_fixpoint=getattr(args, "batch_fixpoint", None) or "off",
     )
     try:
         report = audit_stylesheet(

@@ -2,8 +2,8 @@
 
 Runs :func:`repro.testing.fuzz.run_fuzz`: every trial generates a random
 decision problem, answers it with the symbolic engine under pruning on/off ×
-frontier deltas on/off × one run per selected BDD backend (``--backend``,
-accepting a name or ``all``), and cross-checks the verdicts against the
+one run per selected BDD backend (``--backend``, accepting a name or
+``all``), and cross-checks the verdicts against the
 bounded explicit oracles (see ``docs/TESTING.md``).  The JSON campaign
 report is printed to stdout.
 
@@ -101,14 +101,6 @@ def add_arguments(parser) -> None:
         "identical verdicts (default: $REPRO_BDD_BACKEND if set, else dict)",
     )
     parser.add_argument(
-        "--batch-fixpoint", action="store_true",
-        help="also run the merged-Lean batch ablation on every trial: the "
-        "case plus per-expression satisfiability probes are solved through "
-        "the analyzer with batch_fixpoint on and off (once per backend), and "
-        "verdicts, verdict_status and serialised witnesses must be "
-        "identical, with merged mode never running more fixpoints",
-    )
-    parser.add_argument(
         "--chaos", action="store_true",
         help="also stress resource governance on every trial: a seeded "
         "budgeted re-solve must agree with the reference verdict or yield a "
@@ -161,7 +153,6 @@ def run(args) -> int:
         sample_corpus=args.sample_corpus,
         backends=backends,
         chaos=args.chaos,
-        batch_fixpoint=getattr(args, "batch_fixpoint", False),
     )
     report = run_fuzz(config)
     payload = report.as_dict()

@@ -97,10 +97,8 @@ class LeanEncoding:
     def root_filter(self, formula: sx.Formula, primed: bool = False) -> BDD:
         """Root types satisfying ``formula``: no pending backward modality.
 
-        This is the final check of the fixpoint loop — ``¬ischild₁ ∧
-        ¬ischild₂ ∧ statusᵩ`` — shared between the single-query solver and
-        the merged batch solver, where one such filter per goal bit reads
-        each query's verdict out of the one shared proved set.
+        This is the final check of the fixpoint loop: ``¬ischild₁ ∧
+        ¬ischild₂ ∧ statusᵩ``.
         """
         return (
             ~self.ischild(1, primed)
@@ -167,40 +165,13 @@ class LeanEncoding:
 
     # -- the characteristic function of Types(ψ) ------------------------------------------
 
-    def types_constraint(
-        self,
-        primed: bool = False,
-        modal_indices: frozenset[int] | None = None,
-        labels: frozenset[str] | None = None,
-    ) -> BDD:
-        """χ_Types: modal consistency, first/second child exclusion, one label.
-
-        ``modal_indices`` restricts the modal-consistency conjuncts to a
-        subset of the Lean's modal bits — the merged batch solver passes each
-        goal's cone so a goal's proved sets never constrain (or even mention)
-        another goal's bits.
-
-        ``labels`` restricts the exactly-one-label constraint to a subset of
-        the Lean's propositions; the rest are simply never mentioned.  A
-        goal solved against a merged Lean keeps its own pruned alphabet this
-        way: nothing in the goal's fixpoint (this constraint, its partition
-        views, its root filter) touches a foreign label bit, so its proved
-        sets stay cylinders over those bits — node-for-node the BDDs its own
-        per-query Lean would produce (pruned type translations read "any
-        other label" through the shared ``#other`` proposition, whose
-        meaning foreign labels must not dilute).  The sets being equal does
-        not make the *decoded* witness equal, though: merging can reorder
-        the shared variables, so reconstruction additionally pins its picks
-        to the goal's per-query Lean order
-        (:func:`repro.solver.models._pick`).
-        """
+    def types_constraint(self, primed: bool = False) -> BDD:
+        """χ_Types: modal consistency, first/second child exclusion, one label."""
         manager = self.manager
         constraint = manager.true()
         # Modal consistency: ⟨a⟩ϕ ∈ t implies ⟨a⟩⊤ ∈ t.
         for program, _sub, index in self.lean.modal_items():
             if index == self.top_index(program):
-                continue
-            if modal_indices is not None and index not in modal_indices:
                 continue
             constraint = constraint & self.literal(index, primed).implies(
                 self.literal(self.top_index(program), primed)
@@ -210,11 +181,10 @@ class LeanEncoding:
             self.literal(self.top_index(-1), primed)
             & self.literal(self.top_index(-2), primed)
         )
-        # Exactly one atomic proposition (among the kept labels).
+        # Exactly one atomic proposition.
         label_literals = [
             self.literal(self.lean.proposition_index(label), primed)
             for label in self.lean.propositions
-            if labels is None or label in labels
         ]
         at_least_one = manager.false()
         for literal in label_literals:
@@ -286,22 +256,14 @@ class TransitionRelation:
     never recomputes it when a set is unchanged between iterations (or when
     both the guarded and the strict witness of the same set are needed).
 
-    **Frontier (delta) products.**  The fixpoint sets grow monotonically, and
-    the relational product distributes over union::
-
-        ∃y ((U ∨ δ)(y) ∧ ∆ₐ(x,y))  =  ∃y (U(y) ∧ ∆ₐ) ∨ ∃y (δ(y) ∧ ∆ₐ)
-
-    so a caller that names the *chain* a target belongs to and hands over the
-    delta it grew by (``witness(U, chain="unmarked", delta=δ)`` — the solver
-    computes δ anyway to detect stabilisation) gets an incremental product:
-    only the delta is pushed through the partitions, and the result is
-    disjoined with the chain's previous product.  Late fixpoint iterations
-    therefore touch BDDs proportional to what *changed*, not to the whole
-    proved set.  ``delta_products`` counts the products answered this way and
-    ``partitions_skipped`` the partitions avoided by the cone-of-influence
-    check (a partition component whose primed variables the frontier never
-    mentions, and whose projection is vacuous, cannot affect the product —
-    and every partition of a product against the empty set).
+    Every product runs over the whole target through the precomputed
+    early-quantification schedule.  Each schedule step keeps a persistent
+    ``and_exists`` memo, so a product over a set that grew since the last one
+    redoes work only in the region that changed.  ``partitions_skipped``
+    counts the partitions avoided by the cone-of-influence check (a partition
+    component whose primed variables the target never mentions, and whose
+    projection is vacuous, cannot affect the product — and every partition
+    of a product against the empty set).
     """
 
     def __init__(
@@ -310,7 +272,6 @@ class TransitionRelation:
         program: int,
         early_quantification: bool = True,
         monolithic: bool = False,
-        modal_indices: frozenset[int] | None = None,
     ):
         if program not in FORWARD_MODALITIES:
             raise ValueError("transition relations are built for programs 1 and 2 only")
@@ -318,12 +279,6 @@ class TransitionRelation:
         self.program = program
         self.early_quantification = early_quantification
         self.monolithic = monolithic
-        # Restriction to one goal's cone of Lean bits: the merged batch
-        # solver keeps its fixpoint state factored per goal, and a goal's
-        # relation view must neither constrain nor quantify bits the goal's
-        # closure never mentions (the missing equivalences would otherwise
-        # force every other goal's ``x_i`` to ``∃y.status``-shaped junk).
-        self.modal_indices = modal_indices
         self.partitions = self._build_partitions()
         self._monolithic_relation: BDD | None = None
         if monolithic:
@@ -345,11 +300,8 @@ class TransitionRelation:
         # *within* an engine, so a bare id could alias a stale entry after a
         # backend switch re-created the encoding in the same process.
         self._product_cache: dict[tuple[str, int], BDD] = {}
-        # chain name -> product of the chain's last target (incremental base).
-        self._chains: dict[str, BDD] = {}
         self.product_calls = 0
         self.product_cache_hits = 0
-        self.delta_products = 0
         self.partitions_skipped = 0
         encoding.manager.add_gc_hook(self._gc_roots, self._gc_remap)
 
@@ -361,7 +313,6 @@ class TransitionRelation:
         if self._monolithic_relation is not None:
             roots.append(self._monolithic_relation.node)
         roots.extend(product.node for product in self._product_cache.values())
-        roots.extend(product.node for product in self._chains.values())
         return roots
 
     def _gc_remap(self, remap: dict[int, int]) -> None:
@@ -386,17 +337,12 @@ class TransitionRelation:
             for (backend, node), product in self._product_cache.items()
             if node in remap
         }
-        self._chains = {
-            chain: wrap(product) for chain, product in self._chains.items()
-        }
 
     def _build_partitions(self) -> list[_Partition]:
         encoding = self.encoding
         partitions: list[_Partition] = []
         for item_program, sub, index in encoding.lean.modal_items():
             if sub is sx.TRUE:
-                continue
-            if self.modal_indices is not None and index not in self.modal_indices:
                 continue
             if item_program == self.program:
                 # x_i  <=>  status_sub(y)
@@ -423,7 +369,7 @@ class TransitionRelation:
         every intermediate before the deeper equivalences are conjoined).
         Against the previous min-total-support choice this measures ~3x
         faster products on the deep-nesting scaling family and slightly
-        faster XHTML rows (see BENCH_scaling.json / BENCH_frontier.json).
+        faster XHTML rows (see BENCH_scaling.json).
         The order only depends on the partitions, never on the frontier, so
         the grouping of partitions into blocks — and the block conjunctions
         themselves — are computed once here instead of on every relational
@@ -560,18 +506,8 @@ class TransitionRelation:
             self.program, primed=True
         )
 
-    def _witness_product(
-        self, target_x: BDD, chain: str | None = None, delta: BDD | None = None
-    ) -> BDD:
-        """``∃y (target(y) ∧ ischildₐ(y) ∧ ∆ₐ(x,y))``, cached per target node.
-
-        ``chain`` names the monotonically-growing sequence of sets the target
-        belongs to (the solver's ``"unmarked"``/``"marked"`` chains) and
-        ``delta`` the set the target grew by since the chain's previous
-        product — the caller's invariant is ``target = previous ∨ delta``.
-        When both are given and a previous product exists, only the delta is
-        pushed through the partitions (see the class docstring).
-        """
+    def _witness_product(self, target_x: BDD) -> BDD:
+        """``∃y (target(y) ∧ ischildₐ(y) ∧ ∆ₐ(x,y))``, cached per target node."""
         manager = self.encoding.manager
         if target_x.manager is not manager:
             raise ValueError(
@@ -582,41 +518,25 @@ class TransitionRelation:
         if target_x.is_false:
             # ∃y (⊥ ∧ ∆ₐ) — nothing to compute, every partition is skipped.
             self.partitions_skipped += len(self.partitions)
-            product = manager.false()
-            if chain is not None:
-                self._chains[chain] = product
-            return product
+            return manager.false()
         cache_key = (manager.backend_name, target_x.node)
         cached = self._product_cache.get(cache_key)
         if cached is not None:
             self.product_cache_hits += 1
-            if chain is not None:
-                self._chains[chain] = cached
             return cached
-        base_product = self._chains.get(chain) if chain is not None else None
         self.product_calls += 1
-        if base_product is not None and delta is not None:
-            self.delta_products += 1
-            product = base_product | self._product(self._frontier(delta))
-        else:
-            product = self._product(self._frontier(target_x))
+        product = self._product(self._frontier(target_x))
         self._product_cache[cache_key] = product
-        if chain is not None:
-            self._chains[chain] = product
         return product
 
-    def witness(
-        self, target_x: BDD, chain: str | None = None, delta: BDD | None = None
-    ) -> BDD:
+    def witness(self, target_x: BDD) -> BDD:
         """``Witₐ(target)``: ``isparentₐ(x) → ∃y (target(y) ∧ ischildₐ(y) ∧ ∆ₐ(x,y))``."""
-        product = self._witness_product(target_x, chain, delta)
+        product = self._witness_product(target_x)
         return self.encoding.isparent(self.program).implies(product)
 
-    def witness_strict(
-        self, target_x: BDD, chain: str | None = None, delta: BDD | None = None
-    ) -> BDD:
+    def witness_strict(self, target_x: BDD) -> BDD:
         """Like :meth:`witness` but the child must exist (mark propagation)."""
-        product = self._witness_product(target_x, chain, delta)
+        product = self._witness_product(target_x)
         return self.encoding.isparent(self.program) & product
 
     def child_constraint_parts(self, parent_bits: dict[int, bool]) -> list[BDD]:
@@ -643,8 +563,6 @@ class TransitionRelation:
         status_parts: list[BDD] = []
         for item_program, sub, index in lean.modal_items():
             if sub is sx.TRUE:
-                continue
-            if self.modal_indices is not None and index not in self.modal_indices:
                 continue
             if item_program == self.program:
                 required = parent_bits.get(index, False)

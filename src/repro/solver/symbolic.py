@@ -24,18 +24,13 @@ advantages discussed in Section 9) or when both sets are stable.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 
 from repro.bdd.manager import BDD
 from repro.logic import syntax as sx
-from repro.logic.closure import (
-    Lean,
-    closure_alphabet,
-    fisher_ladner_closure,
-    lean as compute_lean,
-    union_lean,
-)
+from repro.logic.closure import Lean, lean as compute_lean
 from repro.logic.cyclefree import assert_cycle_free
 from repro.solver.governor import Budget, governor_for
 from repro.solver.relations import LeanEncoding, TransitionRelation
@@ -58,13 +53,10 @@ class SolverStatistics:
       succeeded (early termination, Section 9) or the sets became stable.
     * ``relation_partitions`` — conjuncts across the two partitioned ``∆ₐ``
       relations (Section 7.3); 0 partitions means a trivial relation.
-    * ``delta_iterations`` — iterations whose relational products were
-      answered incrementally from the frontier (the delta against the
-      previous proved set) instead of from the whole set.
     * ``partitions_skipped`` — relation partitions never conjoined because
       the cone-of-influence check proved they could not affect a product
-      (vacuous components disjoint from the frontier, and every partition of
-      a product against the empty set).
+      (vacuous components disjoint from the product's target, and every
+      partition of a product against the empty set).
     * ``peak_set_nodes`` — largest combined BDD size (in nodes) of the two
       proved-type sets ``U``/``M`` across iterations: the memory high-water
       mark of the fixpoint computation.
@@ -84,7 +76,6 @@ class SolverStatistics:
     lean_size: int = 0
     iterations: int = 0
     relation_partitions: int = 0
-    delta_iterations: int = 0
     partitions_skipped: int = 0
     peak_set_nodes: int = 0
     product_calls: int = 0
@@ -101,7 +92,6 @@ class SolverStatistics:
             "lean_size": self.lean_size,
             "iterations": self.iterations,
             "relation_partitions": self.relation_partitions,
-            "delta_iterations": self.delta_iterations,
             "partitions_skipped": self.partitions_skipped,
             "peak_set_nodes": self.peak_set_nodes,
             "product_calls": self.product_calls,
@@ -161,10 +151,6 @@ class SymbolicSolver:
       unsound behaviour that motivates the four-case update of Figure 16.
     * ``check_cycle_freeness`` — verify the input formula is cycle-free before
       solving (the algorithm is only correct for cycle-free formulas).
-    * ``frontier`` — compute relational products incrementally from the delta
-      against the previous iteration's sets (the frontier fixpoint); when
-      False every product is recomputed from the whole set, which is the
-      naive evaluation the ablation benchmark compares against.
     * ``collect_every`` — run a BDD garbage collection every N fixpoint
       iterations, keeping the loop's live sets (and every registered GC
       participant) and remapping in place.  ``None`` disables collection;
@@ -180,7 +166,10 @@ class SymbolicSolver:
       BudgetExceeded` with a structured, backend-independent reason; the
       governor is polled once per fixpoint iteration and — via the BDD
       engine's kernel ticks — every ~1024 kernel frames, so a deadline bites
-      within milliseconds even inside one enormous iteration.
+      within milliseconds even inside one enormous iteration.  The budget is
+      the only bound on the number of iterations: without one the loop runs
+      until the sets are stable, which always happens (they grow
+      monotonically in a finite lattice).
     """
 
     formula: sx.Formula
@@ -190,22 +179,9 @@ class SymbolicSolver:
     interleaved_order: bool = True
     track_marks: bool = True
     check_cycle_freeness: bool = False
-    frontier: bool = True
     collect_every: int | None = None
-    max_iterations: int = 10_000
-    keep_snapshots: bool = True
     backend: str | None = None
     budget: Budget | None = None
-
-    #: A delta product is attempted only when the delta's BDD is at least
-    #: this many times smaller than the set it grew (full products over the
-    #: persistent per-step caches are already incremental — only the changed
-    #: region does new work — so pushing the delta separately pays off only
-    #: when it is genuinely small).
-    DELTA_GATE_RATIO = 4
-    #: Sets smaller than this skip the gating arithmetic entirely: every
-    #: product over them is cheap either way.
-    DELTA_GATE_MIN_SET = 256
 
     _lean: Lean = field(init=False, repr=False)
     _plunged: sx.Formula = field(init=False, repr=False)
@@ -221,16 +197,6 @@ class SymbolicSolver:
     @property
     def lean(self) -> Lean:
         return self._lean
-
-    def _gate_delta(self, delta: BDD | None, set_size: int) -> BDD | None:
-        """Keep a delta only when pushing it separately can win (see
-        ``DELTA_GATE_RATIO``); ``None`` means "full product next time"."""
-        if delta is None:
-            return None
-        if set_size < self.DELTA_GATE_MIN_SET:
-            return delta
-        budget = set_size // self.DELTA_GATE_RATIO
-        return delta if delta.dag_size(limit=budget) <= budget else None
 
     # -- main loop --------------------------------------------------------------------
 
@@ -283,28 +249,23 @@ class SymbolicSolver:
         # actually changed in the previous iteration; together with the
         # per-target product cache in TransitionRelation this removes the
         # redundant relational products the naive loop performs once one of
-        # the two sets has stabilised.  With ``frontier`` on, the chains name
-        # the two monotone sequences so a recomputation only pushes the delta
-        # through the relation partitions.
+        # the two sets has stabilised.  Every recomputation is a full product
+        # through the early-quantification schedule, whose persistent
+        # per-step memos make it incremental in practice: only the region of
+        # the set that changed does new work.
         witness_unmarked: dict[int, BDD] = {}
         strict_marked: dict[int, BDD] = {}
         unmarked_node_seen: int | None = None
         marked_node_seen: int | None = None
-        unmarked_chain = "unmarked" if self.frontier else None
-        marked_chain = "marked" if self.frontier else None
-        delta_unmarked: BDD | None = None
-        delta_marked: BDD | None = None
 
         def collect_garbage() -> None:
             """GC the node table mid-fixpoint, remapping the loop's live state."""
             nonlocal types, start_literal, final_filter, unmarked, marked
             nonlocal witness_unmarked, strict_marked, snapshots
             nonlocal unmarked_node_seen, marked_node_seen, false
-            nonlocal delta_unmarked, delta_marked
             keep = [types, start_literal, final_filter, unmarked, marked]
             keep.extend(witness_unmarked.values())
             keep.extend(strict_marked.values())
-            keep.extend(f for f in (delta_unmarked, delta_marked) if f is not None)
             for pair in snapshots:
                 keep.extend(pair)
             remap = manager.garbage_collect([function.node for function in keep])
@@ -318,10 +279,6 @@ class SymbolicSolver:
             false = manager.false()
             witness_unmarked = {p: wrap(f) for p, f in witness_unmarked.items()}
             strict_marked = {p: wrap(f) for p, f in strict_marked.items()}
-            if delta_unmarked is not None:
-                delta_unmarked = wrap(delta_unmarked)
-            if delta_marked is not None:
-                delta_marked = wrap(delta_marked)
             snapshots = [(wrap(u), wrap(m)) for u, m in snapshots]
             unmarked_node_seen = (
                 unmarked.node if unmarked_node_seen == old_unmarked_node else None
@@ -335,7 +292,7 @@ class SymbolicSolver:
         types_unmarked = types & ~start_literal
         not_start = ~start_literal
 
-        for iteration in range(1, self.max_iterations + 1):
+        for iteration in itertools.count(1):
             statistics.iterations = iteration
             if governor is not None:
                 governor.check_iteration(iteration)
@@ -343,13 +300,10 @@ class SymbolicSolver:
                 collect_garbage()
                 types_unmarked = types & ~start_literal
                 not_start = ~start_literal
-            delta_before = sum(r.delta_products for r in relations.values())
             if self.track_marks:
                 if unmarked.node != unmarked_node_seen:
                     witness_unmarked = {
-                        program: relations[program].witness(
-                            unmarked, unmarked_chain, delta_unmarked
-                        )
+                        program: relations[program].witness(unmarked)
                         for program in (1, 2)
                     }
                     unmarked_node_seen = unmarked.node
@@ -357,9 +311,7 @@ class SymbolicSolver:
                 new_unmarked = types_unmarked & both_witnessed
                 if marked.node != marked_node_seen:
                     strict_marked = {
-                        program: relations[program].witness_strict(
-                            marked, marked_chain, delta_marked
-                        )
+                        program: relations[program].witness_strict(marked)
                         for program in (1, 2)
                     }
                     marked_node_seen = marked.node
@@ -384,66 +336,29 @@ class SymbolicSolver:
                     & relations[2].witness(marked)
                 )
 
-            if sum(r.delta_products for r in relations.values()) > delta_before:
-                statistics.delta_iterations += 1
-
             # The update operator is monotone and the iteration starts from
             # ⊥, so the proved sets only grow: ``new_unmarked``/``new_marked``
             # already contain the previous sets and *are* the next sets (no
             # union needed).
-            unmarked_changed = new_unmarked != unmarked
-            marked_changed = new_marked != marked
-            changed = unmarked_changed or marked_changed
-            if self.frontier:
-                # The deltas feed the success check and — when small enough
-                # (see DELTA_GATE_RATIO) — the next iteration's incremental
-                # products; ¬unmarked/¬marked hit the manager's two-way
-                # negation cache, so this costs one conjunction per set that
-                # actually changed.
-                delta_unmarked = (
-                    (new_unmarked & ~unmarked) if unmarked_changed else None
-                )
-                delta_marked = (new_marked & ~marked) if marked_changed else None
+            changed = new_unmarked != unmarked or new_marked != marked
             unmarked, marked = new_unmarked, new_marked
-            if self.keep_snapshots:
-                snapshots.append((unmarked, marked))
-            unmarked_size = unmarked.dag_size()
-            marked_size = marked.dag_size()
+            snapshots.append((unmarked, marked))
             statistics.peak_set_nodes = max(
-                statistics.peak_set_nodes, unmarked_size + marked_size
+                statistics.peak_set_nodes, unmarked.dag_size() + marked.dag_size()
             )
 
-            # Only types added this iteration can newly pass the final check:
-            # with the frontier on, testing the marked delta instead of the
-            # whole marked set is equivalent (earlier iterations tested the
-            # rest) and touches a much smaller BDD.
-            if self.frontier:
-                candidates = delta_marked if delta_marked is not None else false
-            else:
-                candidates = marked
-            success = candidates & final_filter
+            success = marked & final_filter
             if not success.is_false:
                 satisfiable = True
                 if self.track_marks:
                     from repro.solver.models import reconstruct_counterexample
 
                     model = reconstruct_counterexample(
-                        encoding,
-                        relations,
-                        snapshots if self.keep_snapshots else [(unmarked, marked)],
-                        success,
+                        encoding, relations, snapshots, success
                     )
                 break
             if not changed:
                 break
-            if self.frontier:
-                # Gate the deltas the *next* iteration's products will see
-                # (after the success check, which needs the full marked
-                # delta): a delta close in size to its set is not worth
-                # pushing separately — the per-step product caches already
-                # make the full product incremental.
-                delta_unmarked = self._gate_delta(delta_unmarked, unmarked_size)
-                delta_marked = self._gate_delta(delta_marked, marked_size)
 
         statistics.solve_seconds = time.perf_counter() - start_solve
         statistics.product_calls = sum(r.product_calls for r in relations.values())
@@ -464,469 +379,6 @@ class SymbolicSolver:
             statistics=statistics,
             lean=self._lean,
         )
-
-
-@dataclass
-class MergedResult:
-    """Outcome of one merged multi-goal solver run.
-
-    ``results`` holds one :class:`SolverResult` per goal formula, in input
-    order; every result shares the run's single :class:`SolverStatistics`
-    (one fixpoint decided them all) and the one merged :class:`Lean`.
-    """
-
-    results: tuple[SolverResult, ...]
-    statistics: SolverStatistics
-    lean: Lean
-
-
-@dataclass
-class MergedSolver:
-    """Decide several formulas in *one* fixpoint over one shared BDD arena.
-
-    The key observation (ROADMAP item 3; the shared-closure structure worked
-    out in Genevès' thesis) is that the fixpoint of
-    :meth:`SymbolicSolver.solve` is *goal-agnostic*: the proved-type sets
-    ``U``/``M`` depend only on the Lean and the ``∆ₐ`` relations, never on
-    which formula is being decided — the goal only enters through the final
-    filter ``root ∧ statusᵩ``.  So a batch of formulas over one consistent
-    alphabet can share everything: each goal ψᵢ is plunged with its own
-    fresh fixpoint variable (``µXᵢ. ψᵢ ∨ ⟨1⟩Xᵢ ∨ ⟨2⟩Xᵢ`` — the *goal bit*,
-    one Lean entry per goal), the merged Lean is the Lean of the disjunction
-    of the plunged goals (the union of their closures, so shared
-    subformulas — in practice most of a schema's type translation — get one
-    bit), and a single frontier fixpoint over the one shared arena decides
-    every goal.  Witnesses come from the same marked-model reconstruction as
-    the single solver, restricted to the goal's filter.
-
-    The fixpoint state is kept *factored*: one ``(U, M)`` pair per goal,
-    each over the goal's own cone of Lean bits, advanced in lockstep by the
-    one iteration loop.  Goals cannot interact — conditioned on the shared
-    bits, the merged proved set is exactly the cross product of the per-goal
-    sets — so a monolithic product state would cost multiplicative BDD nodes
-    for zero information (measured super-linear: 18 audit goals over a
-    283-bit merged Lean never finish monolithically; factored they cost the
-    sum of the per-goal fixpoints minus everything shared).  Sharing still
-    happens where it matters: one Lean, one variable order, one status BDD
-    per distinct subformula, one ITE cache, one types/label constraint per
-    hash-consed shape, one governor.
-
-    Early termination adapts per goal: a goal leaves the loop the iteration
-    its filter first intersects its marked frontier (satisfiable) or its
-    pair stabilises (unsatisfiable); the loop ends when no goal remains.
-
-    Goals may be built over *different* pruned alphabets: each goal's label
-    constraint is restricted to its own closure's labels and the rest of
-    the merged Lean's labels are never mentioned (don't-care dimensions the
-    goal's sets stay cylinders over), so the shared ``#other`` proposition
-    keeps its per-goal meaning (see
-    :meth:`repro.solver.relations.LeanEncoding.types_constraint`) and every
-    goal's proved sets — hence its verdict and iteration count — are
-    node-for-node what its own per-query solve produces.  Identical sets
-    still decode through the *merged* variable order, which merging can
-    shuffle, so model reconstruction pins each pick to the goal's own
-    per-query Lean order (:meth:`_goal_pick_order`) and the witness document
-    comes out byte-identical too.
-
-    Options mirror :class:`SymbolicSolver`.  A ``budget`` governs the whole
-    merged run; exhaustion raises :class:`repro.core.errors.BudgetExceeded`
-    for the *group* — the API layer bisects the group and retries the
-    halves so only genuinely expensive goals end up unknown.
-    """
-
-    formulas: tuple[sx.Formula, ...]
-    extra_labels: tuple[str, ...] = ()
-    early_quantification: bool = True
-    monolithic_relation: bool = False
-    interleaved_order: bool = True
-    track_marks: bool = True
-    check_cycle_freeness: bool = False
-    frontier: bool = True
-    collect_every: int | None = None
-    max_iterations: int = 10_000
-    keep_snapshots: bool = True
-    backend: str | None = None
-    budget: Budget | None = None
-
-    _lean: Lean = field(init=False, repr=False)
-    _plunged: tuple[sx.Formula, ...] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if not self.formulas:
-            raise ValueError("MergedSolver needs at least one goal formula")
-        if self.check_cycle_freeness:
-            for formula in self.formulas:
-                assert_cycle_free(formula)
-        self._plunged = tuple(
-            sx.mu1(lambda x, f=formula: f | sx.dia(1, x) | sx.dia(2, x), prefix="Plunge")
-            for formula in self.formulas
-        )
-        self._lean = union_lean(self._plunged, extra_labels=self.extra_labels)
-
-    @property
-    def lean(self) -> Lean:
-        return self._lean
-
-    def _goal_pick_order(self, encoding: LeanEncoding, goal: int) -> tuple[str, ...]:
-        """The goal's per-query Lean order, as variable names of the shared encoding.
-
-        ``pick_assignment`` walks the manager's variable order, so identical
-        proved sets decode to different (equally valid) witnesses whenever
-        the merged order differs from the goal's own Lean order — a sibling
-        goal's closure can e.g. pull ``#other`` ahead of the concrete labels
-        in the sorted alphabet.  Reconstruction therefore picks every type
-        in the order of the goal's stand-alone Lean, mapped into the shared
-        encoding; every stand-alone item has a merged bit because the merged
-        closure and alphabet are supersets of the goal's.
-        """
-        solo = compute_lean(self._plunged[goal], extra_labels=self.extra_labels)
-        merged = self._lean
-        return tuple(
-            encoding.x_names[merged.position(item)]
-            for item in solo.items
-            if item in merged
-        )
-
-    # -- main loop ----------------------------------------------------------------
-
-    def solve(self) -> MergedResult:
-        statistics = SolverStatistics(lean_size=len(self._lean))
-        governor = governor_for(self.budget)
-        if governor is not None:
-            governor.check_lean(len(self._lean))
-        start_translation = time.perf_counter()
-
-        encoding = LeanEncoding(
-            self._lean, interleaved=self.interleaved_order, backend=self.backend
-        )
-        if governor is not None:
-            encoding.manager.set_governor(governor)
-
-        count = len(self._plunged)
-        # Each goal's *cone*: the merged-Lean modal bits its own closure
-        # contributes.  The fixpoint state below stays factored — one (U, M)
-        # pair per goal, each over its own cone plus the shared bits —
-        # because goals cannot interact: conditioned on the shared bits the
-        # merged proved set is exactly the cross product of the per-goal
-        # proved sets, which a single product BDD would represent at
-        # multiplicative node cost for zero information.  Factored, every
-        # shared subformula still pays once (one variable, one status BDD,
-        # one hash-consed node in the one arena), which is where the batch
-        # saving actually lives.
-        cones = []
-        goal_labels = []
-        for plunged in self._plunged:
-            closure = fisher_ladner_closure(plunged)
-            cones.append(
-                frozenset(
-                    self._lean.position(item)
-                    for item in closure
-                    if item.kind == sx.KIND_DIA and item in self._lean
-                )
-            )
-            labels, _attributes = closure_alphabet(closure)
-            goal_labels.append(
-                frozenset(labels)
-                | frozenset(self.extra_labels)
-                | {self._lean.other_label}
-            )
-        # One ∆ₐ view per (goal, program): partitions restricted to the
-        # goal's cone.  The status BDDs inside the partitions are cached on
-        # the shared encoding, so bits common to several goals are built
-        # once and every view's conjuncts are hash-consed against each other.
-        relations: dict[tuple[int, int], TransitionRelation] = {
-            (goal, program): TransitionRelation(
-                encoding,
-                program,
-                early_quantification=self.early_quantification,
-                monolithic=self.monolithic_relation,
-                modal_indices=cones[goal],
-            )
-            for goal in range(count)
-            for program in (1, 2)
-        }
-        statistics.relation_partitions = sum(
-            len(relation.partitions) for relation in relations.values()
-        )
-
-        types = [
-            encoding.types_constraint(
-                primed=False,
-                modal_indices=cones[goal],
-                labels=goal_labels[goal],
-            )
-            for goal in range(count)
-        ]
-        start_literal = encoding.start(primed=False)
-        # One root filter per goal bit: ¬ischild₁ ∧ ¬ischild₂ ∧ status(µXᵢ).
-        filters = [
-            encoding.root_filter(plunged, primed=False) for plunged in self._plunged
-        ]
-
-        statistics.translation_seconds = time.perf_counter() - start_translation
-        start_solve = time.perf_counter()
-
-        manager = encoding.manager
-        false = manager.false()
-        unmarked: list[BDD] = [false] * count
-        marked: list[BDD] = [false] * count
-        snapshots: list[list[tuple[BDD, BDD]]] = [[] for _ in range(count)]
-        satisfiable = [False] * count
-        active = set(range(count))
-        # Per-goal success set, captured the iteration the goal is decided.
-        # Reconstructing from this earliest set (not the final fixpoint)
-        # mirrors the early-terminating single solver: the marked roots it
-        # contains carry the start mark as shallowly as possible, so the
-        # decoded document is the same minimal-depth witness a per-query
-        # solve produces.
-        successes: dict[int, BDD] = {}
-
-        witness_unmarked: list[dict[int, BDD]] = [{} for _ in range(count)]
-        strict_marked: list[dict[int, BDD]] = [{} for _ in range(count)]
-        unmarked_node_seen: list[int | None] = [None] * count
-        marked_node_seen: list[int | None] = [None] * count
-        unmarked_chain = "unmarked" if self.frontier else None
-        marked_chain = "marked" if self.frontier else None
-        delta_unmarked: list[BDD | None] = [None] * count
-        delta_marked: list[BDD | None] = [None] * count
-
-        def collect_garbage() -> None:
-            nonlocal types, start_literal, filters, unmarked, marked
-            nonlocal witness_unmarked, strict_marked, snapshots, successes
-            nonlocal unmarked_node_seen, marked_node_seen, false
-            nonlocal delta_unmarked, delta_marked
-            keep = [start_literal]
-            keep.extend(types)
-            keep.extend(filters)
-            keep.extend(unmarked)
-            keep.extend(marked)
-            keep.extend(successes.values())
-            for caches in witness_unmarked:
-                keep.extend(caches.values())
-            for caches in strict_marked:
-                keep.extend(caches.values())
-            keep.extend(f for f in delta_unmarked if f is not None)
-            keep.extend(f for f in delta_marked if f is not None)
-            for goal_snapshots in snapshots:
-                for pair in goal_snapshots:
-                    keep.extend(pair)
-            remap = manager.garbage_collect([function.node for function in keep])
-            wrap = lambda function: manager.wrap(
-                manager.translate(remap, function.node)
-            )
-            start_literal = wrap(start_literal)
-            types = [wrap(function) for function in types]
-            filters = [wrap(function) for function in filters]
-            old_unmarked_nodes = [function.node for function in unmarked]
-            old_marked_nodes = [function.node for function in marked]
-            unmarked = [wrap(function) for function in unmarked]
-            marked = [wrap(function) for function in marked]
-            false = manager.false()
-            witness_unmarked = [
-                {p: wrap(f) for p, f in caches.items()} for caches in witness_unmarked
-            ]
-            strict_marked = [
-                {p: wrap(f) for p, f in caches.items()} for caches in strict_marked
-            ]
-            successes = {goal: wrap(f) for goal, f in successes.items()}
-            delta_unmarked = [
-                wrap(f) if f is not None else None for f in delta_unmarked
-            ]
-            delta_marked = [wrap(f) if f is not None else None for f in delta_marked]
-            snapshots = [
-                [(wrap(u), wrap(m)) for u, m in goal_snapshots]
-                for goal_snapshots in snapshots
-            ]
-            unmarked_node_seen[:] = [
-                unmarked[goal].node if seen == old_unmarked_nodes[goal] else None
-                for goal, seen in enumerate(unmarked_node_seen)
-            ]
-            marked_node_seen[:] = [
-                marked[goal].node if seen == old_marked_nodes[goal] else None
-                for goal, seen in enumerate(marked_node_seen)
-            ]
-
-        types_unmarked = [constraint & ~start_literal for constraint in types]
-        not_start = ~start_literal
-
-        # One frontier fixpoint over the shared arena: each iteration
-        # advances every still-undecided goal's (U, M) pair by one Upd step.
-        # A goal leaves the active set the iteration its filter intersects
-        # its marked frontier (satisfiable, early termination per goal) or
-        # the iteration its pair stabilises (unsatisfiable) — so late
-        # iterations only touch the goals that still need them.
-        for iteration in range(1, self.max_iterations + 1):
-            statistics.iterations = iteration
-            if governor is not None:
-                governor.check_iteration(iteration)
-            if self.collect_every and iteration % self.collect_every == 0:
-                collect_garbage()
-                types_unmarked = [constraint & ~start_literal for constraint in types]
-                not_start = ~start_literal
-            iteration_sets = 0
-            used_delta = False
-            for goal in sorted(active):
-                first = relations[(goal, 1)]
-                second = relations[(goal, 2)]
-                delta_before = first.delta_products + second.delta_products
-                if self.track_marks:
-                    if unmarked[goal].node != unmarked_node_seen[goal]:
-                        witness_unmarked[goal] = {
-                            1: first.witness(
-                                unmarked[goal], unmarked_chain, delta_unmarked[goal]
-                            ),
-                            2: second.witness(
-                                unmarked[goal], unmarked_chain, delta_unmarked[goal]
-                            ),
-                        }
-                        unmarked_node_seen[goal] = unmarked[goal].node
-                    both_witnessed = (
-                        witness_unmarked[goal][1] & witness_unmarked[goal][2]
-                    )
-                    new_unmarked = types_unmarked[goal] & both_witnessed
-                    if marked[goal].node != marked_node_seen[goal]:
-                        strict_marked[goal] = {
-                            1: first.witness_strict(
-                                marked[goal], marked_chain, delta_marked[goal]
-                            ),
-                            2: second.witness_strict(
-                                marked[goal], marked_chain, delta_marked[goal]
-                            ),
-                        }
-                        marked_node_seen[goal] = marked[goal].node
-                    marked_here = start_literal & both_witnessed
-                    marked_first = (
-                        not_start
-                        & strict_marked[goal][1]
-                        & witness_unmarked[goal][2]
-                    )
-                    marked_second = (
-                        not_start
-                        & witness_unmarked[goal][1]
-                        & strict_marked[goal][2]
-                    )
-                    new_marked = types[goal] & (
-                        marked_here | marked_first | marked_second
-                    )
-                else:
-                    new_unmarked = false
-                    new_marked = (
-                        types[goal]
-                        & first.witness(marked[goal])
-                        & second.witness(marked[goal])
-                    )
-
-                if first.delta_products + second.delta_products > delta_before:
-                    used_delta = True
-
-                unmarked_changed = new_unmarked != unmarked[goal]
-                marked_changed = new_marked != marked[goal]
-                changed = unmarked_changed or marked_changed
-                if self.frontier:
-                    delta_unmarked[goal] = (
-                        (new_unmarked & ~unmarked[goal]) if unmarked_changed else None
-                    )
-                    delta_marked[goal] = (
-                        (new_marked & ~marked[goal]) if marked_changed else None
-                    )
-                unmarked[goal], marked[goal] = new_unmarked, new_marked
-                if self.keep_snapshots:
-                    snapshots[goal].append((new_unmarked, new_marked))
-                unmarked_size = new_unmarked.dag_size()
-                marked_size = new_marked.dag_size()
-                iteration_sets += unmarked_size + marked_size
-
-                # Only types added this iteration can newly pass the final
-                # check, so the goal is probed against its marked delta.
-                if self.frontier:
-                    candidates = (
-                        delta_marked[goal]
-                        if delta_marked[goal] is not None
-                        else false
-                    )
-                else:
-                    candidates = new_marked
-                success = candidates & filters[goal]
-                if not success.is_false:
-                    satisfiable[goal] = True
-                    successes[goal] = success
-                    active.discard(goal)
-                    continue
-                if not changed:
-                    # Stable pair with the filter never hit: unsatisfiable.
-                    active.discard(goal)
-                    continue
-                if self.frontier:
-                    delta_unmarked[goal] = self._gate_delta(
-                        delta_unmarked[goal], unmarked_size
-                    )
-                    delta_marked[goal] = self._gate_delta(
-                        delta_marked[goal], marked_size
-                    )
-            if used_delta:
-                statistics.delta_iterations += 1
-            statistics.peak_set_nodes = max(
-                statistics.peak_set_nodes, iteration_sets
-            )
-            if not active:
-                break
-
-        # Witness reconstruction per satisfiable goal, from the success set
-        # captured the iteration the goal was decided — the same set an
-        # early-terminating single solve reconstructs from, so the decoded
-        # document carries the start mark at minimal depth (in particular,
-        # inside the *first* top-level tree, which is the one
-        # ``model_document`` returns).  Each goal reconstructs against its
-        # own relation views: the full-Lean constraint would wrongly demand
-        # ``¬status`` for modal bits the goal's closure never claims.
-        models: list[BinTree | None] = [None] * count
-        if self.track_marks:
-            from repro.solver.models import reconstruct_counterexample
-
-            for goal, is_sat in enumerate(satisfiable):
-                if not is_sat:
-                    continue
-                history = (
-                    snapshots[goal]
-                    if self.keep_snapshots
-                    else [(unmarked[goal], marked[goal])]
-                )
-                models[goal] = reconstruct_counterexample(
-                    encoding,
-                    {1: relations[(goal, 1)], 2: relations[(goal, 2)]},
-                    history,
-                    successes[goal],
-                    pick_order=self._goal_pick_order(encoding, goal),
-                )
-
-        statistics.solve_seconds = time.perf_counter() - start_solve
-        statistics.product_calls = sum(r.product_calls for r in relations.values())
-        statistics.product_cache_hits = sum(
-            r.product_cache_hits for r in relations.values()
-        )
-        statistics.partitions_skipped = sum(
-            r.partitions_skipped for r in relations.values()
-        )
-        manager_stats = encoding.manager.statistics()
-        statistics.bdd_node_count = manager_stats.node_count
-        statistics.bdd_peak_node_count = manager_stats.peak_node_count
-        statistics.bdd_ite_calls = manager_stats.ite_calls
-        statistics.bdd_ite_cache_hits = manager_stats.ite_cache_hits
-        results = tuple(
-            SolverResult(
-                satisfiable=satisfiable[goal],
-                model=models[goal],
-                statistics=statistics,
-                lean=self._lean,
-            )
-            for goal in range(count)
-        )
-        return MergedResult(results=results, statistics=statistics, lean=self._lean)
-
-    # Shared with SymbolicSolver: the same delta-gating heuristic.
-    DELTA_GATE_RATIO = SymbolicSolver.DELTA_GATE_RATIO
-    DELTA_GATE_MIN_SET = SymbolicSolver.DELTA_GATE_MIN_SET
-    _gate_delta = SymbolicSolver._gate_delta
 
 
 def is_satisfiable(formula: sx.Formula, **options) -> bool:

@@ -56,7 +56,6 @@ def audit_stylesheet(
     schema: object,
     analyzer: StaticAnalyzer | None = None,
     workers: int = 1,
-    batch_fixpoint: str | None = None,
 ) -> AuditReport:
     """Audit a stylesheet against a schema; see the module docstring.
 
@@ -64,12 +63,6 @@ def audit_stylesheet(
     parsed :class:`~repro.xmltypes.dtd.DTD`.  ``analyzer`` defaults to a
     fresh :class:`~repro.api.StaticAnalyzer`; pass a configured one to reuse
     its caches (or a disk cache) across audits.
-
-    ``batch_fixpoint`` opts the audit's one ``solve_many`` batch into
-    merged-Lean solving (``"on"``/``"auto"``; ``None`` inherits the
-    analyzer's mode).  An audit is the ideal customer: every query shares
-    the schema's alphabet, so the whole batch typically collapses into one
-    or two shared fixpoints while the findings stay identical.
     """
     if not isinstance(stylesheet, Stylesheet):
         stylesheet = load_stylesheet(stylesheet)
@@ -92,9 +85,7 @@ def audit_stylesheet(
         stylesheet, dtd, schema_name, branches, plan, rooted, findings
     )
 
-    batch = analyzer.solve_many(
-        plan.queries, workers=workers, batch_fixpoint=batch_fixpoint
-    )
+    batch = analyzer.solve_many(plan.queries, workers=workers)
     outcomes = batch.outcomes
 
     # First pass: which templates are dead?  A dead template's own findings

@@ -286,3 +286,42 @@ def test_solve_many_workers_share_the_disk_cache(tmp_path):
     assert replay.solver_runs == 0
     assert replay.disk_cache_hits == 2
     assert [o.holds for o in replay.outcomes] == [o.holds for o in report.outcomes]
+
+
+def test_parallel_batch_counters_equal_sequential(tmp_path):
+    """``_solve_many_parallel`` must report the *same* ``solver_runs``/
+    ``cache_hits``/``disk_cache_hits`` as a sequential pass over the
+    identical batch — including the satisfiability/emptiness satclass fold
+    and the equivalence decomposition."""
+    queries = [
+        Query.satisfiability("child::a[b]"),
+        Query.emptiness("child::a[b]"),  # same satclass: no second solve
+        Query.containment("a/b", "a//b"),
+        Query.equivalence("a//b", "a//b[c] | a//b[not(c)]"),
+        Query.containment("a/b", "a//b"),  # duplicate
+    ]
+    cache_dir = str(tmp_path / "solve-cache")
+    StaticAnalyzer(cache_dir=cache_dir).solve_many(queries, workers=1)
+
+    sequential = StaticAnalyzer(cache_dir=cache_dir).solve_many(queries, workers=1)
+    parallel = StaticAnalyzer(cache_dir=cache_dir).solve_many(queries, workers=2)
+
+    def observed(outcome) -> dict:
+        return {
+            name: getattr(outcome, name)
+            for name in (
+                "holds",
+                "satisfiable",
+                "verdict_status",
+                "budget_reason",
+                "error_kind",
+                "counterexample",
+            )
+        }
+
+    assert [observed(o) for o in parallel.outcomes] == [
+        observed(o) for o in sequential.outcomes
+    ]
+    assert parallel.solver_runs == sequential.solver_runs
+    assert parallel.cache_hits == sequential.cache_hits
+    assert parallel.disk_cache_hits == sequential.disk_cache_hits

@@ -425,3 +425,19 @@ def test_smil_requires_href_on_anchors():
         "//a[not(@href)]", rooted(smil, ("href",))
     ).holds
     assert analyzer.satisfiability("//a[@href]", rooted(smil, ("href",))).holds
+
+
+def test_witness_never_decorates_undeclared_elements_with_attributes():
+    """Regression (fuzz seed 7, trial 154): ``attribute_constraints`` only
+    constrained *declared* elements, so an element a content model references
+    without declaring (valid only as an empty node) could carry an attribute
+    in a witness — which ``membership.dtd_attribute_violations`` rejects.
+    Referenced-but-undeclared elements now get the same ``¬@a`` pins as an
+    attribute-free declaration."""
+    dtd = parse_dtd("<!ELEMENT b (a)>", root="b")
+    outcome = StaticAnalyzer().solve(
+        Query.containment("parent::a/descendant::*", "desc-or-self::a/@p", dtd, dtd)
+    )
+    assert outcome.holds is False
+    assert outcome.counterexample is not None
+    assert 'p="' not in outcome.counterexample

@@ -3,13 +3,10 @@
 Every corpus entry is a shrunk fuzz case: either a regression seed written
 with the verdict every engine agreed on, or an unresolved disagreement (which
 keeps failing here until the underlying bug is fixed).  Replaying re-runs the
-full differential evaluation — the 2×2 pruning/frontier symbolic matrix run
-once per registered BDD backend, the bounded enumeration oracle with its
-sampled Proposition 5.1 checks, the gated ψ-type solver, the witness
-replay, and the merged-batch parity check (``batch_fixpoint=True``: the
-case plus per-expression probes solved through ``solve_many`` with the
-merged single-fixpoint path on and off must agree byte-for-byte) — and
-asserts that everything still agrees (and still matches the recorded
+full differential evaluation — the pruning on/off symbolic matrix run once
+per registered BDD backend, the bounded enumeration oracle with its sampled
+Proposition 5.1 checks, the gated ψ-type solver, and the witness replay —
+and asserts that everything still agrees (and still matches the recorded
 verdict).
 
 New cases appear here automatically: ``repro fuzz`` serialises every shrunk
@@ -51,9 +48,7 @@ def test_corpus_is_populated():
     "entry", ENTRIES, ids=[entry.name for entry in ENTRIES]
 )
 def test_corpus_case_replays_without_disagreement(entry):
-    outcome = evaluate_case(
-        entry.case, Bounds(), backends=BACKENDS, batch_fixpoint=True
-    )
+    outcome = evaluate_case(entry.case, Bounds(), backends=BACKENDS)
     assert outcome.error is None, outcome.error
     assert not outcome.disagreements, (
         f"{entry.name} ({entry.origin}): symbolic verdict and explicit "

@@ -43,6 +43,67 @@ def test_digest_distinguishes_formulas():
     assert len(digests) == 5
 
 
+def test_solve_cache_key_is_pinned():
+    """Every published v2 address stays valid: the key of a fixed formula
+    must not move unless ``CACHE_FORMAT_VERSION`` is bumped on purpose."""
+    assert CACHE_FORMAT_VERSION == 2
+    assert solve_cache_key(sx.prop("a")) == (
+        "44466075ed816576683bfbf73c2fbf796a25767cd43fa682743d5f3fd37516c5"
+    )
+
+
+@pytest.mark.parametrize(
+    ("formula", "track_marks", "expected"),
+    [
+        (
+            parse_formula("a & <1>b"),
+            True,
+            "9daaeedbff1ac4b0779cc7e972fda863ed1abee52ec1358822341eb87e36f13f",
+        ),
+        (
+            parse_formula("a & <1>b"),
+            False,
+            "c77e31b47b1647bbd6041dab8c5bd21338c80f9f260818cd2ada2c0876c3bd68",
+        ),
+        (
+            sx.mu1(lambda x: sx.prop("a") | sx.dia(1, x)),
+            True,
+            "a5fac112534c004f2cd0b6b831a1642f316ccf4c3a480c00108f85d49d96b91b",
+        ),
+    ],
+    ids=["modal", "unmarked", "fixpoint"],
+)
+def test_solve_cache_key_pins_options_and_fixpoints(formula, track_marks, expected):
+    """The pinned addresses cover the verdict-changing solver option and an
+    alpha-renamed fixpoint binder, not just a bare proposition."""
+    assert solve_cache_key(formula, track_marks=track_marks) == expected
+
+
+def test_v1_entries_are_clean_misses(tmp_path):
+    """Old-format entries live under ``v1/`` (never read) or carry
+    ``version: 1`` (well-formed mismatch): both are plain misses — no
+    quarantine, no deletion — and the next solve republishes under v2."""
+    formula = sx.prop("a")
+    cache = DiskSolveCache(tmp_path)
+    v1_file = tmp_path / "v1" / "ab" / "abcdef.json"
+    v1_file.parent.mkdir(parents=True)
+    v1_file.write_text(json.dumps({"version": 1, "satisfiable": True}))
+    # A v1 payload parked at the entry's v2 path: versioned miss, kept as-is.
+    stale = cache.path_for_key(cache.key_for(formula))
+    stale.parent.mkdir(parents=True, exist_ok=True)
+    stale.write_text(json.dumps({"version": 1, "key": cache.key_for(formula)}))
+
+    assert cache.get(formula) is None
+    assert v1_file.exists() and stale.exists()
+    assert not list(tmp_path.rglob("*.corrupt"))
+
+    record = SolveRecord(
+        satisfiable=True, counterexample="<a/>", statistics={}, solve_seconds=0.1
+    )
+    cache.put(formula, record)
+    assert cache.get(formula) == record
+
+
 def test_solve_cache_key_covers_options_and_alphabet():
     formula = parse_formula("a & <1>b")
     assert solve_cache_key(formula, track_marks=True) != solve_cache_key(

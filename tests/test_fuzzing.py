@@ -305,7 +305,7 @@ def test_evaluate_case_agrees_on_known_problems():
         assert not outcome.disagreements, outcome.disagreements
         assert outcome.satisfiable is satisfiable, case.describe()
         assert outcome.holds is holds, case.describe()
-        assert len(outcome.ablation) == 4
+        assert len(outcome.ablation) == 2
 
 
 def test_evaluate_case_backend_axis_multiplies_the_matrix():
@@ -317,12 +317,30 @@ def test_evaluate_case_backend_axis_multiplies_the_matrix():
     outcome = evaluate_case(case, Bounds(max_documents=150), backends=backends)
     assert outcome.error is None
     assert not outcome.disagreements, outcome.disagreements
-    assert len(outcome.ablation) == 4 * len(backends)
+    assert len(outcome.ablation) == 2 * len(backends)
     assert outcome.holds is True
     assert set(outcome.ablation.values()) == {False}
     for name in backends:
         cells = [key for key in outcome.ablation if key.endswith(f"backend={name}")]
-        assert len(cells) == 4, outcome.ablation
+        assert len(cells) == 2, outcome.ablation
+
+
+def test_ablation_matrix_is_pruning_by_backend():
+    """The matrix has exactly two axes: label pruning off/on (off is the
+    reference) and the BDD backend."""
+    from repro.testing.fuzz import ABLATION_MATRIX
+
+    assert ABLATION_MATRIX == (False, True)
+    case = FuzzCase(kind="satisfiability", exprs=("child::a[b]",))
+    outcome = evaluate_case(
+        case, Bounds(max_documents=150), backends=("dict", "arena")
+    )
+    assert not outcome.disagreements, outcome.disagreements
+    assert outcome.ablation == {
+        f"prune={pruned},backend={backend}": True
+        for pruned in (False, True)
+        for backend in ("dict", "arena")
+    }
 
 
 def test_run_fuzz_records_backends_in_report_and_seeds(tmp_path):

@@ -201,7 +201,7 @@ def test_formula_or_negation_is_satisfiable(formula):
     assert sat_positive or sat_negative
 
 
-# -- frontier fixpoint, garbage collection, determinism -------------------------------------
+# -- iteration budget, garbage collection, determinism --------------------------------------
 
 
 def _containment_formula(depth: int) -> sx.Formula:
@@ -216,16 +216,20 @@ def _containment_formula(depth: int) -> sx.Formula:
     )
 
 
-def test_frontier_fixpoint_matches_naive_evaluation():
-    formula = _containment_formula(3)
-    fast = SymbolicSolver(formula, frontier=True).solve()
-    naive = SymbolicSolver(formula, frontier=False).solve()
-    assert fast.satisfiable == naive.satisfiable
-    assert fast.statistics.iterations == naive.statistics.iterations
-    # Incremental products engaged (the size gate admits the small deltas of
-    # this problem) and are reported; the naive mode never uses them.
-    assert fast.statistics.delta_iterations > 0
-    assert naive.statistics.delta_iterations == 0
+def test_iteration_budget_reports_unknown_instead_of_unsat():
+    """A fixpoint cut short must never read as "unsatisfiable": the budget
+    is the one iteration bound, and it raises a structured reason."""
+    from repro.core.errors import BudgetExceeded
+    from repro.solver.governor import Budget
+
+    formula = sx.prop("a") & sx.dia(1, sx.prop("b") & sx.dia(1, sx.prop("c")))
+    unbounded = SymbolicSolver(formula).solve()
+    assert unbounded.satisfiable
+    assert unbounded.statistics.iterations == 3
+    with pytest.raises(BudgetExceeded) as excinfo:
+        SymbolicSolver(formula, budget=Budget(max_iterations=2)).solve()
+    assert excinfo.value.reason == "iterations"
+    assert SymbolicSolver(formula, budget=Budget(max_iterations=3)).solve().satisfiable
 
 
 def test_partitions_skipped_counts_empty_set_products():
@@ -299,6 +303,6 @@ def test_solver_counters_are_deterministic_across_runs():
     first = counters()
     second = counters()
     assert first == second
-    for key in ("iterations", "product_calls", "delta_iterations",
-                "partitions_skipped", "bdd_ite_calls", "peak_set_nodes"):
+    for key in ("iterations", "product_calls", "partitions_skipped",
+                "bdd_ite_calls", "peak_set_nodes"):
         assert first[key] == second[key], key
