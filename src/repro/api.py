@@ -526,7 +526,6 @@ class StaticAnalyzer:
         track_marks: bool = True,
         cache_dir: str | None = None,
         prune_labels: bool = True,
-        backend: str | None = None,
         budget: Budget | None = None,
         max_lean: int | None = None,
         degrade: bool = False,
@@ -536,10 +535,6 @@ class StaticAnalyzer:
         self.interleaved_order = interleaved_order
         self.track_marks = track_marks
         self.prune_labels = prune_labels
-        #: BDD engine for every solver run (``"dict"``, ``"arena"``, or
-        #: ``None`` to follow ``REPRO_BDD_BACKEND`` / the default).  Verdicts
-        #: are backend-independent, so cache layers need no qualification.
-        self.backend = backend
         #: Default resource budget for every solve (``None`` = unlimited);
         #: per-call overrides merge on top (see :meth:`solve`).
         self.budget = budget
@@ -734,7 +729,6 @@ class StaticAnalyzer:
             monolithic_relation=self.monolithic_relation,
             interleaved_order=self.interleaved_order,
             track_marks=self.track_marks,
-            backend=self.backend,
             budget=budget,
         )
         result = solver.solve()
@@ -1162,7 +1156,6 @@ class StaticAnalyzer:
             "track_marks": self.track_marks,
             "cache_dir": None if self.disk_cache is None else str(self.disk_cache.directory),
             "prune_labels": self.prune_labels,
-            "backend": self.backend,
             "budget": self.budget,
             "degrade": self.degrade,
         }

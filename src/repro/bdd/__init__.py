@@ -3,7 +3,8 @@
 Section 7 of the paper represents sets of ψ-types implicitly as BDDs [5] and
 implements the satisfiability algorithm entirely with BDD operations.  The
 reference system used a mature BDD library; this package provides an
-equivalent pure-Python engine with the operations the solver needs:
+equivalent pure-Python engine, :class:`BDDManager`, with the operations the
+solver needs:
 
 * hash-consed node table with a fixed variable order,
 * boolean connectives via the ``apply`` / ``ite`` algorithms with memoisation,
@@ -12,38 +13,8 @@ equivalent pure-Python engine with the operations the solver needs:
   products,
 * variable renaming (for the primed/unprimed vectors ``~x`` and ``~y``),
 * satisfying-assignment extraction and model counting.
-
-Two interchangeable engines implement the :class:`repro.bdd.protocol.BDDBackend`
-protocol: the original dict-of-tuples :class:`BDDManager` (``"dict"``) and the
-packed-array :class:`repro.bdd.arena.ArenaBDDManager` (``"arena"``).  Client
-code constructs whichever is selected through
-:func:`repro.bdd.backends.create_manager`.
 """
 
-from repro.bdd.arena import ArenaBDDManager
-from repro.bdd.backends import (
-    BACKEND_ENV,
-    BACKENDS,
-    DEFAULT_BACKEND,
-    available_backends,
-    create_manager,
-    resolve_backend,
-)
 from repro.bdd.manager import BDD, BDDManager
-from repro.bdd.ordering import interleaved_pairs, order_by_first_use
-from repro.bdd.protocol import BDDBackend
 
-__all__ = [
-    "BACKEND_ENV",
-    "BACKENDS",
-    "BDD",
-    "BDDBackend",
-    "BDDManager",
-    "ArenaBDDManager",
-    "DEFAULT_BACKEND",
-    "available_backends",
-    "create_manager",
-    "interleaved_pairs",
-    "order_by_first_use",
-    "resolve_backend",
-]
+__all__ = ["BDD", "BDDManager"]

@@ -8,9 +8,9 @@ for the variable being false and ``high`` for it being true.  The standard
 reduction rules apply: no node with ``low == high``, and no two distinct nodes
 with the same triple.
 
-Because the node table is append-only (until :meth:`BDDManager.garbage_collect`
-runs), a node's children always have smaller indices than the node itself —
-several algorithms below rely on this for bottom-up passes.
+Because the node table is append-only, a node's children always have
+smaller indices than the node itself — several algorithms below rely on this
+for bottom-up passes.
 
 Operation caching follows the classical computed-table design [Brace, Rudell &
 Bryant, DAC'90]: every :meth:`BDDManager.ite` call is normalised to a
@@ -30,16 +30,16 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 @dataclass
 class BDDStatistics:
     """A snapshot of the manager's node-table and cache counters.
 
-    * ``var_count`` / ``node_count`` — declared variables and live internal
-      nodes (terminals excluded); ``peak_node_count`` is the largest the table
-      has ever been (it only decreases via :meth:`BDDManager.garbage_collect`).
+    * ``var_count`` / ``node_count`` — declared variables and internal nodes
+      (terminals excluded); ``peak_node_count`` is the largest the table has
+      ever been, which is ``node_count`` itself because the table only grows.
     * ``ite_calls`` / ``ite_cache_hits`` — top-level *and* recursive ternary
       operations, and how many were answered from the computed table.
     * ``neg_calls`` / ``neg_cache_hits`` — negations and negation-cache hits
@@ -47,8 +47,6 @@ class BDDStatistics:
     * ``rename_fast_paths`` — renamings that took the linear structural path
       because the mapping preserved the variable order.
     * ``cache_entries`` — total entries across every operation cache.
-    * ``gc_runs`` / ``nodes_reclaimed`` — garbage collections performed and
-      nodes dropped by them.
     """
 
     var_count: int = 0
@@ -60,8 +58,6 @@ class BDDStatistics:
     neg_cache_hits: int = 0
     rename_fast_paths: int = 0
     cache_entries: int = 0
-    gc_runs: int = 0
-    nodes_reclaimed: int = 0
 
     def as_dict(self) -> dict[str, int]:
         return dataclasses.asdict(self)
@@ -69,8 +65,6 @@ class BDDStatistics:
 
 class BDDManager:
     """Owner of the node table and operation caches for one variable order."""
-
-    backend_name = "dict"
 
     FALSE = 0
     TRUE = 1
@@ -93,14 +87,6 @@ class BDDManager:
         self._neg_calls = 0
         self._neg_hits = 0
         self._rename_fast = 0
-        self._peak_nodes = 0
-        self._gc_runs = 0
-        self._reclaimed = 0
-        # GC participants: (roots provider, remap listener) pairs — see
-        # ``add_gc_hook``.  ``generation`` increments on every collection so
-        # holders of raw node ids can detect staleness.
-        self._gc_hooks: list[tuple[Callable[[], Iterable[int]], Callable[[dict[int, int]], None]]] = []
-        self.generation = 0
         # Cooperative resource governor (``set_governor``); ``None`` keeps the
         # kernels on their ungoverned fast path (one ``None`` check per frame).
         self._governor = None
@@ -132,17 +118,17 @@ class BDDManager:
         return len(self._var_names)
 
     def node_count(self) -> int:
-        """Total number of live nodes in the table (terminals excluded)."""
+        """Total number of nodes in the table (terminals excluded)."""
         return len(self._nodes) - 2
 
-    # -- statistics and cache management --------------------------------------
+    # -- statistics and resource governance ----------------------------------
 
     def statistics(self) -> BDDStatistics:
         """A snapshot of the node-table and operation-cache counters."""
         return BDDStatistics(
             var_count=len(self._var_names),
             node_count=self.node_count(),
-            peak_node_count=max(self._peak_nodes, self.node_count()),
+            peak_node_count=self.node_count(),
             ite_calls=self._ite_calls,
             ite_cache_hits=self._ite_hits,
             neg_calls=self._neg_calls,
@@ -155,117 +141,19 @@ class BDDManager:
                 + len(self._rename_cache)
                 + len(self._restrict_cache)
             ),
-            gc_runs=self._gc_runs,
-            nodes_reclaimed=self._reclaimed,
         )
 
-    def clear_caches(self) -> None:
-        """Drop every operation cache (the node table is untouched).
-
-        Useful between unrelated workloads sharing one manager: results stay
-        valid (node ids are stable), only memoisation is lost.
-        """
-        self._ite_cache.clear()
-        self._neg_cache.clear()
-        self._quant_cache.clear()
-        self._rename_cache.clear()
-        self._restrict_cache.clear()
-
     def set_governor(self, governor: object | None) -> None:
-        """Attach/detach a cooperative resource governor (see the protocol).
+        """Attach (or detach, with ``None``) a cooperative resource governor.
 
         While attached, every ``ite``/``exists``/``and_exists`` kernel frame
-        calls ``governor.tick()``, which may raise ``BudgetExceeded``.  A
-        raise mid-operation leaves the node table and caches consistent
-        (partial results are hash-consed nodes like any other), so the
-        manager stays usable afterwards.
+        calls ``governor.tick()`` (see :class:`repro.solver.governor.
+        ResourceGovernor`), which may raise ``BudgetExceeded``.  A raise
+        mid-operation leaves the node table and caches consistent (partial
+        results are hash-consed nodes like any other, and every id already
+        returned stays valid), so the manager stays usable afterwards.
         """
         self._governor = governor
-
-    def add_gc_hook(
-        self,
-        roots: Callable[[], Iterable[int]],
-        remap: Callable[[dict[int, int]], None],
-    ) -> None:
-        """Register a GC participant holding raw node ids across collections.
-
-        ``roots()`` is called at the start of every :meth:`garbage_collect`
-        and must yield every node id the participant needs to survive;
-        ``remap(relocations)`` is called after the table has been rebuilt and
-        must translate (or drop) the participant's stored ids.  This is how
-        long-lived external structures — the partition and product caches of
-        :class:`repro.solver.relations.TransitionRelation`, the status cache
-        of :class:`repro.solver.relations.LeanEncoding` — stay valid when a
-        collection runs *during* a solve instead of between workloads.
-        """
-        self._gc_hooks.append((roots, remap))
-
-    def garbage_collect(self, roots: Iterable[int] = ()) -> dict[int, int]:
-        """Rebuild the node table keeping only nodes reachable from ``roots``.
-
-        The roots of every registered GC hook (see :meth:`add_gc_hook`) are
-        collected as well, and hooks are given the relocation map afterwards
-        so their stored ids stay valid.
-
-        Returns the relocation map ``old id -> new id`` for every surviving
-        node (terminals map to themselves).  **All other node ids become
-        invalid**, as do outstanding :class:`BDD` wrappers not covered by the
-        map, and every operation cache is cleared; callers must translate the
-        ids they intend to keep.  Any *external* structure that memoises node
-        ids and is not registered through :meth:`add_gc_hook` must be
-        discarded by the caller.
-        """
-        reachable: set[int] = set()
-        stack = [root for root in roots]
-        for provider, _remap in self._gc_hooks:
-            stack.extend(provider())
-        while stack:
-            current = stack.pop()
-            if current <= 1 or current in reachable:
-                continue
-            reachable.add(current)
-            _level, low, high = self._nodes[current]
-            stack.append(low)
-            stack.append(high)
-
-        old_nodes = self._nodes
-        old_count = self.node_count()
-        remap = {self.FALSE: self.FALSE, self.TRUE: self.TRUE}
-        new_nodes: list[tuple[int, int, int]] = [(-1, -1, -1), (-1, -1, -1)]
-        new_unique: dict[tuple[int, int, int], int] = {}
-        # Children always precede parents in the table, so one ascending pass
-        # can relocate bottom-up.
-        for index in range(2, len(old_nodes)):
-            if index not in reachable:
-                continue
-            level, low, high = old_nodes[index]
-            triple = (level, remap[low], remap[high])
-            new_index = len(new_nodes)
-            new_nodes.append(triple)
-            new_unique[triple] = new_index
-            remap[index] = new_index
-
-        self._nodes = new_nodes
-        self._unique = new_unique
-        self.clear_caches()
-        self._gc_runs += 1
-        self._reclaimed += old_count - self.node_count()
-        self.generation += 1
-        for _provider, remap_listener in self._gc_hooks:
-            remap_listener(remap)
-        return remap
-
-    def translate(self, remap: Mapping[int, int], node: int) -> int:
-        """Translate a node id through a GC relocation map, asserting validity.
-
-        Raises ``KeyError`` on a stale id (a node that was reclaimed although
-        a holder still references it) — the assert-and-clear contract of GC
-        hooks: surviving entries are translated, anything else must have been
-        dropped by its holder.
-        """
-        if node <= 1:
-            return node
-        return remap[node]
 
     # -- raw node constructors ------------------------------------------------
 
@@ -279,8 +167,6 @@ class BDDManager:
         index = len(self._nodes)
         self._nodes.append(key)
         self._unique[key] = index
-        if index - 1 > self._peak_nodes:
-            self._peak_nodes = index - 1
         return index
 
     def var_node(self, name: str) -> int:
@@ -518,8 +404,7 @@ class BDDManager:
         fixpoint pushes monotonically growing sets through fixed relation
         blocks (one memo per step of the early-quantification schedule), so
         later products recurse into subproblems earlier products already
-        solved.  The caller is responsible for clearing the cache when node
-        ids are invalidated (garbage collection).
+        solved.
         """
         levels = frozenset(self._var_levels[name] for name in names)
         if not levels:
@@ -814,7 +699,9 @@ class BDDManager:
 
     def iter_assignments(self, node: int, over: Sequence[str]) -> Iterator[dict[str, bool]]:
         """Iterate every satisfying assignment over exactly the given variables."""
-        names = list(over)
+        # Walk the variables in level order, whatever order ``over`` lists
+        # them in: a node is only expanded when the walk reaches its level.
+        names = sorted(over, key=self._var_levels.__getitem__)
 
         def go(current: int, index: int, partial: dict[str, bool]) -> Iterator[dict[str, bool]]:
             if current == self.FALSE:
@@ -920,8 +807,6 @@ class BDD:
 
     @property
     def is_false(self) -> bool:
-        # Compare against the owning manager's constant: terminal ids are
-        # backend-specific (the arena backend's complement edges reverse them).
         return self.node == self.manager.FALSE
 
     @property

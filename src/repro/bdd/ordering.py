@@ -1,16 +1,18 @@
-"""Variable-ordering helpers (Section 7.4).
+"""Variable-ordering and cone-of-influence helpers (Sections 7.3, 7.4).
 
 The cost of BDD operations is very sensitive to the variable order.  The paper
 found that ordering the Lean formulas by a breadth-first traversal of the
 formula to solve — which keeps sister subformulas close together — works best
 in practice.  The Lean computed by :func:`repro.logic.closure.lean` is already
-in that order; the helpers here turn an ordered Lean into the interleaved
-unprimed/primed variable order used by the transition relations ``∆ₐ``.
+in that order, and :class:`repro.solver.relations.LeanEncoding` interleaves
+each unprimed variable with its primed copy.  What lives here is the
+cone-of-influence closure the relational products use to skip partitions
+that cannot affect them.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Mapping, Sequence, TypeVar
+from typing import Hashable, Iterable, Mapping, TypeVar
 
 Node = TypeVar("Node", bound=Hashable)
 
@@ -42,33 +44,3 @@ def cone_of_influence(
             changed = True
     return cone
 
-
-def interleaved_pairs(names: Sequence[str], primed_suffix: str = "'") -> list[str]:
-    """Interleave each variable with its primed copy: ``x0, x0', x1, x1', ...``
-
-    Keeping a variable next to its primed copy is the standard ordering for
-    transition relations expressed over current-state / next-state vectors; it
-    keeps the equivalences ``xᵢ ↔ status(…~y…)`` of Section 7.1 narrow.
-    """
-    order: list[str] = []
-    for name in names:
-        order.append(name)
-        order.append(name + primed_suffix)
-    return order
-
-
-def order_by_first_use(names: Iterable[str], uses: Sequence[Iterable[str]]) -> list[str]:
-    """Order ``names`` by the first constraint (in ``uses``) that mentions them.
-
-    This is a generic "locality preserving" ordering: variables used by the
-    same constraint end up adjacent.  Variables never mentioned keep their
-    original relative order at the end.
-    """
-    names = list(names)
-    first_use: dict[str, int] = {}
-    for index, constraint in enumerate(uses):
-        for name in constraint:
-            if name in names and name not in first_use:
-                first_use[name] = index
-    fallback = len(uses)
-    return sorted(names, key=lambda name: (first_use.get(name, fallback), names.index(name)))

@@ -68,7 +68,6 @@ def run(args) -> int:
     # batch line never hides the verdicts of the others.
     analyzer = StaticAnalyzer(
         cache_dir=args.cache_dir,
-        backend=getattr(args, "backend", None),
         budget=budget_from_args(args),
         degrade=getattr(args, "degrade", False),
     )

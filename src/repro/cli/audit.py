@@ -27,7 +27,6 @@ from repro.xslt import audit_stylesheet
 def run(args) -> int:
     analyzer = StaticAnalyzer(
         cache_dir=args.cache_dir,
-        backend=getattr(args, "backend", None),
         budget=budget_from_args(args),
         degrade=getattr(args, "degrade", False),
     )

@@ -1,6 +1,6 @@
 """``repro bench`` — re-emit the machine-readable ``BENCH_*.json`` reports.
 
-Five benchmarks are built in (the pytest wrappers under ``benchmarks/`` call
+Four benchmarks are built in (the pytest wrappers under ``benchmarks/`` call
 the same functions, so the numbers cannot drift between the CLI and the
 suite):
 
@@ -15,15 +15,12 @@ suite):
 * ``scaling`` → ``BENCH_scaling.json`` — the Lemma 6.7 scaling study
   (containment of nested queries, depths 1–8), with a warm-up solve so
   first-call import/compile cost is reported separately (``warmup`` entry)
-  instead of skewing the depth-1 row.  ``--quick`` runs depths 1–3 only and
-  fails when the depth-3 ``product_calls`` counter regresses above
-  :data:`SCALING_PRODUCT_CALLS_MAX_DEPTH3` — a deterministic performance
-  guard that needs no wall-clock.
-* ``backend`` → ``BENCH_backend.json`` — the BDD-backend ablation: every
-  scaling row solved once per registered engine (``dict`` vs ``arena``),
-  verdicts and solver-level counters asserted identical, per-backend
-  ``solve_seconds`` / ``bdd_ite_calls`` / peak node counts recorded.
-  ``--quick`` enforces committed per-backend ``bdd_ite_calls`` ceilings.
+  instead of skewing the depth-1 row.  ``--quick`` runs depths 1–3 only.
+  Either way the run fails when the depth-3 ``product_calls`` or
+  ``bdd_ite_calls`` counter regresses above
+  :data:`SCALING_PRODUCT_CALLS_MAX_DEPTH3` /
+  :data:`SCALING_ITE_CALLS_MAX_DEPTH3` — deterministic performance guards
+  that need no wall-clock.
 * ``audit`` → ``BENCH_audit.json`` — the stylesheet-auditor workload: one
   :func:`repro.xslt.rules.audit_stylesheet` pass over a committed example
   (``--quick``: the clean Wikipedia control; full: the seeded XHTML
@@ -49,7 +46,6 @@ BENCHMARKS = (
     "api-batch",
     "cli-cache",
     "scaling",
-    "backend",
     "audit",
 )
 
@@ -319,6 +315,11 @@ SCALING_QUICK_DEPTHS = (1, 2, 3)
 #: never flakes.
 SCALING_PRODUCT_CALLS_MAX_DEPTH3 = 22
 
+#: CI guard: the depth-3 ``bdd_ite_calls`` counter (ternary operations,
+#: recursive expansions included) must not regress above this (measured
+#: 11,023, committed with headroom).  Deterministic like the guard above.
+SCALING_ITE_CALLS_MAX_DEPTH3 = 15_000
+
 
 def scaling_query(depth: int) -> str:
     """Nested path a1/a2[b2]/a3[b3]/… of the given depth."""
@@ -357,139 +358,20 @@ def run_scaling(quick: bool = False) -> dict:
             **warmup,
         },
         "product_calls_max_depth3": SCALING_PRODUCT_CALLS_MAX_DEPTH3,
+        "bdd_ite_calls_max_depth3": SCALING_ITE_CALLS_MAX_DEPTH3,
         "rows": rows,
     }
     depth3 = next((row for row in rows if row["depth"] == 3), None)
-    if depth3 is not None and depth3["product_calls"] > SCALING_PRODUCT_CALLS_MAX_DEPTH3:
-        raise RuntimeError(
-            f"performance regression: depth-3 product_calls "
-            f"{depth3['product_calls']} > {SCALING_PRODUCT_CALLS_MAX_DEPTH3}"
-        )
-    return payload
-
-
-# ---------------------------------------------------------------------------
-# backend
-# ---------------------------------------------------------------------------
-
-#: Depths of the backend ablation (``--quick`` stops after 3; the full table
-#: stops at 6 to keep the slowest cell under a second per repetition).
-BACKEND_DEPTHS = (1, 2, 3, 4, 5, 6)
-#: Wall-clock repetitions per (depth, backend) cell; the row records the
-#: minimum, with ``gc.collect()`` before each repetition — the solver's
-#: manager/encoding reference cycles otherwise accumulate as cyclic garbage
-#: and punish whichever backend runs later.
-BACKEND_REPS = 3
-
-#: Deterministic ``--quick`` guard: the depth-3 ``bdd_ite_calls`` counter of
-#: each backend must not regress above its committed ceiling (measured
-#: 11,023 for dict and 16,578 for arena — the arena counts every fused
-#: kernel frame where the dict engine counts top-level ternary calls, so the
-#: ceilings are per-backend by construction).  Counters are deterministic,
-#: so this guard needs no wall-clock and never flakes.
-BACKEND_ITE_CALLS_MAX_DEPTH3 = {"dict": 15_000, "arena": 20_500}
-
-#: Measured reality, recorded in the payload next to each row's ``speedup``:
-#: the pure-Python arena reaches ~1.1x over the dict engine on the deep
-#: scaling rows (both engines are memo-bound in the CPython interpreter;
-#: identical frame counts, near-identical per-frame cost).  The 2x ambition
-#: needs a native-code backend behind the same protocol — see
-#: docs/ARCHITECTURE.md.  The committed floor only guards against the arena
-#: *losing* to dict by more than noise.
-ARENA_MIN_SPEEDUP_DEEP = 0.9
-ARENA_TARGET_SPEEDUP = 2.0
-
-
-def run_backend(quick: bool = False) -> dict:
-    """BDD-backend ablation on the scaling rows: dict vs arena, per depth.
-
-    Every backend must produce the identical verdict, fixpoint iteration
-    count and relational-product count on every row (observational
-    equivalence through the :class:`repro.bdd.protocol.BDDBackend`
-    protocol); the per-backend columns record what each engine spent doing
-    it.  ``--quick`` additionally enforces the deterministic per-backend
-    ``bdd_ite_calls`` ceilings of :data:`BACKEND_ITE_CALLS_MAX_DEPTH3`.
-    """
-    import gc
-
-    from repro.analysis.problems import _query_formula
-    from repro.bdd.backends import available_backends
-    from repro.logic import syntax as sx
-    from repro.logic.negation import negate
-    from repro.solver.symbolic import SymbolicSolver
-
-    backends = available_backends()
-    depths = SCALING_QUICK_DEPTHS if quick else BACKEND_DEPTHS
-    reps = 1 if quick else BACKEND_REPS
-    rows = []
-    for depth in depths:
-        query = scaling_query(depth)
-        weaker = query.replace("[b2]", "") if depth >= 2 else "*"
-        formula = sx.mk_and(
-            _query_formula(query, None), negate(_query_formula(weaker, None))
-        )
-        columns = {}
-        reference = None
-        for backend in backends:
-            best = None
-            for _ in range(reps):
-                gc.collect()
-                result = SymbolicSolver(formula, backend=backend).solve()
-                stats = result.statistics.as_dict()
-                if best is None or stats["solve_seconds"] < best["solve_seconds"]:
-                    best = stats
-                    best_verdict = result.satisfiable
-            signature = (best_verdict, best["iterations"], best["product_calls"])
-            if reference is None:
-                reference = signature
-            elif signature != reference:
+    if depth3 is not None:
+        for counter, ceiling in (
+            ("product_calls", SCALING_PRODUCT_CALLS_MAX_DEPTH3),
+            ("bdd_ite_calls", SCALING_ITE_CALLS_MAX_DEPTH3),
+        ):
+            if depth3[counter] > ceiling:
                 raise RuntimeError(
-                    f"backend {backend!r} diverged at depth {depth}: "
-                    f"{signature} != {reference}"
+                    f"performance regression: depth-3 {counter} "
+                    f"{depth3[counter]} > {ceiling}"
                 )
-            columns[backend] = {
-                "satisfiable": best_verdict,
-                "solve_seconds": round(best["solve_seconds"], 6),
-                "iterations": best["iterations"],
-                "product_calls": best["product_calls"],
-                "bdd_ite_calls": best["bdd_ite_calls"],
-                "bdd_ite_cache_hits": best["bdd_ite_cache_hits"],
-                "bdd_peak_node_count": best["bdd_peak_node_count"],
-                "bdd_node_count": best["bdd_node_count"],
-            }
-        row = {"depth": depth, "query": query, "backends": columns}
-        if "dict" in columns and "arena" in columns and columns["arena"]["solve_seconds"]:
-            row["arena_speedup"] = round(
-                columns["dict"]["solve_seconds"] / columns["arena"]["solve_seconds"], 3
-            )
-        rows.append(row)
-
-    payload = {
-        "benchmark": "BDD backend ablation on the scaling rows (dict vs arena)",
-        "quick": quick,
-        "repetitions": reps,
-        "backends": list(backends),
-        "ite_calls_max_depth3": dict(BACKEND_ITE_CALLS_MAX_DEPTH3),
-        "arena_min_speedup_deep": ARENA_MIN_SPEEDUP_DEEP,
-        "arena_target_speedup": ARENA_TARGET_SPEEDUP,
-        "note": (
-            "verdicts/iterations/product_calls are asserted identical across "
-            "backends; the pure-Python arena lands near parity on wall clock "
-            "(both engines are memo-bound in CPython) — the target speedup "
-            "is the headroom a native backend behind the same protocol buys"
-        ),
-        "rows": rows,
-    }
-    if quick:
-        depth3 = next((row for row in rows if row["depth"] == 3), None)
-        if depth3 is not None:
-            for backend, ceiling in BACKEND_ITE_CALLS_MAX_DEPTH3.items():
-                observed = depth3["backends"][backend]["bdd_ite_calls"]
-                if observed > ceiling:
-                    raise RuntimeError(
-                        f"performance regression: depth-3 bdd_ite_calls of the "
-                        f"{backend!r} backend {observed} > {ceiling}"
-                    )
     return payload
 
 
@@ -572,12 +454,11 @@ _RUNNERS = {
     "api-batch": run_api_batch,
     "cli-cache": run_cli_cache,
     "scaling": run_scaling,
-    "backend": run_backend,
     "audit": run_audit,
 }
 
 #: Benchmarks that understand the ``--quick`` smoke mode.
-_QUICK_AWARE = {"scaling", "backend", "audit"}
+_QUICK_AWARE = {"scaling", "audit"}
 
 #: Benchmarks whose multiprocess sections honour ``--workers``.
 _WORKERS_AWARE = {"api-batch"}

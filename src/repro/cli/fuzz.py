@@ -1,11 +1,10 @@
 """``repro fuzz`` — the differential fuzzing campaign from the command line.
 
 Runs :func:`repro.testing.fuzz.run_fuzz`: every trial generates a random
-decision problem, answers it with the symbolic engine under pruning on/off ×
-one run per selected BDD backend (``--backend``, accepting a name or
-``all``), and cross-checks the verdicts against the
-bounded explicit oracles (see ``docs/TESTING.md``).  The JSON campaign
-report is printed to stdout.
+decision problem, answers it with the symbolic engine under label pruning
+on and off, and cross-checks the verdicts against the bounded explicit
+oracles (see ``docs/TESTING.md``).  The JSON campaign report is printed to
+stdout.
 
 With ``--chaos`` every trial additionally stresses resource governance: a
 seeded budgeted re-solve and an injected deadline expiry must both degrade
@@ -14,7 +13,7 @@ crash (the fault-injection harness of :mod:`repro.testing.faults`).
 
 Exit codes follow the ``repro analyze`` contract:
 
-* ``0`` — every trial agreed across all engines and oracles;
+* ``0`` — every trial agreed across the ablation matrix and all oracles;
 * ``1`` — at least one cross-oracle disagreement was found (the shrunk
   case(s) are serialised into the corpus directory for permanent replay);
 * ``2`` — the campaign itself failed (internal error in a trial, unusable
@@ -95,12 +94,6 @@ def add_arguments(parser) -> None:
         help="additionally write N shrunk agreeing cases as regression seeds",
     )
     parser.add_argument(
-        "--backend", default=None, metavar="NAME",
-        help="BDD engine axis of the ablation matrix: a backend name, or "
-        "'all' to solve every cell once per registered engine and demand "
-        "identical verdicts (default: $REPRO_BDD_BACKEND if set, else dict)",
-    )
-    parser.add_argument(
         "--chaos", action="store_true",
         help="also stress resource governance on every trial: a seeded "
         "budgeted re-solve must agree with the reference verdict or yield a "
@@ -118,23 +111,9 @@ def _corpus_dir(args) -> str | None:
     return DEFAULT_CORPUS_DIR if Path(DEFAULT_CORPUS_DIR).is_dir() else None
 
 
-def _backends(args) -> tuple[str, ...]:
-    from repro.bdd.backends import available_backends, resolve_backend
-
-    choice = getattr(args, "backend", None)
-    if choice == "all":
-        return available_backends()
-    return (resolve_backend(choice),)
-
-
 def run(args) -> int:
     if args.budget < 1:
         print("repro fuzz: --budget must be at least 1", file=sys.stderr)
-        return EXIT_INTERNAL
-    try:
-        backends = _backends(args)
-    except ValueError as exc:
-        print(f"repro fuzz: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     config = FuzzConfig(
         budget=args.budget,
@@ -151,7 +130,6 @@ def run(args) -> int:
         generator=GeneratorConfig(),
         corpus_dir=_corpus_dir(args),
         sample_corpus=args.sample_corpus,
-        backends=backends,
         chaos=args.chaos,
     )
     report = run_fuzz(config)

@@ -33,10 +33,6 @@ import sys
 #: Environment variable consulted when ``--cache-dir`` is not given.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
-#: Registered BDD engines, kept in sync with ``repro.bdd.backends.BACKENDS``
-#: (hard-coded here so ``repro ... --help`` never imports the solver stack).
-BACKEND_CHOICES = ("dict", "arena")
-
 
 def _add_cache_dir_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
@@ -45,16 +41,6 @@ def _add_cache_dir_option(parser: argparse.ArgumentParser) -> None:
         metavar="DIR",
         help="persistent solve-cache directory (default: $REPRO_CACHE_DIR if set, "
         "else no persistence)",
-    )
-
-
-def _add_backend_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--backend",
-        choices=BACKEND_CHOICES,
-        default=None,
-        help="BDD engine for solver runs (default: $REPRO_BDD_BACKEND if set, "
-        "else dict); both engines produce identical verdicts",
     )
 
 
@@ -159,7 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--compact", action="store_true", help="single-line JSON output"
     )
     _add_cache_dir_option(analyze)
-    _add_backend_option(analyze)
     _add_budget_options(analyze)
 
     audit = subparsers.add_parser(
@@ -203,7 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: 1, in-process)",
     )
     _add_cache_dir_option(audit)
-    _add_backend_option(audit)
     _add_budget_options(audit)
 
     serve = subparsers.add_parser(
@@ -221,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
         "order; default: 1, in-process)",
     )
     _add_cache_dir_option(serve)
-    _add_backend_option(serve)
     _add_budget_options(serve)
 
     schemas = subparsers.add_parser(
@@ -241,15 +224,15 @@ def build_parser() -> argparse.ArgumentParser:
         "names",
         nargs="*",
         metavar="NAME",
-        help="benchmarks to run: api-batch, cli-cache, scaling, backend, "
-        "audit (default: all)",
+        help="benchmarks to run: api-batch, cli-cache, scaling, audit "
+        "(default: all)",
     )
     bench.add_argument(
         "--quick",
         action="store_true",
-        help="smoke mode: scaling/backend run depths 1-3 only, and the run "
-        "fails if the depth-3 product_calls counter regresses above the "
-        "committed threshold",
+        help="smoke mode: scaling runs depths 1-3 only, and the run fails "
+        "if the depth-3 product_calls or bdd_ite_calls counter regresses "
+        "above its committed threshold",
     )
     bench.add_argument(
         "--output-dir",
@@ -270,10 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
         "fuzz",
         help="differential fuzzing against bounded explicit oracles",
         description="Generate random DTD/XPath decision problems, solve each "
-        "with label pruning on/off on every selected BDD backend, and "
-        "cross-check every verdict against bounded enumeration, the psi-type "
-        "solver, and "
-        "witness replay. Prints a JSON campaign report; exit code 1 means a "
+        "with label pruning on and off, and cross-check every verdict against "
+        "bounded enumeration, the psi-type solver, and witness replay. "
+        "Prints a JSON campaign report; exit code 1 means a "
         "disagreement was found (and shrunk into the corpus directory).",
     )
     from repro.cli import fuzz as fuzz_command

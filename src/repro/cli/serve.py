@@ -114,7 +114,6 @@ def serve(
     cache_dir: str | None = None,
     analyzer: StaticAnalyzer | None = None,
     workers: int = 1,
-    backend: str | None = None,
     budget: "object | None" = None,
     degrade: bool = False,
 ) -> int:
@@ -122,14 +121,12 @@ def serve(
 
     With ``workers > 1`` queries are dispatched to a process pool while the
     loop keeps reading; responses are written strictly in request order.
-    ``backend`` selects the BDD engine for every solver run (see
-    :mod:`repro.bdd.backends`); ``budget`` bounds every solve (tightened
-    further by per-request ``budget`` objects) and ``degrade`` enables the
-    explicit-solver fallback for budget-exhausted queries.
+    ``budget`` bounds every solve (tightened further by per-request
+    ``budget`` objects) and ``degrade`` enables the explicit-solver fallback
+    for budget-exhausted queries.
     """
     analyzer = analyzer or StaticAnalyzer(
         cache_dir=cache_dir,
-        backend=backend,
         budget=budget,
         degrade=degrade,
     )
@@ -367,7 +364,6 @@ def run(args) -> int:
         sys.stdout,
         cache_dir=args.cache_dir,
         workers=getattr(args, "workers", 1) or 1,
-        backend=getattr(args, "backend", None),
         budget=budget_from_args(args),
         degrade=getattr(args, "degrade", False),
     )

@@ -56,8 +56,7 @@ class SolverLimitError(ReproError):
 
 #: Structured reasons a :class:`BudgetExceeded` may carry.  These strings are
 #: the wire-visible ``budget_reason`` vocabulary of unknown outcomes and must
-#: stay stable (and backend-independent: the same exhausted budget reports the
-#: same reason on every BDD engine).
+#: stay stable.
 BUDGET_REASONS = ("deadline", "steps", "iterations", "lean", "worker-crash")
 
 

@@ -4,7 +4,7 @@ The satisfiability algorithm is ``2^O(lean)`` (Lemma 6.7), so a service
 answering untrusted queries needs every solve bounded in advance: a
 pathological formula must cost a *budget*, not the process.  This module
 defines the budget vocabulary and the cooperative enforcement object that the
-solver and both BDD engines poll:
+solver and the BDD manager poll:
 
 * :class:`Budget` — declarative limits: a wall-clock deadline, a cap on BDD
   kernel steps, a cap on fixpoint iterations, and a cap on the Lean size
@@ -12,7 +12,7 @@ solver and both BDD engines poll:
 * :class:`ResourceGovernor` — the per-solve enforcement state.  Enforcement
   is *cooperative*: the fixpoint loop of :class:`repro.solver.symbolic.
   SymbolicSolver` calls :meth:`~ResourceGovernor.poll` once per iteration,
-  and both BDD engines call :meth:`~ResourceGovernor.tick` once per kernel
+  and the BDD manager calls :meth:`~ResourceGovernor.tick` once per kernel
   frame (``ite``/``exists``/``and_exists`` recursion step), which polls the
   clock every :data:`~ResourceGovernor.POLL_STRIDE` frames.  A single fixpoint
   iteration can conjoin astronomically large BDDs, so iteration-level checks
@@ -23,9 +23,9 @@ Exhaustion raises :class:`repro.core.errors.BudgetExceeded` with a structured
 ``reason`` (``"deadline"``, ``"steps"``, ``"iterations"``, ``"lean"``); the
 API façade converts it into an ``unknown`` outcome (see
 :class:`repro.api.AnalysisOutcome`), optionally after degrading to the
-bounded explicit solver.  Reasons are backend-independent by construction:
-both engines count the same notion of step (one kernel frame) against the
-same governor.
+bounded explicit solver.  A step is one kernel frame, so ``max_steps``
+trips deterministically: the same formula under the same budget reports the
+same reason on every run.
 """
 
 from __future__ import annotations
@@ -133,7 +133,7 @@ class ResourceGovernor:
       the fixpoint loop once per iteration.
     """
 
-    #: Kernel frames between wall-clock polls.  At the dict backend's
+    #: Kernel frames between wall-clock polls.  At the BDD manager's
     #: ~10⁶ frames/second this bounds checkpoint latency well under a
     #: millisecond while keeping the per-frame cost to one increment and
     #: one masked comparison.

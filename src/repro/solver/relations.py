@@ -14,10 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.bdd.backends import create_manager
-from repro.bdd.manager import BDD
-from repro.bdd.ordering import cone_of_influence, interleaved_pairs
-from repro.bdd.protocol import BDDBackend
+from repro.bdd.manager import BDD, BDDManager
+from repro.bdd.ordering import cone_of_influence
 from repro.logic import syntax as sx
 from repro.logic.closure import Lean
 from repro.trees.focus import FORWARD_MODALITIES, MODALITIES
@@ -32,7 +30,7 @@ class LeanEncoding:
     breadth-first traversal of the formula (Section 7.4).
     """
 
-    def __init__(self, lean: Lean, interleaved: bool = True, backend: str | None = None):
+    def __init__(self, lean: Lean, interleaved: bool = True):
         self.lean = lean
         self.x_names = [f"x{i}" for i in range(len(lean))]
         self.y_names = [f"y{i}" for i in range(len(lean))]
@@ -43,23 +41,10 @@ class LeanEncoding:
                 order.append(y_name)
         else:
             order = self.x_names + self.y_names
-        self.manager: BDDBackend = create_manager(order, backend=backend)
+        self.manager = BDDManager(order)
         self._status_cache: dict[tuple[sx.Formula, bool], BDD] = {}
         self._x_to_y = dict(zip(self.x_names, self.y_names))
         self._y_to_x = dict(zip(self.y_names, self.x_names))
-        self.manager.add_gc_hook(self._gc_roots, self._gc_remap)
-
-    # -- garbage-collection participation ----------------------------------------
-
-    def _gc_roots(self):
-        return [function.node for function in self._status_cache.values()]
-
-    def _gc_remap(self, remap: dict[int, int]) -> None:
-        manager = self.manager
-        self._status_cache = {
-            key: manager.wrap(manager.translate(remap, function.node))
-            for key, function in self._status_cache.items()
-        }
 
     # -- literals ------------------------------------------------------------------
 
@@ -223,8 +208,7 @@ class _ScheduleStep:
     primed_support: frozenset[str] = frozenset()
     partition_count: int = 1
     #: Persistent relational-product memo for this step (the block and the
-    #: eliminated variables are fixed, so only the incoming frontier varies);
-    #: cleared on garbage collection.
+    #: eliminated variables are fixed, so only the incoming frontier varies).
     cache: dict[tuple[int, int], int] = field(default_factory=dict)
 
 
@@ -296,47 +280,12 @@ class TransitionRelation:
             index: step.primed_support for index, step in enumerate(self._schedule)
         }
         self._components = self._build_components()
-        # Keyed by (backend name, target node id): node ids are only unique
-        # *within* an engine, so a bare id could alias a stale entry after a
-        # backend switch re-created the encoding in the same process.
-        self._product_cache: dict[tuple[str, int], BDD] = {}
+        # Keyed by the target's node id (targets always come from this
+        # relation's own manager; see ``_witness_product``).
+        self._product_cache: dict[int, BDD] = {}
         self.product_calls = 0
         self.product_cache_hits = 0
         self.partitions_skipped = 0
-        encoding.manager.add_gc_hook(self._gc_roots, self._gc_remap)
-
-    # -- garbage-collection participation ----------------------------------------
-
-    def _gc_roots(self):
-        roots = [partition.function.node for partition in self.partitions]
-        roots.extend(step.block.node for step in self._schedule)
-        if self._monolithic_relation is not None:
-            roots.append(self._monolithic_relation.node)
-        roots.extend(product.node for product in self._product_cache.values())
-        return roots
-
-    def _gc_remap(self, remap: dict[int, int]) -> None:
-        """Translate every stored node id; drop entries whose key died.
-
-        Product-cache *keys* are target node ids owned by the solver — a key
-        the solver no longer kept alive is stale and must be cleared (keeping
-        it could silently alias a different function that now occupies the
-        reclaimed id).
-        """
-        manager = self.encoding.manager
-        wrap = lambda function: manager.wrap(manager.translate(remap, function.node))
-        for partition in self.partitions:
-            partition.function = wrap(partition.function)
-        for step in self._schedule:
-            step.block = wrap(step.block)
-            step.cache.clear()
-        if self._monolithic_relation is not None:
-            self._monolithic_relation = wrap(self._monolithic_relation)
-        self._product_cache = {
-            (backend, remap[node]): wrap(product)
-            for (backend, node), product in self._product_cache.items()
-            if node in remap
-        }
 
     def _build_partitions(self) -> list[_Partition]:
         encoding = self.encoding
@@ -511,22 +460,20 @@ class TransitionRelation:
         manager = self.encoding.manager
         if target_x.manager is not manager:
             raise ValueError(
-                "witness target was built on a different BDD manager "
-                f"(relation uses the {manager.backend_name!r} backend); node "
-                "ids are not portable across engines"
+                "witness target was built on a different BDD manager; node "
+                "ids are only meaningful within the manager that made them"
             )
         if target_x.is_false:
             # ∃y (⊥ ∧ ∆ₐ) — nothing to compute, every partition is skipped.
             self.partitions_skipped += len(self.partitions)
             return manager.false()
-        cache_key = (manager.backend_name, target_x.node)
-        cached = self._product_cache.get(cache_key)
+        cached = self._product_cache.get(target_x.node)
         if cached is not None:
             self.product_cache_hits += 1
             return cached
         self.product_calls += 1
         product = self._product(self._frontier(target_x))
-        self._product_cache[cache_key] = product
+        self._product_cache[target_x.node] = product
         return product
 
     def witness(self, target_x: BDD) -> BDD:

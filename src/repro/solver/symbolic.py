@@ -151,22 +151,13 @@ class SymbolicSolver:
       unsound behaviour that motivates the four-case update of Figure 16.
     * ``check_cycle_freeness`` — verify the input formula is cycle-free before
       solving (the algorithm is only correct for cycle-free formulas).
-    * ``collect_every`` — run a BDD garbage collection every N fixpoint
-      iterations, keeping the loop's live sets (and every registered GC
-      participant) and remapping in place.  ``None`` disables collection;
-      useful for long-running solves whose intermediate results dominate the
-      node table.
-    * ``backend`` — which registered BDD engine to solve on (``"dict"``,
-      ``"arena"``, ...); ``None`` defers to ``REPRO_BDD_BACKEND`` and then
-      the default.  The verdict is backend-independent (enforced by the
-      cross-backend conformance suite and the fuzzer's backend axis).
     * ``budget`` — optional :class:`repro.solver.governor.Budget` bounding
       the run (wall-clock deadline, BDD kernel steps, fixpoint iterations,
       Lean size).  Exhaustion raises :class:`repro.core.errors.
-      BudgetExceeded` with a structured, backend-independent reason; the
-      governor is polled once per fixpoint iteration and — via the BDD
-      engine's kernel ticks — every ~1024 kernel frames, so a deadline bites
-      within milliseconds even inside one enormous iteration.  The budget is
+      BudgetExceeded` with a structured reason; the governor is polled once
+      per fixpoint iteration and — via the BDD manager's kernel ticks — every
+      ~1024 kernel frames, so a deadline bites within milliseconds even
+      inside one enormous iteration.  The budget is
       the only bound on the number of iterations: without one the loop runs
       until the sets are stable, which always happens (they grow
       monotonically in a finite lattice).
@@ -179,8 +170,6 @@ class SymbolicSolver:
     interleaved_order: bool = True
     track_marks: bool = True
     check_cycle_freeness: bool = False
-    collect_every: int | None = None
-    backend: str | None = None
     budget: Budget | None = None
 
     _lean: Lean = field(init=False, repr=False)
@@ -203,7 +192,7 @@ class SymbolicSolver:
     def solve(self) -> SolverResult:
         statistics = SolverStatistics(lean_size=len(self._lean))
         # Resource governance (all checkpoints are cooperative): refuse
-        # over-budget Leans before any BDD exists, then let the engine's
+        # over-budget Leans before any BDD exists, then let the manager's
         # kernel ticks and the per-iteration poll below enforce the deadline
         # and step budget.  The governor's clock starts here, so translation
         # time counts against the deadline too.
@@ -212,9 +201,7 @@ class SymbolicSolver:
             governor.check_lean(len(self._lean))
         start_translation = time.perf_counter()
 
-        encoding = LeanEncoding(
-            self._lean, interleaved=self.interleaved_order, backend=self.backend
-        )
+        encoding = LeanEncoding(self._lean, interleaved=self.interleaved_order)
         if governor is not None:
             encoding.manager.set_governor(governor)
         relations = {
@@ -258,35 +245,6 @@ class SymbolicSolver:
         unmarked_node_seen: int | None = None
         marked_node_seen: int | None = None
 
-        def collect_garbage() -> None:
-            """GC the node table mid-fixpoint, remapping the loop's live state."""
-            nonlocal types, start_literal, final_filter, unmarked, marked
-            nonlocal witness_unmarked, strict_marked, snapshots
-            nonlocal unmarked_node_seen, marked_node_seen, false
-            keep = [types, start_literal, final_filter, unmarked, marked]
-            keep.extend(witness_unmarked.values())
-            keep.extend(strict_marked.values())
-            for pair in snapshots:
-                keep.extend(pair)
-            remap = manager.garbage_collect([function.node for function in keep])
-            wrap = lambda function: manager.wrap(
-                manager.translate(remap, function.node)
-            )
-            types, start_literal = wrap(types), wrap(start_literal)
-            final_filter = wrap(final_filter)
-            old_unmarked_node, old_marked_node = unmarked.node, marked.node
-            unmarked, marked = wrap(unmarked), wrap(marked)
-            false = manager.false()
-            witness_unmarked = {p: wrap(f) for p, f in witness_unmarked.items()}
-            strict_marked = {p: wrap(f) for p, f in strict_marked.items()}
-            snapshots = [(wrap(u), wrap(m)) for u, m in snapshots]
-            unmarked_node_seen = (
-                unmarked.node if unmarked_node_seen == old_unmarked_node else None
-            )
-            marked_node_seen = (
-                marked.node if marked_node_seen == old_marked_node else None
-            )
-
         # Loop invariants hoisted out of the iteration: the mark-free type
         # filter and the negated start literal.
         types_unmarked = types & ~start_literal
@@ -296,10 +254,6 @@ class SymbolicSolver:
             statistics.iterations = iteration
             if governor is not None:
                 governor.check_iteration(iteration)
-            if self.collect_every and iteration % self.collect_every == 0:
-                collect_garbage()
-                types_unmarked = types & ~start_literal
-                not_start = ~start_literal
             if self.track_marks:
                 if unmarked.node != unmarked_node_seen:
                     witness_unmarked = {

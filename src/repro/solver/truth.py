@@ -185,17 +185,16 @@ def _is_consistent_type(members: frozenset[sx.Formula]) -> bool:
     return True
 
 
-def count_types_symbolically(lean: Lean, backend: str | None = None) -> int:
-    """``|Types(ψ)|`` computed through a BDD backend (Section 7.1).
+def count_types_symbolically(lean: Lean) -> int:
+    """``|Types(ψ)|`` computed through the BDD encoding (Section 7.1).
 
-    Builds the characteristic function χ_Types of the lean on the selected
-    engine (any name registered in :mod:`repro.bdd.backends`) and
-    model-counts it over the unprimed variable vector.  For every lean small
-    enough to enumerate this equals ``sum(1 for _ in psi_types(lean))`` —
-    the conformance suite holds each backend to both counts, tying the
-    explicit Figure 15 machinery to the symbolic encoding.
+    Builds the characteristic function χ_Types of the lean and model-counts
+    it over the unprimed variable vector.  For every lean small enough to
+    enumerate this equals ``sum(1 for _ in psi_types(lean))`` — the
+    conformance suite holds the engine to both counts, tying the explicit
+    Figure 15 machinery to the symbolic encoding.
     """
     from repro.solver.relations import LeanEncoding
 
-    encoding = LeanEncoding(lean, backend=backend)
+    encoding = LeanEncoding(lean)
     return encoding.types_constraint().count_assignments(encoding.x_names)

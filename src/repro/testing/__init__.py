@@ -18,9 +18,9 @@ specifications that share no code with the BDD engine:
 * :mod:`repro.testing.shrink` — a disagreement shrinker that minimises
   failing (DTD, query) pairs while a predicate keeps holding;
 * :mod:`repro.testing.fuzz` — the campaign driver behind ``repro fuzz``:
-  every trial runs the symbolic solver with pruning on/off × one run per
-  BDD backend, compares all verdicts against the oracles, shrinks any
-  disagreement, and serialises it into ``tests/corpus/`` for permanent
+  every trial runs the symbolic solver with label pruning on and off,
+  compares both verdicts against the oracles, shrinks any disagreement,
+  and serialises it into ``tests/corpus/`` for permanent
   replay by ``tests/test_corpus.py``;
 * :mod:`repro.testing.faults` — deterministic fault injection (worker
   crashes, torn cache writes, expiring deadlines) behind ``repro fuzz

@@ -19,7 +19,9 @@ Corpus entries are JSON files, one case per file::
     }
 
 ``expected`` records the verdict every engine agreed on when the case was
-written; ``disagreement`` is non-null only for unresolved fuzz findings (a
+written; replay reads only its ``satisfiable`` and ``holds`` (older entries
+also carry a ``backends`` list from when the fuzzer had a BDD-engine axis).
+``disagreement`` is non-null only for unresolved fuzz findings (a
 checked-in disagreement keeps failing ``tests/test_corpus.py`` until the
 underlying bug is fixed, which is exactly the point).
 """

@@ -1,14 +1,11 @@
 """The differential fuzzing campaign driver behind ``repro fuzz``.
 
 Every trial generates one decision problem (:func:`repro.testing.generators.
-gen_case`) and answers it with the symbolic engine under the full ablation
-matrix — cone-of-influence label pruning on/off × one run per configured BDD
-backend (``FuzzConfig.backends``) — then cross-examines the verdict with the
-three oracles of
-:mod:`repro.testing.oracle`:
+gen_case`) and answers it with the symbolic engine under the ablation
+matrix — cone-of-influence label pruning on and off — then cross-examines
+the verdict with the three oracles of :mod:`repro.testing.oracle`:
 
-* all symbolic verdicts must be identical (ablation agreement — including
-  across backends, which must be observationally equivalent);
+* both symbolic verdicts must be identical (ablation agreement);
 * a witness found by bounded focused-tree enumeration refutes an
   "unsatisfiable" verdict;
 * the sampled Proposition 5.1 checks must find no model/semantics mismatch;
@@ -56,14 +53,9 @@ from repro.xmltypes.dtd import DTD
 from repro.xpath.compile import compile_xpath
 from repro.xpath.parser import parse_xpath_cached
 
-#: The pruning axis of the ablation matrix every trial runs (the first entry
-#: is the reference); the second axis — the BDD backend — comes from
-#: ``FuzzConfig.backends``.
+#: The ablation matrix every trial runs: label pruning off and on (the first
+#: entry is the reference).
 ABLATION_MATRIX = (False, True)
-
-#: Default backend axis of the ablation matrix (the engine the rest of the
-#: suite exercises by default; pass several names to cross-check engines).
-DEFAULT_FUZZ_BACKENDS = ("dict",)
 
 
 @dataclass(frozen=True)
@@ -80,10 +72,6 @@ class FuzzConfig:
     #: Additionally write this many shrunk *agreeing* cases as regression
     #: seeds (spread over kinds and verdicts).
     sample_corpus: int = 0
-    #: BDD engines forming the second ablation axis; every pruning cell is
-    #: solved once per backend and all verdicts must agree.  The first entry
-    #: is the reference engine.
-    backends: tuple[str, ...] = DEFAULT_FUZZ_BACKENDS
     #: Also run the resource-governance chaos probes on every solved trial
     #: (seeded budgeted re-solve + injected deadline expiry; see module
     #: docstring).
@@ -103,8 +91,7 @@ class TrialOutcome:
     case: FuzzCase
     satisfiable: bool | None = None
     holds: bool | None = None
-    #: Verdicts of the (pruning, backend) ablation matrix, keyed
-    #: ``"prune=P,backend=B"``.
+    #: Verdicts of the pruning ablation matrix, keyed ``"prune=P"``.
     ablation: dict = field(default_factory=dict)
     disagreements: list[dict] = field(default_factory=list)
     #: Oracle engagement counters for the campaign report.
@@ -200,16 +187,13 @@ def evaluate_case(
     case: FuzzCase,
     bounds: Bounds = Bounds(),
     index: int = 0,
-    backends: tuple[str, ...] = DEFAULT_FUZZ_BACKENDS,
     chaos: bool = False,
 ) -> TrialOutcome:
     """Run one case through the ablation matrix and every oracle.
 
-    ``backends`` is the BDD-engine axis: every pruning cell is
-    solved once per listed engine, and a verdict split across engines is a
-    disagreement like any other.  ``backends[0]`` is the reference whose
-    witness feeds the replay oracle.  With ``chaos`` the resource-governance
-    probes of :func:`_chaos_check` run after the oracles.
+    The unpruned solve is the reference whose witness feeds the replay
+    oracle.  With ``chaos`` the resource-governance probes of
+    :func:`_chaos_check` run after the oracles.
     """
     started = time.perf_counter()
     outcome = TrialOutcome(index=index, case=case)
@@ -226,31 +210,29 @@ def evaluate_case(
         outcome.seconds = time.perf_counter() - started
         return outcome
 
-    # Symbolic verdicts: pruning on/off x one run per BDD backend.  Formulas
-    # are hash-consed, so when pruning is a no-op (untyped case, or every
-    # element name already tested) both pruning rows solve the *same*
-    # formula — one solver run per backend answers both.
+    # Symbolic verdicts: pruning on/off.  Formulas are hash-consed, so when
+    # pruning is a no-op (untyped case, or every element name already
+    # tested) both rows solve the *same* formula — one solver run answers
+    # both.
     results = {}
-    solved: dict[tuple, object] = {}
+    solved: dict[sx.Formula, object] = {}
     for pruned in ABLATION_MATRIX:
-        for backend in backends:
-            key = (formulas[pruned], backend)
-            if key not in solved:
-                solved[key] = SymbolicSolver(formulas[pruned], backend=backend).solve()
-            results[(pruned, backend)] = solved[key]
+        formula = formulas[pruned]
+        if formula not in solved:
+            solved[formula] = SymbolicSolver(formula).solve()
+        results[pruned] = solved[formula]
     outcome.ablation = {
-        f"prune={pruned},backend={backend}": result.satisfiable
-        for (pruned, backend), result in results.items()
+        f"prune={pruned}": result.satisfiable for pruned, result in results.items()
     }
     verdicts = {result.satisfiable for result in results.values()}
-    reference = results[(ABLATION_MATRIX[0], backends[0])]
+    reference = results[ABLATION_MATRIX[0]]
     outcome.satisfiable = reference.satisfiable
     outcome.holds = case.holds(reference.satisfiable)
     if len(verdicts) > 1:
         outcome.disagreements.append(
             {
                 "oracle": "ablation",
-                "detail": "pruning/backend switches changed the verdict",
+                "detail": "label pruning changed the verdict",
                 "verdicts": dict(outcome.ablation),
             }
         )
@@ -303,7 +285,7 @@ def evaluate_case(
 
     # Oracle 4 (chaos axis): resource governance must degrade, never lie.
     if chaos:
-        _chaos_check(outcome, formulas[False], reference.satisfiable, backends[0])
+        _chaos_check(outcome, formulas[False], reference.satisfiable)
 
     outcome.seconds = time.perf_counter() - started
     return outcome
@@ -313,7 +295,6 @@ def _chaos_check(
     outcome: TrialOutcome,
     formula: sx.Formula,
     reference_satisfiable: bool,
-    backend: str,
 ) -> None:
     """The resource-governance probes behind ``FuzzConfig.chaos``.
 
@@ -340,7 +321,7 @@ def _chaos_check(
     outcome.chaos_max_steps = 2 ** rng.randint(6, 14)
     try:
         budgeted = SymbolicSolver(
-            formula, budget=Budget(max_steps=outcome.chaos_max_steps), backend=backend
+            formula, budget=Budget(max_steps=outcome.chaos_max_steps)
         ).solve()
     except BudgetExceeded as exc:
         outcome.chaos_budget_reason = exc.reason
@@ -370,9 +351,7 @@ def _chaos_check(
 
     faults.install(faults.FaultPlan([faults.FaultPoint(point="deadline")]))
     try:
-        SymbolicSolver(
-            formula, budget=Budget(deadline_seconds=3600.0), backend=backend
-        ).solve()
+        SymbolicSolver(formula, budget=Budget(deadline_seconds=3600.0)).solve()
     except BudgetExceeded as exc:
         if exc.reason == "deadline":
             outcome.chaos_deadline_injected = True
@@ -458,12 +437,7 @@ class FuzzReport:
                 ),
             },
             "ablation": {
-                "matrix": [
-                    {"prune_labels": pruned, "backend": backend}
-                    for pruned in ABLATION_MATRIX
-                    for backend in self.config.backends
-                ],
-                "backends": list(self.config.backends),
+                "matrix": [{"prune_labels": pruned} for pruned in ABLATION_MATRIX],
                 "identical_verdicts": not any(
                     d["oracle"] == "ablation" for d in self.disagreements
                 ),
@@ -510,13 +484,7 @@ def _run_trial(index: int, trial_seed: int, config: FuzzConfig) -> TrialOutcome:
     rng = random.Random(trial_seed)
     case = gen_case(rng, config.generator)
     try:
-        return evaluate_case(
-            case,
-            config.bounds,
-            index=index,
-            backends=config.backends,
-            chaos=config.chaos,
-        )
+        return evaluate_case(case, config.bounds, index=index, chaos=config.chaos)
     except Exception as exc:  # noqa: BLE001 - reported, never swallowed
         outcome = TrialOutcome(index=index, case=case)
         outcome.error = f"{type(exc).__name__}: {exc}"
@@ -564,9 +532,9 @@ def run_fuzz(config: FuzzConfig) -> FuzzReport:
     return report
 
 
-def _still_disagrees(bounds: Bounds, backends: tuple[str, ...], chaos: bool = False):
+def _still_disagrees(bounds: Bounds, chaos: bool = False):
     def predicate(candidate: FuzzCase) -> bool:
-        outcome = evaluate_case(candidate, bounds, backends=backends, chaos=chaos)
+        outcome = evaluate_case(candidate, bounds, chaos=chaos)
         return bool(outcome.disagreements)
 
     return predicate
@@ -579,22 +547,18 @@ def _write_disagreements(report: FuzzReport, config: FuzzConfig) -> None:
             continue
         shrunk = shrink_case(
             trial.case,
-            _still_disagrees(config.bounds, config.backends, config.chaos),
+            _still_disagrees(config.bounds, config.chaos),
         )
-        disagreement = dict(trial.disagreements[0])
-        disagreement.setdefault("backends", list(config.backends))
         path = write_corpus_case(
             config.corpus_dir,
             shrunk,
             origin=f"repro fuzz --seed {config.seed} (trial {trial.index})",
-            disagreement=disagreement,
+            disagreement=trial.disagreements[0],
         )
         _record_corpus_file(report, path)
 
 
-def _verdict_preserved(
-    reference: TrialOutcome, bounds: Bounds, backends: tuple[str, ...]
-):
+def _verdict_preserved(reference: TrialOutcome, bounds: Bounds):
     """Shrink predicate for regression seeds: same verdict, same shape.
 
     Typedness is preserved (a typed case must not shrink into an untyped
@@ -607,7 +571,7 @@ def _verdict_preserved(
             return False
         if _mentions_attributes(reference.case) and not _mentions_attributes(candidate):
             return False
-        outcome = evaluate_case(candidate, bounds, backends=backends)
+        outcome = evaluate_case(candidate, bounds)
         return (
             not outcome.disagreements
             and outcome.error is None
@@ -662,19 +626,15 @@ def _write_regression_samples(report: FuzzReport, config: FuzzConfig) -> None:
     for trial in samples:
         shrunk = shrink_case(
             trial.case,
-            _verdict_preserved(trial, config.bounds, config.backends),
+            _verdict_preserved(trial, config.bounds),
             budget=80,
         )
-        final = evaluate_case(shrunk, config.bounds, backends=config.backends)
+        final = evaluate_case(shrunk, config.bounds)
         path = write_corpus_case(
             config.corpus_dir,
             shrunk,
             origin=f"repro fuzz --seed {config.seed} (trial {trial.index}, shrunk)",
-            expected={
-                "satisfiable": final.satisfiable,
-                "holds": final.holds,
-                "backends": list(config.backends),
-            },
+            expected={"satisfiable": final.satisfiable, "holds": final.holds},
         )
         _record_corpus_file(report, path)
 

@@ -225,6 +225,34 @@ def test_equivalence_with_bad_side_is_a_structured_error():
 # ---------------------------------------------------------------------------
 
 
+def test_worker_options_rebuild_an_equivalent_analyzer(tmp_path):
+    """Worker processes are built from ``_options()``: every option must
+    survive the round trip."""
+    from repro.solver.governor import Budget
+
+    analyzer = StaticAnalyzer(
+        early_quantification=False,
+        monolithic_relation=True,
+        interleaved_order=False,
+        track_marks=False,
+        cache_dir=str(tmp_path),
+        prune_labels=False,
+        budget=Budget(max_steps=10**6),
+        max_lean=64,
+        degrade=True,
+    )
+    options = analyzer._options()
+    assert options["budget"] == Budget(max_steps=10**6, max_lean=64)
+    assert StaticAnalyzer(**options)._options() == options
+
+
+def test_analyzer_has_no_engine_option():
+    """The dict BDD manager is the only engine: there is nothing to choose."""
+    assert "backend" not in StaticAnalyzer()._options()
+    with pytest.raises(TypeError, match="backend"):
+        StaticAnalyzer(backend="dict")
+
+
 def test_solve_many_workers_matches_sequential_order_and_verdicts():
     queries = [
         Query.containment("child::a[b]", "child::a"),

@@ -1,16 +1,20 @@
-"""Cross-backend conformance suite for the BDD engines.
+"""Conformance suite for the BDD engine.
 
-Every engine registered in :data:`repro.bdd.backends.BACKENDS` must be
-observationally equivalent: same verdicts, same model counts, same algebraic
-laws, same statistics counters for the same operation sequence.  The suite
-parametrises each property test over the registry (registering a backend
-enrols it automatically) and finishes with a seeded differential check that
-builds a few hundred random formula DAGs on *all* backends at once and
-demands identical satisfiability and model counts.
+:class:`repro.bdd.manager.BDDManager` must obey the algebraic laws of boolean
+functions, keep node ids canonical (equal functions are the same id) and
+report deterministic statistics.  The suite finishes with a seeded
+differential check that builds a few hundred random formula DAGs and
+compares each against a truth table computed in plain Python over all 256
+assignments of the 8 variables (every assignment, the model count, the model
+enumeration, the constant tests and the picked model) — an oracle that
+shares no code with the engine.
 
-Node ids are *not* comparable across engines (the arena's terminals differ
-from the dict engine's); within one engine they are canonical — equal
-functions must be the same id — and that is tested too.
+None of these properties may depend on the variable order, so the law and
+differential tests run under three orders of the same 8 variables: as
+declared, reversed, and scrambled.  Under the scrambled order most renames
+between the two halves of the variables do not preserve the relative order
+of the renamed variables, which sends ``rename`` down its general
+(``ite``-composition) path instead of the structural relabelling.
 """
 
 import itertools
@@ -18,15 +22,21 @@ import random
 
 import pytest
 
-from repro.bdd.backends import BACKENDS, available_backends, create_manager
-from repro.bdd.protocol import BDDBackend
+from repro.bdd.manager import BDDManager
 
 NAMES = ["v0", "v1", "v2", "v3", "v4", "v5", "v6", "v7"]
 
+#: Variable orders (level 0 first) the laws must hold under.
+ORDERS = {
+    "declared": NAMES,
+    "reversed": NAMES[::-1],
+    "scrambled": ["v5", "v2", "v7", "v0", "v3", "v6", "v1", "v4"],
+}
 
-@pytest.fixture(params=sorted(BACKENDS))
+
+@pytest.fixture(params=sorted(ORDERS))
 def manager(request):
-    return create_manager(NAMES, backend=request.param)
+    return BDDManager(ORDERS[request.param])
 
 
 def brute_force(function, names=NAMES):
@@ -38,32 +48,7 @@ def brute_force(function, names=NAMES):
 
 
 # ---------------------------------------------------------------------------
-# Protocol and registry
-# ---------------------------------------------------------------------------
-
-
-def test_registry_instances_satisfy_protocol():
-    for name in available_backends():
-        instance = create_manager(NAMES, backend=name)
-        assert isinstance(instance, BDDBackend)
-        assert instance.backend_name == name
-        assert instance.TRUE != instance.FALSE
-
-
-def test_resolve_precedence(monkeypatch):
-    from repro.bdd.backends import BACKEND_ENV, resolve_backend
-
-    monkeypatch.delenv(BACKEND_ENV, raising=False)
-    assert resolve_backend() == "dict"
-    monkeypatch.setenv(BACKEND_ENV, "arena")
-    assert resolve_backend() == "arena"
-    assert resolve_backend("dict") == "dict"  # explicit beats environment
-    with pytest.raises(ValueError):
-        resolve_backend("no-such-engine")
-
-
-# ---------------------------------------------------------------------------
-# Algebraic laws (each backend independently)
+# Algebraic laws
 # ---------------------------------------------------------------------------
 
 
@@ -113,7 +98,14 @@ def test_rename_quantifier_commutation(manager):
     a, b, c = (manager.variable(n) for n in ("v0", "v2", "v4"))
     f = (a ^ b) | (b & c)
     mapping = {"v0": "v1", "v2": "v3", "v4": "v5"}
+    fast_before = manager.statistics().rename_fast_paths
     renamed = f.rename(mapping)
+    # The structural pass is taken exactly when the rename keeps the renamed
+    # variables in their relative level order.
+    ordered = sorted(mapping, key=manager.level_of)
+    images = [manager.level_of(mapping[name]) for name in ordered]
+    took_fast_path = manager.statistics().rename_fast_paths == fast_before + 1
+    assert took_fast_path == (images == sorted(images))
     # Semantics: renamed(y) == f(x) pointwise under the substitution.
     for bits in itertools.product((False, True), repeat=len(NAMES)):
         assignment = dict(zip(NAMES, bits))
@@ -148,118 +140,142 @@ def test_counting_and_assignments(manager):
     assert all(f.evaluate({**{n: False for n in NAMES}, **m}) for m in models)
 
 
-def test_statistics_deterministic_per_backend():
-    def workload(engine):
-        m = create_manager(NAMES, backend=engine)
+def test_statistics_deterministic():
+    def workload():
+        m = BDDManager(NAMES)
         a, b, c = (m.variable(n) for n in ("v0", "v1", "v2"))
         f = (a ^ b).iff(c) | (a & b)
         f = f.and_exists(b | c, ["v1"])
         _ = (~f).exists(["v0"])
         return m.statistics().as_dict()
 
-    for engine in available_backends():
-        first, second = workload(engine), workload(engine)
-        assert first == second, engine
-        assert first["ite_calls"] > 0
-        assert first["node_count"] >= 1
-
-
-def test_gc_preserves_semantics(manager):
-    a, b, c = (manager.variable(n) for n in ("v0", "v1", "v2"))
-    kept = (a & b) | (~a & c)
-    table = brute_force(kept)
-    # Build garbage the sweep should reclaim.
-    for i in range(6):
-        _ = (a ^ b).ite(c, manager.variable(NAMES[3 + i % 4]))
-    holder = {"f": kept}
-    manager.add_gc_hook(
-        lambda: [holder["f"].node],
-        lambda remap: holder.update(f=manager.wrap(manager.translate(remap, holder["f"].node))),
-    )
-    before = manager.generation
-    remap = manager.garbage_collect()
-    assert manager.generation == before + 1
-    # The relocation map covers both terminals (mapped to themselves).
-    assert remap[manager.TRUE] == manager.TRUE
-    assert remap[manager.FALSE] == manager.FALSE
-    assert brute_force(holder["f"]) == table
-    # The engine keeps working after the sweep.
-    assert (holder["f"] | ~holder["f"]).is_true
+    first, second = workload(), workload()
+    assert first == second
+    assert first["ite_calls"] > 0
+    assert first["node_count"] >= 1
+    # The node table only grows, so its peak is its current size.
+    assert first["peak_node_count"] == first["node_count"]
 
 
 # ---------------------------------------------------------------------------
-# Seeded randomized differential check: all backends on the same DAGs
+# Seeded randomized differential check against plain-Python truth tables
 # ---------------------------------------------------------------------------
 
 TRIALS = 200
 
+#: Truth tables are ints: bit ``i`` is the function's value under assignment
+#: ``i``, which gives ``NAMES[j]`` the value of bit ``j`` of ``i``.
+ASSIGNMENTS = range(2 ** len(NAMES))
+FULL = (1 << len(ASSIGNMENTS)) - 1
+
+
+def _assignment(index):
+    return {name: bool(index >> j & 1) for j, name in enumerate(NAMES)}
+
+
+def _index(assignment):
+    return sum(1 << j for j, name in enumerate(NAMES) if assignment.get(name, False))
+
+
+def _table(predicate):
+    return sum(1 << i for i in ASSIGNMENTS if predicate(i))
+
+
+def _var_table(name):
+    j = NAMES.index(name)
+    return _table(lambda i: i >> j & 1)
+
+
+def _exists_table(table, names, universal=False):
+    for name in names:
+        bit = 1 << NAMES.index(name)
+
+        def quantified(i, table=table, bit=bit):
+            low, high = table >> (i & ~bit) & 1, table >> (i | bit) & 1
+            return (low and high) if universal else (low or high)
+
+        table = _table(quantified)
+    return table
+
+
+def _rename_table(table, mapping):
+    # renamed(a) = f(a') with a'[n] = a[mapping.get(n, n)] (substitution).
+    sources = [NAMES.index(mapping.get(name, name)) for name in NAMES]
+
+    def pulled(i):
+        return sum(1 << j for j, source in enumerate(sources) if i >> source & 1)
+
+    return _table(lambda i: table >> pulled(i) & 1)
+
 
 def _random_dag(rng, manager):
-    """Build one random formula DAG; mirrors exactly for every manager."""
-    pool = [manager.variable(rng.choice(NAMES)) for _ in range(3)]
+    """One random formula DAG, built as a BDD and as a truth table."""
+    pool = []
+    for _ in range(3):
+        name = rng.choice(NAMES)
+        pool.append((manager.variable(name), _var_table(name)))
     ops = rng.randrange(4, 14)
     for _ in range(ops):
         op = rng.randrange(9)
-        f = rng.choice(pool)
-        g = rng.choice(pool)
+        f, tf = rng.choice(pool)
+        g, tg = rng.choice(pool)
         if op == 0:
-            pool.append(~f)
+            pool.append((~f, FULL ^ tf))
         elif op == 1:
-            pool.append(f & g)
+            pool.append((f & g, tf & tg))
         elif op == 2:
-            pool.append(f | g)
+            pool.append((f | g, tf | tg))
         elif op == 3:
-            pool.append(f ^ g)
+            pool.append((f ^ g, tf ^ tg))
         elif op == 4:
-            pool.append(f.iff(g))
+            pool.append((f.iff(g), FULL ^ tf ^ tg))
         elif op == 5:
-            pool.append(f.ite(g, rng.choice(pool)))
+            h, th = rng.choice(pool)
+            pool.append((f.ite(g, h), (tf & tg) | (~tf & th)))
         elif op == 6:
             names = rng.sample(NAMES, rng.randrange(1, 3))
-            pool.append(f.exists(names) if rng.random() < 0.5 else f.forall(names))
+            if rng.random() < 0.5:
+                pool.append((f.exists(names), _exists_table(tf, names)))
+            else:
+                pool.append(
+                    (f.forall(names), _exists_table(tf, names, universal=True))
+                )
         elif op == 7:
             half = len(NAMES) // 2
             mapping = dict(zip(NAMES[:half], NAMES[half:]))
             if rng.random() < 0.5:
                 mapping = {value: key for key, value in mapping.items()}
-            pool.append(f.rename(mapping))
+            pool.append((f.rename(mapping), _rename_table(tf, mapping)))
         else:
             names = rng.sample(NAMES, rng.randrange(1, 3))
-            pool.append(f.and_exists(g, names))
+            pool.append((f.and_exists(g, names), _exists_table(tf & tg, names)))
     return pool[-1]
 
 
-def test_differential_random_dags():
-    engines = available_backends()
-    assert len(engines) >= 2, "the differential check needs at least two backends"
+@pytest.mark.parametrize("order", sorted(ORDERS))
+def test_differential_random_dags(order):
     master = random.Random(20260807)
     for trial in range(TRIALS):
         seed = master.randrange(2**60)
-        results = {}
-        for engine in engines:
-            rng = random.Random(seed)
-            manager = create_manager(NAMES, backend=engine)
-            function = _random_dag(rng, manager)
-            sample_rng = random.Random(seed + 1)
-            samples = tuple(
-                function.evaluate({name: sample_rng.random() < 0.5 for name in NAMES})
-                for _ in range(8)
+        function, table = _random_dag(random.Random(seed), BDDManager(ORDERS[order]))
+        context = f"{order} order, trial {trial} (seed {seed})"
+        for i in ASSIGNMENTS:
+            assert function.evaluate(_assignment(i)) == bool(table >> i & 1), (
+                f"{context}: assignment {i}"
             )
-            results[engine] = (
-                function.is_false,
-                function.is_true,
-                function.count_assignments(NAMES),
-                samples,
-            )
-        reference = results[engines[0]]
-        for engine in engines[1:]:
-            assert results[engine] == reference, (
-                f"trial {trial} (seed {seed}): backend {engine!r} disagrees "
-                f"with {engines[0]!r}: {results[engine]} != {reference}"
-            )
+        assert function.count_assignments(NAMES) == bin(table).count("1"), context
+        models = [_index(model) for model in function.iter_assignments(NAMES)]
+        assert sorted(models) == [i for i in ASSIGNMENTS if table >> i & 1], context
+        assert function.is_false == (table == 0), context
+        assert function.is_true == (table == FULL), context
+        picked = function.pick_assignment()
+        if table == 0:
+            assert picked is None, context
+        else:
+            assert table >> _index(picked) & 1, f"{context}: picked {picked}"
 
 
-def test_psi_type_count_agrees_across_backends():
+def test_psi_type_count_matches_enumeration():
     """The symbolic |Types(ψ)| (Section 7.1) matches explicit enumeration."""
     from repro.logic import syntax as sx
     from repro.logic.closure import lean as compute_lean
@@ -267,38 +283,38 @@ def test_psi_type_count_agrees_across_backends():
 
     formula = sx.mk_and(sx.prop("a"), sx.dia(1, sx.mk_or(sx.prop("b"), sx.dia(2, sx.prop("a")))))
     lean = compute_lean(formula)
-    explicit = sum(1 for _ in psi_types(lean))
-    for engine in available_backends():
-        assert count_types_symbolically(lean, backend=engine) == explicit, engine
+    assert count_types_symbolically(lean) == sum(1 for _ in psi_types(lean))
 
 
 # ---------------------------------------------------------------------------
-# Regression: product caches must be backend-qualified
+# Regression: node ids never cross managers
 # ---------------------------------------------------------------------------
 
 
-def test_product_cache_keys_are_backend_qualified():
-    """Node ids are engine-local: the witness-product cache must never mix
-    entries from managers of different backends (regression for the cache
-    that keyed on bare node ids)."""
+@pytest.mark.parametrize("method", ["witness", "witness_strict"])
+def test_witness_rejects_target_from_another_manager(method):
+    """The witness-product cache is keyed by node id, which only means
+    something inside the manager that made it: a target built on a second
+    encoding (hence a second manager) must be rejected, not silently looked
+    up by its id — by ``witness`` and by the mark-propagating
+    ``witness_strict`` alike, which share that cache."""
     from repro.logic import syntax as sx
     from repro.logic.closure import lean as compute_lean
     from repro.solver.relations import LeanEncoding, TransitionRelation
 
     formula = sx.mk_and(sx.prop("a"), sx.dia(1, sx.prop("b")))
     lean = compute_lean(formula)
-    for engine in available_backends():
-        encoding = LeanEncoding(lean, backend=engine)
-        relation = TransitionRelation(encoding, 1)
-        target = encoding.types_constraint()
-        relation.witness(target)
-        assert all(
-            key[0] == engine for key in relation._product_cache
-        ), f"cache keys of the {engine!r} relation must carry the backend name"
+    encoding = LeanEncoding(lean)
+    relation = TransitionRelation(encoding, 1)
+    witness = getattr(relation, method)
+    witness(encoding.types_constraint())
+    assert relation.product_calls == 1
 
-        # A target from a *different* manager must be rejected, not silently
-        # looked up by its (engine-local) node id.
-        other_engine = next(e for e in available_backends() if e != engine)
-        foreign = LeanEncoding(lean, backend=other_engine)
-        with pytest.raises(ValueError, match="different BDD manager"):
-            relation.witness(foreign.types_constraint())
+    foreign = LeanEncoding(lean)
+    with pytest.raises(ValueError, match="different BDD manager"):
+        witness(foreign.types_constraint())
+    assert relation.product_calls == 1
+    assert relation.product_cache_hits == 0
+    # The target's own manager still gets the cached product.
+    witness(encoding.types_constraint())
+    assert (relation.product_calls, relation.product_cache_hits) == (1, 1)

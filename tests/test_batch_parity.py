@@ -5,9 +5,9 @@ translations, one solver run per distinct formula, optionally a worker
 pool — and none of that sharing may show in an answer: every query must get
 the same ``holds``/``satisfiable``/``verdict_status`` and the byte-identical
 serialised witness that a stand-alone solve in a fresh analyzer gives.
-These tests pin that contract over the committed fuzz corpus (both BDD
-backends), the batch counters, budgets inside a batch (bystanders stay
-definite), disk-cache replay of batch solves, and a small stylesheet audit.
+These tests pin that contract over the committed fuzz corpus, the batch
+counters, budgets inside a batch (bystanders stay definite), disk-cache
+replay of batch solves, and a small stylesheet audit.
 """
 
 from __future__ import annotations
@@ -15,16 +15,12 @@ from __future__ import annotations
 import textwrap
 from pathlib import Path
 
-import pytest
-
 from repro.api import Query, StaticAnalyzer
-from repro.bdd.backends import available_backends
 from repro.solver.governor import Budget
 from repro.testing.corpus import load_corpus
 from repro.xmltypes.dtd import parse_dtd
 from repro.xslt import audit_stylesheet
 
-BACKENDS = available_backends()
 CORPUS_DIR = Path(__file__).parent / "corpus"
 ENTRIES = load_corpus(CORPUS_DIR)
 
@@ -56,8 +52,8 @@ def _case_query(case) -> Query:
     return getattr(Query, case.kind)(case.exprs[0], case.exprs[1], dtd, dtd)
 
 
-def _solo(query: Query, backend: str = "dict"):
-    return StaticAnalyzer(backend=backend).solve(query)
+def _solo(query: Query):
+    return StaticAnalyzer().solve(query)
 
 
 # ---------------------------------------------------------------------------
@@ -65,16 +61,15 @@ def _solo(query: Query, backend: str = "dict"):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_batch_matches_fresh_solves_on_corpus(backend):
+def test_batch_matches_fresh_solves_on_corpus():
     """Every committed corpus seed, as one batch through one analyzer, must
     agree with a fresh analyzer per query on verdicts, ``verdict_status``
     and the serialised witness document."""
     queries = [_case_query(entry.case) for entry in ENTRIES]
-    report = StaticAnalyzer(backend=backend).solve_many(queries)
+    report = StaticAnalyzer().solve_many(queries)
     for entry, query, outcome in zip(ENTRIES, queries, report.outcomes):
         assert outcome.definite, entry.name
-        assert _observed(outcome) == _observed(_solo(query, backend)), entry.name
+        assert _observed(outcome) == _observed(_solo(query)), entry.name
     assert 1 <= report.solver_runs <= len(queries)
 
 
@@ -89,8 +84,7 @@ def test_parallel_batch_matches_sequential_on_corpus():
     assert parallel.solver_runs == sequential.solver_runs
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_batch_witness_matches_solo(backend):
+def test_batch_witness_matches_solo():
     """The witness of a batch member must not depend on its neighbours: the
     manager's pick walks to the lex-min assignment w.r.t. the variable
     order, so any Lean shared across queries would decode a different (if
@@ -102,9 +96,9 @@ def test_batch_witness_matches_solo(backend):
         Query.satisfiability("/descendant::a", dtd),
         Query.satisfiability("descendant::c", dtd),
     ]
-    report = StaticAnalyzer(backend=backend).solve_many(queries)
+    report = StaticAnalyzer().solve_many(queries)
     for query, outcome in zip(queries, report.outcomes):
-        assert _observed(outcome) == _observed(_solo(query, backend))
+        assert _observed(outcome) == _observed(_solo(query))
     assert report.outcomes[0].counterexample is not None
     assert report.solver_runs == 3
 
@@ -135,25 +129,19 @@ def test_batch_counts_one_solver_run_per_distinct_formula():
 # ---------------------------------------------------------------------------
 
 
-def test_budgeted_batch_trips_pathological_on_both_backends():
+def test_budgeted_batch_trips_pathological():
     """The depth-14 containment inside a batch: the steps budget must
-    surface as the identical structured ``budget_reason`` on both BDD
-    engines, and the cheap query of the same batch must come out
-    definite."""
+    surface as the structured ``budget_reason`` "steps", and the cheap query
+    of the same batch must come out definite."""
     queries = [
         Query.satisfiability("child::a"),
         Query.containment(PATHOLOGICAL, PATHOLOGICAL_SUPERSET),
     ]
-    reasons = {}
-    for backend in BACKENDS:
-        report = StaticAnalyzer(backend=backend).solve_many(
-            queries, budget=Budget(max_steps=100_000)
-        )
-        cheap, pathological = report.outcomes
-        assert cheap.definite and cheap.holds is True, backend
-        assert pathological.unknown, backend
-        reasons[backend] = pathological.budget_reason
-    assert reasons == {backend: "steps" for backend in BACKENDS}
+    report = StaticAnalyzer().solve_many(queries, budget=Budget(max_steps=100_000))
+    cheap, pathological = report.outcomes
+    assert cheap.definite and cheap.holds is True
+    assert pathological.unknown
+    assert pathological.budget_reason == "steps"
 
 
 def test_budgeted_batch_leaves_bystanders_definite():
@@ -175,12 +163,11 @@ def test_budgeted_batch_leaves_bystanders_definite():
     assert budgeted.outcomes[-1].budget_reason == "steps"
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_iteration_budget_is_an_unknown_verdict(backend):
+def test_iteration_budget_is_an_unknown_verdict():
     """A fixpoint cut short by ``Budget(max_iterations=...)`` is reported
     unknown, never unsatisfiable, and the unknown is not cached."""
     query = Query.satisfiability("a/b[c]")
-    analyzer = StaticAnalyzer(backend=backend)
+    analyzer = StaticAnalyzer()
     cut = analyzer.solve(query, Budget(max_iterations=3))
     assert cut.unknown and cut.budget_reason == "iterations"
     assert cut.satisfiable is None
@@ -189,7 +176,7 @@ def test_iteration_budget_is_an_unknown_verdict(backend):
     assert full.definite and full.satisfiable is True
     assert not full.from_cache
     assert full.statistics["iterations"] == 4
-    enough = StaticAnalyzer(backend=backend).solve(query, Budget(max_iterations=4))
+    enough = StaticAnalyzer().solve(query, Budget(max_iterations=4))
     assert _observed(enough) == _observed(full)
 
 

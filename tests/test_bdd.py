@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.bdd.manager import BDDManager
-from repro.bdd.ordering import interleaved_pairs, order_by_first_use
+from repro.bdd.ordering import cone_of_influence
 
 NAMES = ["a", "b", "c", "d"]
 
@@ -127,6 +127,37 @@ def test_iter_assignments(manager):
     }
 
 
+def test_iter_assignments_walks_the_variable_order(manager):
+    a, b, c = (manager.variable(name) for name in ("a", "b", "c"))
+    function = (a & b) | c
+    expected = {
+        bits
+        for bits in itertools.product((False, True), repeat=3)
+        if function.evaluate(dict(zip("cba", bits)))
+    }
+    # ``over`` lists the variables against the manager's order.
+    models = list(function.iter_assignments(["c", "b", "a"]))
+    assert len(models) == len(expected) == 5
+    assert {(m["c"], m["b"], m["a"]) for m in models} == expected
+
+
+def test_cone_of_influence_closes_over_shared_variables():
+    supports = {
+        "p": frozenset({"x"}),
+        "q": frozenset({"x", "y"}),
+        "r": frozenset({"y", "z"}),
+        "s": frozenset({"w"}),
+        "t": frozenset(),
+    }
+    # From z: r shares z, q shares y with r, p shares x with q — the closure
+    # needs several passes because p is listed before what connects it.
+    assert cone_of_influence(supports, {"z"}) == {"p", "q", "r"}
+    assert cone_of_influence(supports, {"x"}) == {"p", "q", "r"}
+    assert cone_of_influence(supports, ["w", "w"]) == {"s"}
+    assert cone_of_influence(supports, {"unused"}) == set()
+    assert cone_of_influence(supports, ()) == set()
+
+
 def test_no_implicit_truthiness(manager):
     with pytest.raises(TypeError):
         bool(manager.true())
@@ -135,12 +166,6 @@ def test_no_implicit_truthiness(manager):
 def test_duplicate_variable_rejected(manager):
     with pytest.raises(ValueError):
         manager.add_variable("a")
-
-
-def test_ordering_helpers():
-    assert interleaved_pairs(["x0", "x1"]) == ["x0", "x0'", "x1", "x1'"]
-    ordered = order_by_first_use(["p", "q", "r"], [["r"], ["q", "p"]])
-    assert ordered == ["r", "p", "q"] or ordered == ["r", "q", "p"]
 
 
 # -- property-based equivalence with Python boolean evaluation -------------------------

@@ -2,13 +2,19 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 from repro.cli import wire
 from repro.cli.analyze import EXIT_ANALYSIS_ERROR, EXIT_OK, EXIT_USAGE
-from repro.cli.bench import cli_cache_workload
+from repro.cli import bench
+from repro.cli.bench import SCALING_QUICK_DEPTHS, cli_cache_workload, run_scaling
 from repro.cli.serve import serve
 
 
@@ -28,6 +34,44 @@ def test_parser_accepts_every_subcommand():
     fuzz = parser.parse_args(["fuzz", "--budget", "50", "--seed", "3", "--workers", "2"])
     assert fuzz.command == "fuzz" and fuzz.budget == 50
     assert fuzz.seed == 3 and fuzz.workers == 2
+
+
+def test_package_and_cli_import_without_numpy():
+    """The library and its command line are pure Python: a fresh interpreter
+    importing them must not pull in numpy."""
+    code = (
+        "import sys\n"
+        "import repro, repro.api, repro.cli.main, repro.cli.serve\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    source_root = Path(repro.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(source_root)},
+        check=True,
+    )
+    assert result.stdout.strip() == "False"
+
+
+#: One engine answers every query, so no subcommand takes an engine option.
+ENGINE_FREE_COMMANDS = {
+    "analyze": ["analyze", "child::a"],
+    "audit": ["audit", "sheet.xsl", "--schema", "xhtml"],
+    "serve": ["serve"],
+    "fuzz": ["fuzz"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(ENGINE_FREE_COMMANDS))
+def test_parser_rejects_backend_option(command, capsys):
+    argv = ENGINE_FREE_COMMANDS[command]
+    assert build_parser().parse_args(argv).command == command
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args([*argv, "--backend", "dict"])
+    assert excinfo.value.code == EXIT_USAGE
+    assert "unrecognized arguments: --backend dict" in capsys.readouterr().err
 
 
 def test_parser_rejects_unknown_subcommand(capsys):
@@ -276,6 +320,70 @@ def test_schemas_alias_resolves(capsys):
 def test_bench_rejects_unknown_names(capsys):
     assert main(["bench", "nosuch"]) == EXIT_USAGE
     assert "unknown benchmark" in capsys.readouterr().err
+
+
+def test_bench_has_no_backend_benchmark(capsys):
+    assert "backend" not in bench.BENCHMARKS
+    assert main(["bench", "backend"]) == EXIT_USAGE
+    assert "unknown benchmark(s) ['backend']" in capsys.readouterr().err
+
+
+#: The committed scaling table; its solver counters are deterministic, so a
+#: quick run must reproduce them exactly.
+SCALING_TABLE = json.loads(
+    (Path(__file__).resolve().parents[1] / "BENCH_scaling.json").read_text(
+        encoding="utf-8"
+    )
+)
+SCALING_COUNTERS = (
+    "lean_size",
+    "iterations",
+    "product_calls",
+    "bdd_ite_calls",
+    "bdd_ite_cache_hits",
+    "bdd_node_count",
+    "bdd_peak_node_count",
+)
+
+
+@pytest.fixture(scope="module")
+def quick_scaling():
+    return run_scaling(quick=True)
+
+
+@pytest.mark.parametrize("depth", SCALING_QUICK_DEPTHS)
+def test_quick_scaling_reproduces_committed_counters(quick_scaling, depth):
+    (row,) = [row for row in quick_scaling["rows"] if row["depth"] == depth]
+    (committed,) = [row for row in SCALING_TABLE["rows"] if row["depth"] == depth]
+    assert {key: row[key] for key in SCALING_COUNTERS} == {
+        key: committed[key] for key in SCALING_COUNTERS
+    }
+
+
+def test_quick_scaling_records_its_depth3_ceilings(quick_scaling):
+    ceilings = {
+        "product_calls_max_depth3": bench.SCALING_PRODUCT_CALLS_MAX_DEPTH3,
+        "bdd_ite_calls_max_depth3": bench.SCALING_ITE_CALLS_MAX_DEPTH3,
+    }
+    for key, ceiling in ceilings.items():
+        assert quick_scaling[key] == SCALING_TABLE[key] == ceiling
+    (depth3,) = [row for row in quick_scaling["rows"] if row["depth"] == 3]
+    assert depth3["product_calls"] <= bench.SCALING_PRODUCT_CALLS_MAX_DEPTH3
+    assert depth3["bdd_ite_calls"] <= bench.SCALING_ITE_CALLS_MAX_DEPTH3
+
+
+@pytest.mark.parametrize(
+    "counter, ceiling",
+    [
+        ("product_calls", "SCALING_PRODUCT_CALLS_MAX_DEPTH3"),
+        ("bdd_ite_calls", "SCALING_ITE_CALLS_MAX_DEPTH3"),
+    ],
+    ids=["product_calls", "bdd_ite_calls"],
+)
+def test_quick_scaling_fails_above_a_depth3_ceiling(monkeypatch, counter, ceiling):
+    monkeypatch.setattr(bench, ceiling, 1)
+    with pytest.raises(RuntimeError, match=f"depth-3 {counter} [0-9]+ > 1"):
+        run_scaling(quick=True)
 
 
 def test_cli_cache_workload_is_fifty_valid_requests():

@@ -3,9 +3,9 @@
 Every corpus entry is a shrunk fuzz case: either a regression seed written
 with the verdict every engine agreed on, or an unresolved disagreement (which
 keeps failing here until the underlying bug is fixed).  Replaying re-runs the
-full differential evaluation — the pruning on/off symbolic matrix run once
-per registered BDD backend, the bounded enumeration oracle with its sampled
-Proposition 5.1 checks, the gated ψ-type solver, and the witness replay —
+full differential evaluation — the pruning on/off symbolic matrix, the
+bounded enumeration oracle with its sampled Proposition 5.1 checks, the
+gated ψ-type solver, and the witness replay —
 and asserts that everything still agrees (and still matches the recorded
 verdict).
 
@@ -18,18 +18,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.bdd.backends import available_backends
 from repro.testing.corpus import load_corpus
 from repro.testing.fuzz import evaluate_case
 from repro.testing.oracle import Bounds
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
 ENTRIES = load_corpus(CORPUS_DIR)
-
-#: Corpus entries are shrunk (hence cheap), so every replay enrols every
-#: registered BDD engine — the corpus doubles as a cross-backend regression
-#: suite even for entries written before the backend axis was recorded.
-BACKENDS = available_backends()
 
 #: The corpus must stay populated: the fuzzing subsystem ships with at least
 #: this many shrunk, replayable cases covering every kind.
@@ -48,7 +42,7 @@ def test_corpus_is_populated():
     "entry", ENTRIES, ids=[entry.name for entry in ENTRIES]
 )
 def test_corpus_case_replays_without_disagreement(entry):
-    outcome = evaluate_case(entry.case, Bounds(), backends=BACKENDS)
+    outcome = evaluate_case(entry.case, Bounds())
     assert outcome.error is None, outcome.error
     assert not outcome.disagreements, (
         f"{entry.name} ({entry.origin}): symbolic verdict and explicit "

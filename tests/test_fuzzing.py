@@ -308,57 +308,16 @@ def test_evaluate_case_agrees_on_known_problems():
         assert len(outcome.ablation) == 2
 
 
-def test_evaluate_case_backend_axis_multiplies_the_matrix():
-    from repro.bdd.backends import available_backends
-
-    backends = available_backends()
-    assert set(backends) >= {"dict", "arena"}
-    case = FuzzCase(kind="containment", exprs=("child::a[b]", "child::a"))
-    outcome = evaluate_case(case, Bounds(max_documents=150), backends=backends)
-    assert outcome.error is None
-    assert not outcome.disagreements, outcome.disagreements
-    assert len(outcome.ablation) == 2 * len(backends)
-    assert outcome.holds is True
-    assert set(outcome.ablation.values()) == {False}
-    for name in backends:
-        cells = [key for key in outcome.ablation if key.endswith(f"backend={name}")]
-        assert len(cells) == 2, outcome.ablation
-
-
-def test_ablation_matrix_is_pruning_by_backend():
-    """The matrix has exactly two axes: label pruning off/on (off is the
-    reference) and the BDD backend."""
+def test_ablation_matrix_is_pruning_only():
+    """The matrix has exactly one axis: label pruning off/on (off is the
+    reference)."""
     from repro.testing.fuzz import ABLATION_MATRIX
 
     assert ABLATION_MATRIX == (False, True)
     case = FuzzCase(kind="satisfiability", exprs=("child::a[b]",))
-    outcome = evaluate_case(
-        case, Bounds(max_documents=150), backends=("dict", "arena")
-    )
+    outcome = evaluate_case(case, Bounds(max_documents=150))
     assert not outcome.disagreements, outcome.disagreements
-    assert outcome.ablation == {
-        f"prune={pruned},backend={backend}": True
-        for pruned in (False, True)
-        for backend in ("dict", "arena")
-    }
-
-
-def test_run_fuzz_records_backends_in_report_and_seeds(tmp_path):
-    config = FuzzConfig(
-        budget=2,
-        seed=5,
-        bounds=Bounds(max_documents=100),
-        corpus_dir=str(tmp_path),
-        sample_corpus=1,
-        backends=("dict", "arena"),
-    )
-    report = run_fuzz(config)
-    assert not report.disagreements and not report.errors
-    payload = report.as_dict()
-    assert payload["ablation"]["backends"] == ["dict", "arena"]
-    assert all("backend" in cell for cell in payload["ablation"]["matrix"])
-    (entry,) = load_corpus(tmp_path)
-    assert entry.expected["backends"] == ["dict", "arena"]
+    assert outcome.ablation == {"prune=False": True, "prune=True": True}
 
 
 def test_run_fuzz_small_campaign_is_clean_and_deterministic():
@@ -387,6 +346,7 @@ def test_run_fuzz_writes_corpus_samples(tmp_path):
     assert len(entries) == 2
     for entry in entries:
         assert entry.expected is not None and entry.disagreement is None
+        assert set(entry.expected) == {"satisfiable", "holds"}
         replay = evaluate_case(entry.case, config.bounds)
         assert replay.satisfiable == entry.expected["satisfiable"]
 
@@ -433,7 +393,10 @@ def test_cli_fuzz_reports_and_exits_zero(tmp_path, capsys):
     assert code == 0
     assert payload["trials"] == 2
     assert payload["disagreements"] == [] and payload["errors"] == []
-    assert payload["ablation"]["identical_verdicts"] is True
+    assert payload["ablation"] == {
+        "matrix": [{"prune_labels": False}, {"prune_labels": True}],
+        "identical_verdicts": True,
+    }
 
 
 def test_cli_fuzz_rejects_bad_budget(capsys):

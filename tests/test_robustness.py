@@ -7,8 +7,8 @@ whole ladder:
 
 * the governor primitives (budget validation/merging, every trip reason);
 * ``unknown`` outcomes through the API façade, including the committed
-  pathological query that must trip a 2-second deadline on *both* BDD
-  backends with the identical structured reason;
+  pathological query that must trip a 2-second deadline with the structured
+  reason ``"deadline"``;
 * graceful degradation to the bounded explicit solver;
 * crash-tolerant batches: an injected mid-batch worker crash must leave
   every other verdict identical to an uninjected run;
@@ -38,7 +38,7 @@ from repro.testing import faults
 #: A containment whose full solve is effectively unbounded (the scaling
 #: family of docs/BENCHMARKS.md at depth 14): ``a1/a2[b2]/.../a14[b14]``
 #: against the same path with the first filter removed.  Committed as the
-#: regression instance for deadline trips — both engines must give up on it
+#: regression instance for deadline trips — the solver must give up on it
 #: within a small deadline instead of running for minutes.
 PATHOLOGICAL = "/".join(["a1"] + [f"a{i}[b{i}]" for i in range(2, 15)])
 PATHOLOGICAL_SUPERSET = PATHOLOGICAL.replace("[b2]", "")
@@ -208,23 +208,19 @@ def test_batch_report_counts_unknowns():
     assert report.as_dict()["unknowns"] == 1
 
 
-def test_pathological_query_trips_deadline_on_both_backends():
+def test_pathological_query_trips_deadline():
     """The committed regression instance: a 2s deadline must turn the
-    effectively-unbounded depth-14 containment into a structured unknown on
-    both BDD engines, with the identical reason."""
+    effectively-unbounded depth-14 containment into a structured unknown
+    with the reason "deadline"."""
     query = Query.containment(PATHOLOGICAL, PATHOLOGICAL_SUPERSET)
-    reasons = {}
-    for backend in ("dict", "arena"):
-        analyzer = StaticAnalyzer(backend=backend)
-        started = time.perf_counter()
-        outcome = analyzer.solve(query, Budget(deadline_seconds=2.0))
-        elapsed = time.perf_counter() - started
-        assert outcome.unknown, f"{backend}: expected unknown, got {outcome.as_dict()}"
-        reasons[backend] = outcome.budget_reason
-        # The deadline is enforced inside iterations (kernel ticks), so the
-        # solve must stop within a small margin of the 2s budget.
-        assert elapsed < 10.0, f"{backend}: deadline trip took {elapsed:.1f}s"
-    assert reasons == {"dict": "deadline", "arena": "deadline"}
+    started = time.perf_counter()
+    outcome = StaticAnalyzer().solve(query, Budget(deadline_seconds=2.0))
+    elapsed = time.perf_counter() - started
+    assert outcome.unknown, f"expected unknown, got {outcome.as_dict()}"
+    assert outcome.budget_reason == "deadline"
+    # The deadline is enforced inside iterations (kernel ticks), so the
+    # solve must stop within a small margin of the 2s budget.
+    assert elapsed < 10.0, f"deadline trip took {elapsed:.1f}s"
 
 
 # ---------------------------------------------------------------------------

@@ -239,57 +239,6 @@ def test_partitions_skipped_counts_empty_set_products():
     assert result.statistics.partitions_skipped >= result.statistics.relation_partitions
 
 
-@pytest.mark.parametrize("satisfiable_case", [True, False])
-def test_garbage_collection_mid_fixpoint_preserves_results(satisfiable_case):
-    if satisfiable_case:
-        formula = sx.prop("a") & sx.dia(1, sx.prop("b") & sx.dia(1, sx.prop("c")))
-    else:
-        formula = _containment_formula(2)
-    plain = SymbolicSolver(formula).solve()
-    collected = SymbolicSolver(formula, collect_every=1).solve()
-    assert collected.satisfiable == plain.satisfiable
-    assert collected.statistics.iterations == plain.statistics.iterations
-    if plain.model is not None:
-        assert collected.model is not None
-        assert collected.model == plain.model
-    # The collector actually ran (and reclaimed mid-fixpoint garbage).
-    solver = SymbolicSolver(formula, collect_every=1)
-    result = solver.solve()
-    assert result.satisfiable == plain.satisfiable
-
-
-def test_garbage_collection_reclaims_and_keeps_statistics_sane():
-    formula = _containment_formula(3)
-    collected = SymbolicSolver(formula, collect_every=2).solve()
-    plain = SymbolicSolver(formula).solve()
-    assert collected.satisfiable == plain.satisfiable
-    # GC shrinks the live table: the collected run must not end with more
-    # live nodes than the uncollected one.
-    assert collected.statistics.bdd_node_count <= plain.statistics.bdd_node_count
-
-
-def test_gc_hooks_translate_external_caches():
-    """A GC during a solve leaves relation/status caches usable (no stale ids)."""
-    from repro.solver.relations import LeanEncoding, TransitionRelation
-
-    formula = sx.prop("a") & sx.dia(1, sx.prop("b"))
-    plunged = sx.mu1(lambda x: formula | sx.dia(1, x) | sx.dia(2, x), prefix="T")
-    lean = compute_lean(plunged)
-    encoding = LeanEncoding(lean)
-    relation = TransitionRelation(encoding, 1)
-    types = encoding.types_constraint()
-    witness_before = relation.witness(types)
-    generation = encoding.manager.generation
-    remap = encoding.manager.garbage_collect([types.node, witness_before.node])
-    assert encoding.manager.generation == generation + 1
-    # The relation's product cache survived the collection (translated, not
-    # cleared): asking again must be a cache hit with a valid node.
-    hits_before = relation.product_cache_hits
-    witness_after = relation.witness(encoding.manager.wrap(remap[types.node]))
-    assert relation.product_cache_hits == hits_before + 1
-    assert witness_after.node == remap[witness_before.node]
-
-
 def test_solver_counters_are_deterministic_across_runs():
     """Byte-identical counters let CI guard performance without wall-clock."""
     formula = _containment_formula(3)
