@@ -68,7 +68,10 @@ class Formula:
     formulas are always the *same* object, so ``==`` and ``is`` coincide.
     """
 
-    __slots__ = ("kind", "label", "prog", "left", "right", "defs", "body", "_hash")
+    __slots__ = (
+        "kind", "label", "prog", "left", "right", "defs", "body", "_hash", "_free",
+        "_expansion",
+    )
 
     def __init__(
         self,
@@ -98,6 +101,11 @@ class Formula:
                 id(body),
             )
         )
+        # Structural facts that depend only on the node, computed once: its
+        # free variables (children are interned first, so theirs are known)
+        # and, for fixpoints, the expansion memoised by expand_fixpoint.
+        self._free = _free_of(kind, label, left, right, defs, body)
+        self._expansion = None
 
     def __hash__(self) -> int:
         return self._hash
@@ -151,6 +159,25 @@ class Formula:
 # ---------------------------------------------------------------------------
 
 _INTERN: dict[tuple, Formula] = {}
+
+#: The free-variable set shared by every closed formula.
+_CLOSED: frozenset[str] = frozenset()
+
+
+def _free_of(kind, label, left, right, defs, body) -> frozenset[str]:
+    """The free variables of a new node, from those of its children."""
+    if kind == KIND_VAR:
+        return frozenset((label,))
+    if defs is not None:
+        inner = body._free.union(*(definition._free for _name, definition in defs))
+        return inner.difference(name for name, _definition in defs) or _CLOSED
+    if right is not None:
+        if not left._free:
+            return right._free
+        if not right._free or right._free is left._free:
+            return left._free
+        return left._free | right._free
+    return _CLOSED if left is None else left._free
 
 
 def _intern(
@@ -389,86 +416,59 @@ def uses_attributes(formula: Formula) -> bool:
 
 
 def free_variables(formula: Formula) -> frozenset[str]:
-    """The free recursion variables of a formula."""
-    cache: dict[int, frozenset[str]] = {}
-
-    def go(current: Formula) -> frozenset[str]:
-        cached = cache.get(id(current))
-        if cached is not None:
-            return cached
-        if current.kind == KIND_VAR:
-            result = frozenset({current.label})
-        elif current.is_fixpoint:
-            bound = {name for name, _ in current.defs}
-            inner: set[str] = set()
-            for _name, definition in current.defs:
-                inner |= go(definition)
-            inner |= go(current.body)
-            result = frozenset(inner - bound)
-        else:
-            inner = set()
-            for child in iter_children(current):
-                inner |= go(child)
-            result = frozenset(inner)
-        cache[id(current)] = result
-        return result
-
-    return go(formula)
+    """The free recursion variables of a formula (computed when it was interned)."""
+    return formula._free
 
 
 def substitute(formula: Formula, mapping: dict[str, Formula]) -> Formula:
     """Capture-avoiding substitution of recursion variables.
 
     Fixpoint binders shadow outer variables of the same name: substitution
-    does not descend for names re-bound by the fixpoint.  The formulas built
-    by the XPath and type translations always use globally fresh variable
-    names, so capture can only arise through deliberately crafted inputs; in
-    that case the substitution raises ``ValueError`` rather than silently
-    capturing.
+    does not descend for names re-bound by the fixpoint.  Subformulas in
+    which no substituted name occurs free are returned as they are.  The
+    formulas built by the XPath and type translations always use globally
+    fresh variable names, so capture can only arise through deliberately
+    crafted inputs; in that case the substitution raises ``ValueError``
+    rather than silently capturing.
     """
-    if not mapping:
-        return formula
     cache: dict[tuple[int, frozenset[str]], Formula] = {}
 
     def go(current: Formula, active: frozenset[str]) -> Formula:
-        if not active:
+        if active.isdisjoint(current._free):
             return current
         key = (id(current), active)
         cached = cache.get(key)
         if cached is not None:
             return cached
         if current.kind == KIND_VAR:
-            result = mapping[current.label] if current.label in active else current
+            result = mapping[current.label]
         elif current.is_fixpoint:
-            bound = frozenset(name for name, _ in current.defs)
-            remaining = active - bound
-            for name in bound:
-                for active_name in remaining:
-                    if name in free_variables(mapping[active_name]):
-                        raise ValueError(
-                            f"substitution would capture variable {name!r}; "
-                            "rename bound variables first"
-                        )
+            # Only names substituted under this binder can be captured by it.
+            substituted = active & current._free
+            for name, _definition in current.defs:
+                if any(name in mapping[other]._free for other in substituted):
+                    raise ValueError(
+                        f"substitution would capture variable {name!r}; "
+                        "rename bound variables first"
+                    )
+            remaining = active.difference(name for name, _ in current.defs)
             new_defs = tuple(
                 (name, go(definition, remaining)) for name, definition in current.defs
             )
             new_body = go(current.body, remaining)
             result = _intern(current.kind, defs=new_defs, body=new_body)
-        elif current.kind in (KIND_OR, KIND_AND):
+        elif current.kind == KIND_DIA:
+            result = _intern(KIND_DIA, prog=current.prog, left=go(current.left, active))
+        else:  # ∨ or ∧: every other kind is closed, hence returned above
             result = _intern(
                 current.kind,
                 left=go(current.left, active),
                 right=go(current.right, active),
             )
-        elif current.kind == KIND_DIA:
-            result = _intern(KIND_DIA, prog=current.prog, left=go(current.left, active))
-        else:
-            result = current
         cache[key] = result
         return result
 
-    active_names = frozenset(mapping) & (free_variables(formula) | set())
-    return go(formula, frozenset(mapping) if active_names else active_names)
+    return go(formula, frozenset(mapping))
 
 
 def expand_fixpoint(formula: Formula) -> Formula:
@@ -483,15 +483,20 @@ def expand_fixpoint(formula: Formula) -> Formula:
     for guarded formulas: repeatedly expanding always ends up below a modality
     — which is what the truth-assignment relation of Figure 15 and the
     Fisher–Ladner closure rely on.
+
+    The expansion depends only on the (immutable, interned) node, so it is
+    computed once and kept on the node.
     """
     if not formula.is_fixpoint:
         raise ValueError("expand_fixpoint expects a fixpoint formula")
-    definitions = dict(formula.defs)
-    mapping = {
-        name: _intern(formula.kind, defs=formula.defs, body=definitions[name])
-        for name, _definition in formula.defs
-    }
-    return substitute(formula.body, mapping)
+    expansion = formula._expansion
+    if expansion is None:
+        mapping = {
+            name: _intern(formula.kind, defs=formula.defs, body=definition)
+            for name, definition in formula.defs
+        }
+        expansion = formula._expansion = substitute(formula.body, mapping)
+    return expansion
 
 
 def rename_bound_variables(formula: Formula, prefix: str = "R") -> Formula:

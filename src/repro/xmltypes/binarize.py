@@ -165,8 +165,10 @@ def _merge(
     left: tuple[Alternative, ...], right: tuple[Alternative, ...]
 ) -> tuple[Alternative, ...]:
     merged = list(left)
+    seen = set(left)
     for alternative in right:
-        if alternative not in merged:
+        if alternative not in seen:
+            seen.add(alternative)
             merged.append(alternative)
     return tuple(merged)
 

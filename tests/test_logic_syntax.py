@@ -1,5 +1,7 @@
 """Unit tests for the Lµ syntax: hash-consing, constructors, substitution, expansion."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.logic import syntax as sx
@@ -113,3 +115,148 @@ def test_operator_overloading_matches_constructors():
     a, b = sx.prop("a"), sx.prop("b")
     assert (a | b) is sx.mk_or(a, b)
     assert (a & b) is sx.mk_and(a, b)
+
+
+# -- substitution and capture ---------------------------------------------------------
+
+
+def test_substitute_under_binder_that_does_not_see_the_name():
+    """A binder captures nothing when no substituted name is free below it."""
+    fix = sx.mu1(lambda x: sx.dia(1, x) | sx.prop("a"))
+    bound_name = fix.defs[0][0]
+    formula = sx.mk_and(fix, sx.var("Z"))
+    substituted = sx.substitute(formula, {"Z": sx.var(bound_name)})
+    assert substituted is sx.mk_and(fix, sx.var(bound_name))
+
+
+def test_substitute_refuses_real_capture():
+    formula = sx.mu((("X", sx.dia(1, sx.var("X")) | sx.var("Z")),), sx.var("X"))
+    with pytest.raises(ValueError, match="capture variable 'X'"):
+        sx.substitute(formula, {"Z": sx.var("X")})
+
+
+# -- the memos are exact ----------------------------------------------------------------
+
+
+class _Reference:
+    """Recomputes free variables and expansions from scratch, without memos
+    on the nodes and without pruning closed subterms."""
+
+    def __init__(self):
+        self.free: dict[int, frozenset[str]] = {}
+
+    def free_variables(self, formula):
+        cached = self.free.get(id(formula))
+        if cached is not None:
+            return cached
+        if formula.kind == sx.KIND_VAR:
+            result = frozenset({formula.label})
+        else:
+            inner = set()
+            for child in sx.iter_children(formula):
+                inner |= self.free_variables(child)
+            if formula.is_fixpoint:
+                inner -= {name for name, _ in formula.defs}
+            result = frozenset(inner)
+        self.free[id(formula)] = result
+        return result
+
+    @staticmethod
+    def substitute(formula, mapping):
+        cache = {}
+
+        # Rebuild through the intern table without the smart constructors'
+        # simplifications, as substitution does.
+        def go(current, active):
+            key = (id(current), active)
+            if key in cache:
+                return cache[key]
+            if current.kind == sx.KIND_VAR:
+                result = mapping[current.label] if current.label in active else current
+            elif current.is_fixpoint:
+                remaining = active - {name for name, _ in current.defs}
+                result = sx._intern(
+                    current.kind,
+                    defs=tuple((name, go(d, remaining)) for name, d in current.defs),
+                    body=go(current.body, remaining),
+                )
+            elif current.kind in (sx.KIND_OR, sx.KIND_AND):
+                result = sx._intern(
+                    current.kind,
+                    left=go(current.left, active),
+                    right=go(current.right, active),
+                )
+            elif current.kind == sx.KIND_DIA:
+                result = sx._intern(
+                    sx.KIND_DIA, prog=current.prog, left=go(current.left, active)
+                )
+            else:
+                result = current
+            cache[key] = result
+            return result
+
+        return go(formula, frozenset(mapping))
+
+    def expand(self, formula):
+        definitions = dict(formula.defs)
+        mapping = {
+            name: sx._intern(formula.kind, defs=formula.defs, body=definitions[name])
+            for name, _ in formula.defs
+        }
+        return self.substitute(formula.body, mapping)
+
+
+def _memo_test_formulas():
+    """Compiled schemas and corpus problems, with their negations and
+    alpha-renamings."""
+    from repro.logic.negation import negate
+    from repro.testing.corpus import load_corpus
+    from repro.testing.fuzz import case_formula
+    from repro.xmltypes.compile import compile_dtd
+    from repro.xmltypes.library import schema_catalog
+
+    formulas = [compile_dtd(info.load()) for info in schema_catalog()]
+    for entry in load_corpus(Path(__file__).parent / "corpus"):
+        dtd = entry.case.dtd()
+        formulas += [case_formula(entry.case, dtd, pruned) for pruned in (False, True)]
+    images = []
+    for formula in formulas:
+        images += [negate(formula), sx.rename_bound_variables(formula)]
+    return formulas + images
+
+
+def test_free_variables_and_expansions_match_the_reference():
+    from repro.logic.closure import fisher_ladner_closure
+
+    formulas = _memo_test_formulas()
+    # The closures add the fixpoints that only arise from expanding others.
+    stack = formulas + [f for formula in formulas for f in fisher_ladner_closure(formula)]
+    nodes = set()
+    while stack:
+        node = stack.pop()
+        if node not in nodes:
+            nodes.add(node)
+            stack.extend(sx.iter_children(node))
+    reference = _Reference()
+    fixpoints = [node for node in nodes if node.is_fixpoint]
+    for node in nodes:
+        assert sx.free_variables(node) == reference.free_variables(node)
+    for node in fixpoints:
+        assert sx.expand_fixpoint(node) is reference.expand(node)
+    assert len(fixpoints) > 1000
+
+
+def test_expansion_is_computed_once(monkeypatch):
+    formula = sx.mu1(lambda x: sx.dia(2, x) | sx.prop("memo-once"))
+    calls = []
+    real_substitute = sx.substitute
+
+    def counting_substitute(*args):
+        calls.append(args)
+        return real_substitute(*args)
+
+    monkeypatch.setattr(sx, "substitute", counting_substitute)
+    first = sx.expand_fixpoint(formula)
+    assert len(calls) == 1
+    assert sx.expand_fixpoint(formula) is first
+    assert len(calls) == 1

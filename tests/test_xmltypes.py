@@ -133,6 +133,37 @@ def test_binarize_nullability():
     assert not grammar.is_nullable("C_article")
 
 
+#: SHA-256 of each bundled schema's binarized grammar (see _grammar_digest).
+BINARIZED_GRAMMAR_DIGESTS = {
+    "smil": "b1dfb4f8ba7f29ca7fa81877144a6ac9888c701457482c0e7e2555642b2f98d7",
+    "xhtml": "afd30c98db410754fe9e26c839cc3c7091c64963dea00842fd9d2936df333aae",
+    "xhtml-core": "2b355894138d61d12048fd3d7d231b699f9afcdf7c36cd6812a0038e133d5d94",
+    "wikipedia": "aecfabba41ab67f9c6f6add0e01d2ddcab2dde5726abdf8d7013e12d70524cb5",
+}
+
+
+def _grammar_digest(grammar: BinaryTypeGrammar) -> str:
+    """Digest of the start, the name and the variable table, in order."""
+    import hashlib
+    import json
+
+    table = [
+        [name, [str(alternative) for alternative in alternatives]]
+        for name, alternatives in grammar.variables.items()
+    ]
+    payload = json.dumps([grammar.start, grammar.name, table])
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("schema", sorted(BINARIZED_GRAMMAR_DIGESTS))
+def test_binarized_bundled_schemas_are_pinned(schema):
+    """Binarization is deterministic: same variables, names and order."""
+    from repro.xmltypes.library import builtin_dtd
+
+    grammar = binarize_dtd(builtin_dtd(schema))
+    assert _grammar_digest(grammar) == BINARIZED_GRAMMAR_DIGESTS[schema]
+
+
 @pytest.mark.parametrize(
     "spec,word",
     [
