@@ -20,6 +20,10 @@ When the formula of a "negative" problem (containment, coverage, type
 inclusion) is satisfiable, the satisfying model is a counterexample document,
 annotated with the start mark, which is returned to the caller.
 
+:func:`reduce_problem` is the reduction :class:`repro.api.StaticAnalyzer`
+runs and the fuzzer checks; it translates a later side's type under ⊤ when
+it repeats the first side's (same models, a much smaller Lean — see there).
+
 **Attributes.**  When an expression of a problem mentions attribute steps
 (``@href``, ``attribute::*``), every DTD involved in the problem is compiled
 with its ATTLIST constraints projected onto the union of the attribute names
@@ -31,6 +35,7 @@ exactly as before.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from repro.logic import syntax as sx
@@ -302,6 +307,63 @@ def rooted(xml_type, attributes: tuple[str, ...] = ()) -> sx.Formula:
             sx.no_dia(2),
         )
     )
+
+
+def reduce_problem(
+    kind: str,
+    exprs: Sequence,
+    types: Sequence,
+    query_formula: Callable[..., sx.Formula],
+    type_formula: Callable[..., sx.Formula],
+    type_key: Callable[[object], object],
+    attributes: tuple[str, ...],
+    labels: tuple[str, ...] | None,
+) -> tuple[sx.Formula, bool]:
+    """Reduce one problem (any kind but equivalence) to one Lµ formula.
+
+    Returns ``(formula, positive)``: ``positive`` tells whether the property
+    *holds* when the formula is satisfiable (satisfiability, overlap) or when
+    it is unsatisfiable (the rest).  ``query_formula(expr, xml_type,
+    attributes, labels)`` and ``type_formula(xml_type, constrain_siblings=...,
+    attributes=..., labels=...)`` are the translators; every side is
+    translated over the problem's attribute alphabet ``attributes`` and
+    element alphabet ``labels`` (``None``: no pruning), which the caller
+    derives from the problem's original types.
+
+    **A shared type is conjoined once.**  Every XPath translation anchors at
+    ``χ ∧ s`` and the solver's models carry exactly one start mark
+    (Fig. 16), so once the first side has forced χ at the mark, ``χ ∧ s ≡ s``
+    inside every later side over the same type.  A later side of
+    containment, overlap or coverage whose ``type_key`` equals the first
+    side's is therefore translated under ⊤: the models are the same, and the
+    Lean — which prices a solve at 2^O(|Lean|) (Lemma 6.7) — loses the
+    negated copy of χ's closure.  Type inclusion keeps its negated output
+    type, which holds at the selected node, not at the mark.
+    """
+
+    def later_side(expr, xml_type) -> sx.Formula:
+        if xml_type is not None and type_key(xml_type) == type_key(types[0]):
+            xml_type = None
+        return query_formula(expr, xml_type, attributes, labels)
+
+    first = query_formula(exprs[0], types[0], attributes, labels)
+    if kind in ("satisfiability", "emptiness"):
+        return first, kind == "satisfiability"
+    if kind == "containment":
+        return sx.mk_and(first, negate(later_side(exprs[1], types[1]))), False
+    if kind == "overlap":
+        return sx.mk_and(first, later_side(exprs[1], types[1])), True
+    if kind == "coverage":
+        formula = first
+        for other, other_type in zip(exprs[1:], types[1:]):
+            formula = sx.mk_and(formula, negate(later_side(other, other_type)))
+        return formula, False
+    if kind == "type_inclusion":
+        output = type_formula(
+            types[1], constrain_siblings=False, attributes=attributes, labels=labels
+        )
+        return sx.mk_and(first, negate(output)), False
+    raise ValueError(f"unknown query kind {kind!r}")
 
 
 def _query_formula(

@@ -73,25 +73,24 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 from repro.analysis.problems import (
     Rooted,
     document_formula,
     label_projection,
+    reduce_problem,
     relevant_attributes,
-    relevant_labels,
     type_inclusion_attributes,
 )
 from repro.cache import DiskSolveCache, SolveRecord
 from repro.core import faults
 from repro.core.errors import BudgetExceeded, ReproError, UnsupportedTypeError
 from repro.logic import syntax as sx
-from repro.logic.negation import negate
 from repro.solver.governor import Budget
 from repro.solver.symbolic import SymbolicSolver
-from repro.trees.unranked import serialize_tree
+from repro.trees.unranked import Tree, serialize_tree
 from repro.xmltypes.ast import BinaryTypeGrammar
 from repro.xmltypes.compile import compile_dtd, compile_grammar, project_grammar
 from repro.xmltypes.dtd import DTD
@@ -393,6 +392,29 @@ class _WorkItem:
     query: Query
 
 
+#: ``(schema, kept alphabet, rooted)``: what a pruned witness is lifted
+#: against (see :func:`_lift_witness`).
+LiftContext = tuple[DTD, tuple[str, ...], bool]
+
+
+def _lift_witness(document: Tree, lift_context: LiftContext) -> Tree:
+    """The witness with concrete names for its collapsed labels, if any fit.
+
+    Best effort (see :func:`repro.xmltypes.membership.lift_wildcards`): the
+    witness comes back unchanged when no assignment validates.  When the
+    schema came from a :class:`Rooted` type (``rooted``), the top node is the
+    virtual document node, whose label is arbitrary, so only its single
+    child — the typed root element — is lifted.
+    """
+    dtd, kept_labels, rooted = lift_context
+    if not rooted:
+        return lift_wildcards(dtd, document, exclude=kept_labels) or document
+    if len(document.children) != 1:
+        return document
+    child = lift_wildcards(dtd, document.children[0], exclude=kept_labels)
+    return document if child is None else replace(document, children=(child,))
+
+
 # ---------------------------------------------------------------------------
 # Worker-process plumbing for multiprocess batch solving
 # ---------------------------------------------------------------------------
@@ -609,7 +631,8 @@ class StaticAnalyzer:
         attributes: tuple[str, ...] = (),
         labels: tuple[str, ...] | None = None,
     ) -> sx.Formula:
-        """The (cached) Lµ translation of a type constraint (⊤ for ``None``).
+        """The (cached) Lµ translation of a type constraint (⊤ for ``None``,
+        which takes no cache entry).
 
         ``attributes`` is the attribute alphabet of the surrounding problem:
         DTD types project their ATTLIST constraints onto it (see
@@ -618,14 +641,14 @@ class StaticAnalyzer:
         onto the "any other label" proposition (cone-of-influence Lean
         pruning).  Both are part of the cache key.
         """
+        if xml_type is None:
+            return sx.TRUE
         key = (self._type_key(xml_type), constrain_siblings, attributes, labels)
         cached = self._type_cache.get(key)
         if cached is not None:
             return cached
         resolved = self._resolve_type(xml_type)
-        if resolved is None:
-            formula = sx.TRUE
-        elif isinstance(resolved, Rooted):
+        if isinstance(resolved, Rooted):
             # Recurse on the *unresolved* inner type so the inner translation
             # is cached under its own key (shared with unwrapped uses).
             inner_type = (
@@ -695,16 +718,15 @@ class StaticAnalyzer:
     def _solve(
         self,
         formula: sx.Formula,
-        lift_context: tuple[DTD, tuple[str, ...]] | None = None,
+        lift_context: LiftContext | None = None,
         budget: Budget | None = None,
     ) -> tuple[SolveRecord, str | None]:
         """Solve a formula, answering from a cache layer when possible.
 
         Returns the verdict record plus the layer that answered: ``"memory"``,
         ``"disk"``, or ``None`` when the solver actually ran.
-        ``lift_context`` is the ``(schema, kept alphabet)`` to lift a pruned
-        witness's collapsed labels against (see :func:`repro.xmltypes.
-        membership.lift_wildcards`); lifting is deterministic, so cached
+        ``lift_context`` says how to lift a pruned witness's collapsed labels
+        (see :func:`_lift_witness`); lifting is deterministic, so cached
         records are already lifted.
 
         ``budget`` governs the solver run; exhaustion raises
@@ -735,8 +757,7 @@ class StaticAnalyzer:
         self.solver_runs += 1
         document = result.model_document()
         if document is not None and lift_context is not None:
-            lift_dtd, kept_labels = lift_context
-            document = lift_wildcards(lift_dtd, document, exclude=kept_labels) or document
+            document = _lift_witness(document, lift_context)
         record = SolveRecord(
             satisfiable=result.satisfiable,
             counterexample=None if document is None else serialize_tree(document),
@@ -752,7 +773,7 @@ class StaticAnalyzer:
     def _degraded_record(
         self,
         formula: sx.Formula,
-        lift_context: tuple[DTD, tuple[str, ...]] | None,
+        lift_context: LiftContext | None,
     ) -> SolveRecord | None:
         """Definite verdict from the bounded ψ-type solver, or ``None``.
 
@@ -780,10 +801,7 @@ class StaticAnalyzer:
         if result.model is not None:
             document = binary_forest_to_unranked(result.model)[0]
             if lift_context is not None:
-                lift_dtd, kept_labels = lift_context
-                document = (
-                    lift_wildcards(lift_dtd, document, exclude=kept_labels) or document
-                )
+                document = _lift_witness(document, lift_context)
         elapsed = time.perf_counter() - started
         record = SolveRecord(
             satisfiable=result.satisfiable,
@@ -849,9 +867,10 @@ class StaticAnalyzer:
             return self._equivalence(query, budget)
         effective = self._effective_budget(budget)
         try:
-            formula, problem, positive = self._reduce(query)
+            formula, positive = self._reduce(query)
         except ANALYSIS_ERRORS as exc:
             return self._error_outcome(query, exc)
+        problem = self._problem_description(query)
         lift_context = self._lift_context(query)
         try:
             record, source = self._solve(formula, lift_context, effective)
@@ -876,7 +895,7 @@ class StaticAnalyzer:
             return budget
         return self.budget.merged_with(budget)
 
-    def _lift_context(self, query: Query) -> tuple[DTD, tuple[str, ...]] | None:
+    def _lift_context(self, query: Query) -> LiftContext | None:
         """The schema and kept alphabet to lift pruned witnesses against.
 
         ``None`` when no lifting applies (pruning off or skipped, or no DTD
@@ -889,10 +908,11 @@ class StaticAnalyzer:
             return None
         for xml_type in query.types:
             resolved = self._resolve_type(xml_type)
-            if isinstance(resolved, Rooted):
+            rooted = isinstance(resolved, Rooted)
+            if rooted:
                 resolved = resolved.xml_type
             if isinstance(resolved, DTD):
-                return resolved, labels
+                return resolved, labels, rooted
         return None
 
     def _error_outcome(self, query: Query, exc: Exception) -> AnalysisOutcome:
@@ -974,67 +994,26 @@ class StaticAnalyzer:
             )
         return relevant_attributes(*query.exprs)
 
-    def _reduce(self, query: Query) -> tuple[sx.Formula, str, bool]:
+    def _reduce(self, query: Query) -> tuple[sx.Formula, bool]:
         """Reduce a (non-equivalence) query to one satisfiability question.
 
-        Returns ``(formula, problem description, positive)`` where ``positive``
-        tells whether the property *holds* when the formula is satisfiable
-        (satisfiability, overlap) or when it is unsatisfiable (the rest).
+        Returns ``(formula, positive)`` from :func:`repro.analysis.problems.
+        reduce_problem`, fed with this analyzer's cached translators.  All
+        expressions of a problem share one attribute alphabet (and one
+        element alphabet for pruning) so type constraints agree across the
+        sub-formulas; type_inclusion derives a richer attribute alphabet of
+        its own (see :meth:`_problem_attributes`).
         """
-        kind, exprs, types = query.kind, query.exprs, query.types
-        # All expressions of a problem share one attribute alphabet (and one
-        # element alphabet for pruning) so type constraints agree across the
-        # sub-formulas (see repro.analysis); type_inclusion derives a richer
-        # attribute alphabet of its own (see _problem_attributes).
-        labels = self._label_projection(exprs, types)
-        attributes = self._problem_attributes(query)
-        problem = self._problem_description(query)
-        if kind == "satisfiability":
-            return (
-                self.query_formula(exprs[0], types[0], attributes, labels),
-                problem,
-                True,
-            )
-        if kind == "emptiness":
-            return (
-                self.query_formula(exprs[0], types[0], attributes, labels),
-                problem,
-                False,
-            )
-        if kind == "containment":
-            formula = sx.mk_and(
-                self.query_formula(exprs[0], types[0], attributes, labels),
-                negate(self.query_formula(exprs[1], types[1], attributes, labels)),
-            )
-            return formula, problem, False
-        if kind == "overlap":
-            formula = sx.mk_and(
-                self.query_formula(exprs[0], types[0], attributes, labels),
-                self.query_formula(exprs[1], types[1], attributes, labels),
-            )
-            return formula, problem, True
-        if kind == "coverage":
-            formula = self.query_formula(exprs[0], types[0], attributes, labels)
-            for other, other_type in zip(exprs[1:], types[1:]):
-                formula = sx.mk_and(
-                    formula,
-                    negate(self.query_formula(other, other_type, attributes, labels)),
-                )
-            return formula, problem, False
-        if kind == "type_inclusion":
-            formula = sx.mk_and(
-                self.query_formula(exprs[0], types[0], attributes, labels),
-                negate(
-                    self.type_formula(
-                        types[1],
-                        constrain_siblings=False,
-                        attributes=attributes,
-                        labels=labels,
-                    )
-                ),
-            )
-            return formula, problem, False
-        raise ValueError(f"unknown query kind {kind!r}")  # pragma: no cover
+        return reduce_problem(
+            query.kind,
+            query.exprs,
+            query.types,
+            self.query_formula,
+            self.type_formula,
+            self._type_key,
+            attributes=self._problem_attributes(query),
+            labels=self._label_projection(query.exprs, query.types),
+        )
 
     def _equivalence(
         self, query: Query, budget: Budget | None = None
@@ -1322,8 +1301,6 @@ class StaticAnalyzer:
         are the duplicate's *own* (a satisfiability and an emptiness share a
         leader but disagree on ``holds``); only the verdict is shared.
         """
-        from dataclasses import replace
-
         if leader.verdict_status == "error":
             return replace(leader, query=query, problem=f"{query.kind} (failed)")
         problem = self._problem_description(query)

@@ -59,7 +59,11 @@ from repro.logic.printer import format_formula
 #: v2: the key material gained a ``scope=single`` line, so v2 addresses never
 #: alias v1 entries; v1 entries read as clean misses (they live under the
 #: untouched ``v1/`` directory), never as corruption.
-CACHE_FORMAT_VERSION = 2
+#: v3: records store witnesses of ``Rooted`` problems lifted below the
+#: document node (v2 records kept their ``_`` placeholders), and the key
+#: material dropped the ``scope=single`` line; v2 entries read as clean
+#: misses under the untouched ``v2/`` directory.
+CACHE_FORMAT_VERSION = 3
 
 #: Characters of :func:`repro.logic.printer.format_formula` output stored in
 #: each entry for human inspection (informational only — never parsed back).
@@ -186,15 +190,12 @@ def solve_cache_key(formula: sx.Formula, track_marks: bool = True) -> str:
     Covers the canonical formula digest, the Lean alphabet, the cache format
     version, and the only solver option that changes verdicts
     (``track_marks=False`` is the deliberately unsound ablation mode of
-    :class:`repro.solver.symbolic.SymbolicSolver`).  The constant
-    ``scope=single`` line is part of the v2 key material; keeping it keeps
-    every published v2 address valid.
+    :class:`repro.solver.symbolic.SymbolicSolver`).
     """
     alphabet = lean_alphabet(formula)
     material = "\n".join(
         [
             f"repro-solve-cache/v{CACHE_FORMAT_VERSION}",
-            "scope=single",
             formula_digest(formula),
             "labels=" + ",".join(alphabet["labels"]),
             "attributes=" + ",".join(alphabet["attributes"]),

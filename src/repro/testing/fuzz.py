@@ -34,9 +34,9 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from repro.analysis.problems import label_projection, relevant_attributes
+from repro.analysis.problems import relevant_attributes
+from repro.api import Query, StaticAnalyzer
 from repro.logic import syntax as sx
-from repro.logic.negation import negate
 from repro.solver.symbolic import SymbolicSolver
 from repro.testing.corpus import FuzzCase, write_corpus_case
 from repro.testing.generators import GeneratorConfig, gen_case
@@ -48,10 +48,7 @@ from repro.testing.oracle import (
 )
 from repro.testing.shrink import shrink_case
 from repro.trees.unranked import serialize_tree
-from repro.xmltypes.compile import compile_dtd
 from repro.xmltypes.dtd import DTD
-from repro.xpath.compile import compile_xpath
-from repro.xpath.parser import parse_xpath_cached
 
 #: The ablation matrix every trial runs: label pruning off and on (the first
 #: entry is the reference).
@@ -160,26 +157,14 @@ def _lean_size(formula: sx.Formula) -> int:
 
 
 def case_formula(case: FuzzCase, dtd: DTD | None, pruned: bool) -> sx.Formula:
-    """The Lµ reduction of the case (optionally label-pruned)."""
-    attributes = relevant_attributes(*case.exprs)
-    labels = None
-    if pruned:
-        labels = label_projection(case.exprs, (dtd,) * len(case.exprs))
-    if dtd is None:
-        context = sx.TRUE
-    else:
-        context = compile_dtd(dtd, attributes=attributes or None, labels=labels)
-    queries = [
-        compile_xpath(parse_xpath_cached(text), context) for text in case.exprs
-    ]
-    if case.kind in ("satisfiability", "emptiness"):
-        reduced = queries[0]
-    elif case.kind == "containment":
-        reduced = sx.mk_and(queries[0], negate(queries[1]))
-    elif case.kind == "overlap":
-        reduced = sx.mk_and(queries[0], queries[1])
-    else:
-        raise AssertionError(f"unknown fuzz kind {case.kind!r}")
+    """The Lµ reduction of the case (optionally label-pruned).
+
+    The case goes through :class:`repro.api.StaticAnalyzer`'s reduction —
+    the one ``analyze``, ``serve`` and ``audit`` run — so every oracle
+    checks production's formula, restricted to single-rooted documents.
+    """
+    query = Query(case.kind, case.exprs, (dtd,) * len(case.exprs))
+    reduced, _positive = StaticAnalyzer(prune_labels=pruned)._reduce(query)
     return sx.mk_and(reduced, single_root())
 
 

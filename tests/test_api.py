@@ -5,7 +5,14 @@ import json
 import pytest
 
 from repro.analysis import Analyzer
+from repro.analysis.problems import Rooted, label_projection, relevant_attributes
 from repro.api import KINDS, AnalysisOutcome, BatchReport, Query, StaticAnalyzer, solve_many
+from repro.cache import formula_digest
+from repro.logic import syntax as sx
+from repro.logic.negation import negate
+from repro.solver.symbolic import SymbolicSolver
+from repro.trees.unranked import serialize_tree
+from repro.xmltypes.dtd import parse_dtd
 
 #: The fast Table 2 decision problems (Figure 21 queries; the SMIL and XHTML
 #: rows are exercised by the slow integration suite instead).
@@ -140,6 +147,93 @@ def test_type_translation_cache_is_shared_across_queries():
     assert stats["query_cache_entries"] == 2
     analyzer.clear_caches()
     assert analyzer.cache_statistics()["solve_cache_entries"] == 0
+
+
+def test_untyped_sides_take_no_type_cache_entry():
+    analyzer = StaticAnalyzer()
+    analyzer.solve(Query.containment("a/b", "a//b"))
+    analyzer.solve(
+        Query.containment("meta/title", "meta/*", "wikipedia", "wikipedia")
+    )
+    assert analyzer._type_cache
+    assert all(key[0] is not None for key in analyzer._type_cache)
+
+
+# ---------------------------------------------------------------------------
+# A shared type is conjoined once (repro.analysis.problems.reduce_problem)
+# ---------------------------------------------------------------------------
+
+ROOTED_WIKI = Rooted("wikipedia")
+
+#: A small inline schema (sections of titled paragraphs).
+SECTIONS = parse_dtd(
+    "<!ELEMENT doc (sec+)><!ELEMENT sec (title, para*, sec*)>"
+    "<!ELEMENT title EMPTY><!ELEMENT para EMPTY>",
+    root="doc",
+    name="sections",
+)
+
+SAME_TYPED = [
+    Query.containment(".//edit", "meta/history/edit[status]", "wikipedia", "wikipedia"),
+    Query.overlap(".//title", "meta/*", "wikipedia", "wikipedia"),
+    Query.coverage(".//*", ["meta", "meta//*"], "wikipedia", ["wikipedia", "wikipedia"]),
+    Query.containment(".//sec/para", "sec/para", SECTIONS, SECTIONS),
+    Query.overlap(".//sec[para]", ".//sec/sec", SECTIONS, SECTIONS),
+    Query.coverage(".//*", ["sec", "sec//title"], SECTIONS, [SECTIONS, SECTIONS]),
+    Query.containment("//edit", "//history/edit[status]", ROOTED_WIKI, ROOTED_WIKI),
+    Query.overlap("//title", "/article/*/*", ROOTED_WIKI, ROOTED_WIKI),
+    Query.coverage("//*", ["/article", "/article/*"], ROOTED_WIKI, [ROOTED_WIKI] * 2),
+]
+
+
+def _full_type_reduction(analyzer: StaticAnalyzer, query: Query):
+    """The reduction before shared types were conjoined once: every side
+    is translated under its own type."""
+    exprs, types = query.exprs, query.types
+    attributes = relevant_attributes(*exprs)
+    labels = label_projection(exprs, types, type_key=analyzer._type_key)
+    if query.kind == "overlap":
+        return sx.mk_and(
+            analyzer.query_formula(exprs[0], types[0], attributes, labels),
+            analyzer.query_formula(exprs[1], types[1], attributes, labels),
+        )
+    formula = analyzer.query_formula(exprs[0], types[0], attributes, labels)
+    for other, other_type in zip(exprs[1:], types[1:]):
+        formula = sx.mk_and(
+            formula,
+            negate(analyzer.query_formula(other, other_type, attributes, labels)),
+        )
+    return formula
+
+
+@pytest.mark.parametrize(
+    "query", SAME_TYPED, ids=[f"{q.kind}-{i}" for i, q in enumerate(SAME_TYPED)]
+)
+def test_shared_type_reduction_keeps_verdicts_and_witnesses(query):
+    """Translating a repeated type once changes the formula, never its
+    models: same verdict, and the same counterexample byte for byte."""
+    shared, _positive = StaticAnalyzer()._reduce(query)
+    full = _full_type_reduction(StaticAnalyzer(), query)
+    assert formula_digest(shared) != formula_digest(full)  # the rule applied
+    got, want = SymbolicSolver(shared).solve(), SymbolicSolver(full).solve()
+    assert got.satisfiable == want.satisfiable
+    if query.kind != "overlap":  # only negated sides duplicate the closure
+        assert len(got.lean) < len(want.lean)
+
+    def witness(result):
+        document = result.model_document()
+        return None if document is None else serialize_tree(document)
+
+    assert witness(got) == witness(want)
+
+
+def test_a_side_over_another_type_keeps_its_constraint():
+    """Only a repeated type is dropped: the mark cannot be both an article
+    and a doc, so the right side selects nothing and containment fails."""
+    outcome = StaticAnalyzer().solve(
+        Query.containment(".//title", ".//title", "wikipedia", SECTIONS)
+    )
+    assert outcome.definite and outcome.holds is False
 
 
 def test_outcome_time_ms_matches_seconds():

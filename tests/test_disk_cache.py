@@ -44,11 +44,11 @@ def test_digest_distinguishes_formulas():
 
 
 def test_solve_cache_key_is_pinned():
-    """Every published v2 address stays valid: the key of a fixed formula
+    """Every published v3 address stays valid: the key of a fixed formula
     must not move unless ``CACHE_FORMAT_VERSION`` is bumped on purpose."""
-    assert CACHE_FORMAT_VERSION == 2
+    assert CACHE_FORMAT_VERSION == 3
     assert solve_cache_key(sx.prop("a")) == (
-        "44466075ed816576683bfbf73c2fbf796a25767cd43fa682743d5f3fd37516c5"
+        "4428778812c4d5fdf6062c6d4469a2e1e88f27bcd8c5c5eeb1f2cfc9f1a91494"
     )
 
 
@@ -58,17 +58,17 @@ def test_solve_cache_key_is_pinned():
         (
             parse_formula("a & <1>b"),
             True,
-            "9daaeedbff1ac4b0779cc7e972fda863ed1abee52ec1358822341eb87e36f13f",
+            "5e3e859d0e40c057f67664f7bac09b0dd167c628512d867a9c214ea14a0b377d",
         ),
         (
             parse_formula("a & <1>b"),
             False,
-            "c77e31b47b1647bbd6041dab8c5bd21338c80f9f260818cd2ada2c0876c3bd68",
+            "361844a816756a5fd4382836cd8ca1103d7237e57713da202f8dc1d50e5801d6",
         ),
         (
             sx.mu1(lambda x: sx.prop("a") | sx.dia(1, x)),
             True,
-            "a5fac112534c004f2cd0b6b831a1642f316ccf4c3a480c00108f85d49d96b91b",
+            "70e3ee9180d528cf5e5794b1abd415e3be3f6c752802451fec93e1d6fd240e14",
         ),
     ],
     ids=["modal", "unmarked", "fixpoint"],
@@ -82,13 +82,13 @@ def test_solve_cache_key_pins_options_and_fixpoints(formula, track_marks, expect
 def test_v1_entries_are_clean_misses(tmp_path):
     """Old-format entries live under ``v1/`` (never read) or carry
     ``version: 1`` (well-formed mismatch): both are plain misses — no
-    quarantine, no deletion — and the next solve republishes under v2."""
+    quarantine, no deletion — and the next solve republishes under v3."""
     formula = sx.prop("a")
     cache = DiskSolveCache(tmp_path)
     v1_file = tmp_path / "v1" / "ab" / "abcdef.json"
     v1_file.parent.mkdir(parents=True)
     v1_file.write_text(json.dumps({"version": 1, "satisfiable": True}))
-    # A v1 payload parked at the entry's v2 path: versioned miss, kept as-is.
+    # A v1 payload parked at the entry's v3 path: versioned miss, kept as-is.
     stale = cache.path_for_key(cache.key_for(formula))
     stale.parent.mkdir(parents=True, exist_ok=True)
     stale.write_text(json.dumps({"version": 1, "key": cache.key_for(formula)}))

@@ -2,6 +2,7 @@
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -244,6 +245,32 @@ def test_case_formula_is_tree_satisfiable_only():
     case = FuzzCase(kind="satisfiability", exprs=("/foll-sibling::a",))
     formula = case_formula(case, None, pruned=False)
     assert not SymbolicSolver(formula).solve().satisfiable
+
+
+@pytest.mark.parametrize("pruned", (False, True), ids=["unpruned", "pruned"])
+def test_case_formula_is_the_reduction_serve_runs(pruned):
+    """The fuzzer checks the formula ``repro serve`` builds for the same
+    problem sent over the wire (one inline DTD shared by every side), up to
+    the single-root restriction.  Digests, not identity: every translation
+    draws fresh bound-variable names."""
+    from repro.api import StaticAnalyzer
+    from repro.cache import formula_digest
+    from repro.cli import wire
+
+    entries = load_corpus(Path(__file__).parent / "corpus")
+    assert entries
+    for entry in entries:
+        case = entry.case
+        payload = {"kind": case.kind, "exprs": list(case.exprs)}
+        if case.dtd_source is not None:
+            inline = {"dtd": case.dtd_source, "root": case.root}
+            payload["types"] = [inline] * len(case.exprs)
+        query = wire.query_from_dict(payload, wire.DTDCache())
+        served, _positive = StaticAnalyzer(prune_labels=pruned)._reduce(query)
+        fuzzed = case_formula(case, case.dtd(), pruned)
+        assert formula_digest(fuzzed) == formula_digest(
+            sx.mk_and(served, single_root())
+        ), entry.name
 
 
 # -- shrinking ------------------------------------------------------------------

@@ -14,7 +14,9 @@ import repro.logic.syntax as sx
 from repro.analysis.problems import Rooted, label_projection
 from repro.api import Query, StaticAnalyzer, _describe_type, _parallel_safe
 from repro.cli import wire
+from repro.trees.unranked import parse_tree
 from repro.xmltypes.library import builtin_dtd
+from repro.xmltypes.membership import dtd_accepts
 from repro.xpath.parser import parse_xpath_cached
 
 ROOTED = Rooted("wikipedia")
@@ -84,6 +86,33 @@ def test_coverage_under_rooted_types(analyzer):
     outcome = _solve(analyzer, gap)
     assert not outcome.holds
     assert outcome.counterexample is not None  # a status-less edit witness
+
+
+def test_rooted_witnesses_are_lifted_below_the_document_node(analyzer):
+    """The document node keeps its (arbitrary) label; its only child, the
+    root element, is lifted to concrete names and validates."""
+    outcome = _solve(analyzer, Query.satisfiability("/article/text", ROOTED))
+    (root,) = parse_tree(outcome.counterexample).children
+    assert all(node.label != "_" for node in root.iter_nodes())
+    assert dtd_accepts(builtin_dtd("wikipedia"), root)
+
+
+def test_same_typed_containment_translates_the_type_once():
+    """The audit's ``tbody/tr ⊆ tr`` under XHTML 1.0 Strict: the right side
+    reuses the left side's type constraint at the mark, so the Lean holds
+    one closure of the schema — 59 formulas, against 92 when both sides
+    translate the type."""
+    strict = Rooted("xhtml-strict")
+    outcome = StaticAnalyzer().solve(
+        Query.containment(
+            "/desc-or-self::*/child::tbody/child::tr",
+            "/desc-or-self::*/child::tr",
+            strict,
+            strict,
+        )
+    )
+    assert outcome.definite and outcome.holds
+    assert outcome.statistics["lean_size"] == 59
 
 
 # ---------------------------------------------------------------------------

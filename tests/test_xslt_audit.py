@@ -14,7 +14,10 @@ import pytest
 
 from repro.api import StaticAnalyzer
 from repro.core.errors import SchemaLookupError
+from repro.trees.unranked import parse_tree
 from repro.xmltypes.dtd import parse_dtd
+from repro.xmltypes.library import builtin_dtd
+from repro.xmltypes.membership import dtd_accepts
 from repro.xslt import AuditReport, audit_stylesheet, load_stylesheet
 from repro.xslt.rules import _resolve_schema
 
@@ -401,6 +404,11 @@ def test_xhtml_acceptance_audit():
     (li_gap,) = semantic_gaps
     assert li_gap.detail["element"] == "li"
     assert li_gap.detail["witness"] is not None
+    # The witness's top node is the virtual document node; the root element
+    # below it is lifted to declared names and validates against the schema.
+    (root,) = parse_tree(li_gap.detail["witness"]).children
+    assert all(node.label != "_" for node in root.iter_nodes())
+    assert dtd_accepts(builtin_dtd("xhtml-strict"), root)
 
     # The covered negative case plans a query but yields no finding.
     assert not any(
@@ -413,4 +421,7 @@ def test_xhtml_acceptance_audit():
     statistics = report.cache_statistics
     assert statistics["solver_runs"] + statistics["solve_cache_hits"] == queries
     assert statistics["type_cache_entries"] < 2 * queries
+    # ⊤ takes no type-cache entry, so sides the shared-type rule leaves
+    # untyped add none.
+    assert statistics["type_cache_entries"] <= 28
     assert report.exit_code("error") == 1
