@@ -34,8 +34,8 @@ def test_fig18_containment_example(benchmark):
             f"query 1: {QUERY_1}",
             f"query 2: {QUERY_2}",
             f"containment holds: {result.holds} (paper: does not hold)",
-            f"fixpoint iterations: {result.solver_result.statistics.iterations} (paper: 3)",
-            f"lean size: {len(result.solver_result.lean)}",
+            f"fixpoint iterations: {result.statistics['iterations']} (paper: 3)",
+            f"lean size: {result.statistics['lean_size']}",
             f"counterexample (depth {document.depth()}): {serialize_tree(document)}",
             f"solver time: {result.time_ms:.1f} ms (paper: 353 ms for the e1/e2 pair)",
         ],

@@ -3,8 +3,8 @@
 Every benchmark regenerates one table or figure of the paper's evaluation
 (Section 8).  Besides the pytest-benchmark timings, each benchmark appends the
 rows it reproduces to ``benchmarks/reports/<name>.txt`` so the numbers can be
-compared with the paper (see EXPERIMENTS.md) without re-running pytest with
-output capturing disabled.
+compared with the paper without re-running pytest with output capturing
+disabled.
 """
 
 from __future__ import annotations

@@ -28,8 +28,8 @@ def main() -> None:
 
     result = check_containment(QUERY_1, QUERY_2)
     print(result.describe())
-    stats = result.solver_result.statistics
-    print(f"lean size: {stats.lean_size}, fixpoint iterations: {stats.iterations}")
+    stats = result.statistics
+    print(f"lean size: {stats['lean_size']}, fixpoint iterations: {stats['iterations']}")
 
     document = result.counterexample
     print("counterexample document:", serialize_tree(document))

@@ -23,6 +23,8 @@ annotated with the start mark, which is returned to the caller.
 :func:`reduce_problem` is the reduction :class:`repro.api.StaticAnalyzer`
 runs and the fuzzer checks; it translates a later side's type under ⊤ when
 it repeats the first side's (same models, a much smaller Lean — see there).
+:class:`Analyzer` and the ``check_*`` helpers are thin wrappers that answer
+each problem through a fresh ``StaticAnalyzer``.
 
 **Attributes.**  When an expression of a problem mentions attribute steps
 (``@href``, ``attribute::*``), every DTD involved in the problem is compiled
@@ -41,18 +43,12 @@ from dataclasses import dataclass
 from repro.logic import syntax as sx
 from repro.logic.closure import OTHER_ATTRIBUTE
 from repro.logic.negation import negate
-from repro.solver.symbolic import SolverResult, SymbolicSolver
-from repro.trees.unranked import Tree
-from repro.xmltypes.compile import compile_dtd, compile_grammar, project_grammar
-from repro.xmltypes.membership import lift_wildcards
+from repro.trees.unranked import Tree, parse_tree, serialize_tree
 from repro.xmltypes.ast import BinaryTypeGrammar
+from repro.xmltypes.compile import compile_dtd
 from repro.xmltypes.dtd import DTD
 from repro.xpath import ast as xp
-from repro.xpath.compile import compile_xpath
 from repro.xpath.parser import parse_xpath_cached
-
-TypeLike = "DTD | BinaryTypeGrammar | sx.Formula | Rooted | None"
-ExprLike = "xp.Expr | str"
 
 
 @dataclass(frozen=True)
@@ -99,55 +95,6 @@ def document_formula(inner: sx.Formula) -> sx.Formula:
             sx.dia(1, sx.mk_and(inner, sx.no_dia(2))),
         )
     )
-
-
-def _type_formula(
-    xml_type,
-    constrain_siblings: bool = True,
-    attributes: tuple[str, ...] = (),
-    labels: tuple[str, ...] | None = None,
-) -> sx.Formula:
-    """The Lµ formula of a type constraint (⊤ when there is none).
-
-    ``constrain_siblings=False`` is used for *output* types (static type
-    checking): the checked node is usually an inner node of a document and may
-    have following siblings, which the type should not constrain.
-
-    ``attributes`` is the attribute alphabet the surrounding problem observes;
-    DTD types project their ATTLIST constraints onto it (other kinds of type
-    constraint carry no attribute information and ignore it).
-
-    ``labels`` is the problem's element alphabet (or ``None`` when the
-    problem must not prune): DTD and grammar types collapse element names
-    outside it onto the "any other label" proposition — cone-of-influence
-    Lean pruning, see :func:`label_projection`.
-    """
-    if xml_type is None:
-        return sx.TRUE
-    if isinstance(xml_type, Rooted):
-        return document_formula(
-            _type_formula(
-                xml_type.xml_type,
-                constrain_siblings=True,
-                attributes=attributes,
-                labels=labels,
-            )
-        )
-    if isinstance(xml_type, sx.Formula):
-        return xml_type
-    if isinstance(xml_type, DTD):
-        return compile_dtd(
-            xml_type,
-            constrain_siblings=constrain_siblings,
-            attributes=attributes or None,
-            labels=labels,
-        )
-    if isinstance(xml_type, BinaryTypeGrammar):
-        grammar = (
-            project_grammar(xml_type, labels) if labels is not None else xml_type
-        )
-        return compile_grammar(grammar, constrain_siblings=constrain_siblings)
-    raise TypeError(f"unsupported type constraint {xml_type!r}")
 
 
 def _expression(expr) -> xp.Expr:
@@ -281,14 +228,14 @@ def type_inclusion_attributes(expr, input_type, output_type) -> tuple[str, ...]:
     return tuple(sorted(names))
 
 
-def rooted(xml_type, attributes: tuple[str, ...] = ()) -> sx.Formula:
-    """Anchor a type constraint at the document root.
+def rooted(xml_type: DTD, attributes: tuple[str, ...] = ()) -> sx.Formula:
+    """Anchor a DTD at the document root.
 
     The type translation of Section 5.2 deliberately leaves the context of the
     typed node unconstrained.  For whole-document analyses (such as the XHTML
     experiments of Section 8) the paper notes that "conditions similar to
     those of absolute paths are added" when the position of the root is known;
-    this helper conjoins the type formula with "no parent and no sibling", so
+    this helper conjoins the DTD's formula with "no parent and no sibling", so
     the marked context node is the document root itself.  ``attributes`` is
     the attribute alphabet to project DTD attribute constraints onto (use
     :func:`relevant_attributes` of the queries the type will face).
@@ -301,7 +248,7 @@ def rooted(xml_type, attributes: tuple[str, ...] = ()) -> sx.Formula:
     """
     return sx.big_and(
         (
-            _type_formula(xml_type, attributes=attributes),
+            compile_dtd(xml_type, attributes=attributes or None),
             sx.no_dia(-1),
             sx.no_dia(-2),
             sx.no_dia(2),
@@ -366,18 +313,6 @@ def reduce_problem(
     raise ValueError(f"unknown query kind {kind!r}")
 
 
-def _query_formula(
-    expr,
-    xml_type,
-    attributes: tuple[str, ...] = (),
-    labels: tuple[str, ...] | None = None,
-) -> sx.Formula:
-    return compile_xpath(
-        _expression(expr),
-        _type_formula(xml_type, attributes=attributes, labels=labels),
-    )
-
-
 @dataclass
 class AnalysisResult:
     """Outcome of a decision problem.
@@ -385,32 +320,37 @@ class AnalysisResult:
     ``holds`` answers the question asked ("is e₁ contained in e₂?", "do they
     overlap?", ...); ``counterexample`` is a witness document when the
     property fails (for containment-like problems) or an example document when
-    it holds (for satisfiability-like problems).
+    it holds (for satisfiability-like problems).  ``statistics`` is the
+    :meth:`repro.solver.symbolic.SolverStatistics.as_dict` of the solver run.
     """
 
     problem: str
     holds: bool
-    solver_result: SolverResult
+    statistics: dict
     counterexample: Tree | None = None
 
     @property
     def time_ms(self) -> float:
         """Solver running time in milliseconds (as reported in Table 2)."""
-        return 1000.0 * self.solver_result.statistics.solve_seconds
+        return 1000.0 * self.statistics["solve_seconds"]
 
     def describe(self) -> str:
         status = "holds" if self.holds else "does not hold"
         witness = ""
         if self.counterexample is not None:
-            from repro.trees.unranked import serialize_tree
-
             witness = f"; witness: {serialize_tree(self.counterexample)}"
         return f"{self.problem}: {status} ({self.time_ms:.1f} ms){witness}"
 
 
 @dataclass
 class Analyzer:
-    """Facade bundling the translations and the solver with shared options.
+    """One-shot decision problems, answered by :class:`repro.api.StaticAnalyzer`.
+
+    Each method builds the matching :class:`repro.api.Query` and runs the
+    analyzer's own reduction, witness lifting and solve on a fresh
+    ``StaticAnalyzer``, so every call times a full solver run, never a cache
+    hit.  Unlike :meth:`repro.api.StaticAnalyzer.solve`, input errors
+    (``ParseError``, ``UnsupportedTypeError``, ...) raise.
 
     ``prune_labels`` enables cone-of-influence Lean pruning: type constraints
     are projected onto the element names the problem's expressions actually
@@ -421,90 +361,36 @@ class Analyzer:
     paper's figures.
     """
 
-    early_quantification: bool = True
-    monolithic_relation: bool = False
-    interleaved_order: bool = True
-    track_marks: bool = True
     prune_labels: bool = True
 
-    def _labels(self, exprs, types) -> tuple[str, ...] | None:
-        if not self.prune_labels:
-            return None
-        return label_projection(exprs, types)
+    def _run(self, kind: str, *args) -> AnalysisResult:
+        """Answer ``Query.<kind>(*args)`` on a fresh analyzer."""
+        # Imported here: repro.api imports this module.
+        from repro.api import Query, StaticAnalyzer
 
-    def _counterexample(self, result: SolverResult, labels, *types) -> Tree | None:
-        """The witness document, lifted back to concrete element names.
-
-        Solving under a label-projected type leaves collapsed elements with
-        the placeholder label; when the problem had a DTD constraint, try to
-        reassign concrete names so the witness validates against the
-        original schema (best effort — the typed region may not span the
-        whole document).
-        """
-        document = result.model_document()
-        if document is None or labels is None:
-            return document
-        unwrapped = (
-            t.xml_type if isinstance(t, Rooted) else t for t in types
+        query = getattr(Query, kind)(*args)
+        analyzer = StaticAnalyzer(prune_labels=self.prune_labels)
+        formula, positive = analyzer._reduce(query)
+        record, _ = analyzer._solve(formula, analyzer._lift_context(query))
+        witness = record.counterexample
+        return AnalysisResult(
+            problem=analyzer._problem_description(query),
+            holds=record.satisfiable if positive else not record.satisfiable,
+            statistics=record.statistics,
+            counterexample=None if witness is None else parse_tree(witness),
         )
-        dtd = next((t for t in unwrapped if isinstance(t, DTD)), None)
-        if dtd is None:
-            return document
-        lifted = lift_wildcards(dtd, document, exclude=labels)
-        return lifted if lifted is not None else document
-
-    def _solve(self, formula: sx.Formula, extra_labels: tuple[str, ...] = ()) -> SolverResult:
-        solver = SymbolicSolver(
-            formula,
-            extra_labels=extra_labels,
-            early_quantification=self.early_quantification,
-            monolithic_relation=self.monolithic_relation,
-            interleaved_order=self.interleaved_order,
-            track_marks=self.track_marks,
-        )
-        return solver.solve()
-
-    # -- problems -----------------------------------------------------------------
 
     def satisfiability(self, expr, xml_type=None) -> AnalysisResult:
         """Can the expression select at least one node (under the type)?"""
-        labels = self._labels((expr,), (xml_type,))
-        formula = _query_formula(expr, xml_type, relevant_attributes(expr), labels)
-        result = self._solve(formula)
-        return AnalysisResult(
-            problem=f"satisfiability of {expr}",
-            holds=result.satisfiable,
-            solver_result=result,
-            counterexample=self._counterexample(result, labels, xml_type),
-        )
+        return self._run("satisfiability", expr, xml_type)
 
     def emptiness(self, expr, xml_type=None) -> AnalysisResult:
         """Is the expression always empty (under the type)?"""
-        inner = self.satisfiability(expr, xml_type)
-        return AnalysisResult(
-            problem=f"emptiness of {expr}",
-            holds=not inner.holds,
-            solver_result=inner.solver_result,
-            counterexample=inner.counterexample,
-        )
+        return self._run("emptiness", expr, xml_type)
 
     def containment(self, expr1, expr2, type1=None, type2=None) -> AnalysisResult:
         """Is every node selected by ``expr1`` also selected by ``expr2``?"""
-        # Both sides share one attribute alphabet: a required attribute that
-        # only expr2 mentions must still constrain the models of expr1's type.
-        attributes = relevant_attributes(expr1, expr2)
-        labels = self._labels((expr1, expr2), (type1, type2))
-        formula = sx.mk_and(
-            _query_formula(expr1, type1, attributes, labels),
-            negate(_query_formula(expr2, type2, attributes, labels)),
-        )
-        result = self._solve(formula)
-        return AnalysisResult(
-            problem=f"containment {expr1} ⊆ {expr2}",
-            holds=not result.satisfiable,
-            solver_result=result,
-            counterexample=self._counterexample(result, labels, type1, type2),
-        )
+        return self._run("containment", expr1, expr2, type1, type2)
 
     def equivalence(self, expr1, expr2, type1=None, type2=None) -> tuple[AnalysisResult, AnalysisResult]:
         """Containment in both directions (XPath equivalence under constraints)."""
@@ -514,62 +400,16 @@ class Analyzer:
 
     def overlap(self, expr1, expr2, type1=None, type2=None) -> AnalysisResult:
         """Can the two expressions select a common node?"""
-        attributes = relevant_attributes(expr1, expr2)
-        labels = self._labels((expr1, expr2), (type1, type2))
-        formula = sx.mk_and(
-            _query_formula(expr1, type1, attributes, labels),
-            _query_formula(expr2, type2, attributes, labels),
-        )
-        result = self._solve(formula)
-        return AnalysisResult(
-            problem=f"overlap of {expr1} and {expr2}",
-            holds=result.satisfiable,
-            solver_result=result,
-            counterexample=self._counterexample(result, labels, type1, type2),
-        )
+        return self._run("overlap", expr1, expr2, type1, type2)
 
     def coverage(self, expr, covering, xml_type=None, covering_types=None) -> AnalysisResult:
         """Is every node selected by ``expr`` selected by one of ``covering``?"""
-        covering = list(covering)
-        covering_types = list(covering_types) if covering_types is not None else [None] * len(covering)
-        attributes = relevant_attributes(expr, *covering)
-        labels = self._labels((expr, *covering), (xml_type, *covering_types))
-        formula = _query_formula(expr, xml_type, attributes, labels)
-        for other, other_type in zip(covering, covering_types):
-            formula = sx.mk_and(
-                formula, negate(_query_formula(other, other_type, attributes, labels))
-            )
-        result = self._solve(formula)
-        return AnalysisResult(
-            problem=f"coverage of {expr} by {len(covering)} expressions",
-            holds=not result.satisfiable,
-            solver_result=result,
-            counterexample=self._counterexample(result, labels, xml_type, *covering_types),
-        )
+        return self._run("coverage", expr, covering, xml_type, covering_types)
 
     def type_inclusion(self, expr, input_type, output_type) -> AnalysisResult:
         """Static type checking of an annotated query: is every node selected by
         ``expr`` under ``input_type`` the root of a subtree of ``output_type``?"""
-        attributes = type_inclusion_attributes(expr, input_type, output_type)
-        labels = self._labels((expr,), (input_type, output_type))
-        formula = sx.mk_and(
-            _query_formula(expr, input_type, attributes, labels),
-            negate(
-                _type_formula(
-                    output_type,
-                    constrain_siblings=False,
-                    attributes=attributes,
-                    labels=labels,
-                )
-            ),
-        )
-        result = self._solve(formula)
-        return AnalysisResult(
-            problem=f"type inclusion of {expr}",
-            holds=not result.satisfiable,
-            solver_result=result,
-            counterexample=self._counterexample(result, labels, input_type, output_type),
-        )
+        return self._run("type_inclusion", expr, input_type, output_type)
 
 
 # -- module-level conveniences -------------------------------------------------------

@@ -509,11 +509,12 @@ ANALYSIS_ERRORS = (ReproError,)
 class StaticAnalyzer:
     """Caching façade over the decision problems of Section 8.
 
-    Construction options mirror :class:`repro.solver.symbolic.SymbolicSolver`
-    (they are forwarded to every solver run).  All methods are pure with
-    respect to the caches: a cached answer is always the answer the solver
-    would produce — the solve cache is keyed by the (hash-consed) Lµ formula,
-    the translation caches by the expression/type pair they translate.
+    All methods are pure with respect to the caches: a cached answer is
+    always the answer the solver would produce — the solve cache is keyed by
+    the (hash-consed) Lµ formula, the translation caches by the
+    expression/type pair they translate.  Every solve runs
+    :class:`repro.solver.symbolic.SymbolicSolver` with its sound defaults;
+    the solver's ablation knobs are not analyzer options.
 
     With ``cache_dir`` set, solver verdicts are additionally written through
     to a :class:`repro.cache.DiskSolveCache` rooted at that directory and
@@ -542,20 +543,12 @@ class StaticAnalyzer:
 
     def __init__(
         self,
-        early_quantification: bool = True,
-        monolithic_relation: bool = False,
-        interleaved_order: bool = True,
-        track_marks: bool = True,
         cache_dir: str | None = None,
         prune_labels: bool = True,
         budget: Budget | None = None,
         max_lean: int | None = None,
         degrade: bool = False,
     ):
-        self.early_quantification = early_quantification
-        self.monolithic_relation = monolithic_relation
-        self.interleaved_order = interleaved_order
-        self.track_marks = track_marks
         self.prune_labels = prune_labels
         #: Default resource budget for every solve (``None`` = unlimited);
         #: per-call overrides merge on top (see :meth:`solve`).
@@ -565,11 +558,7 @@ class StaticAnalyzer:
             if base.max_lean is None:
                 self.budget = base.merged_with(Budget(max_lean=max_lean))
         self.degrade = degrade
-        self.disk_cache = (
-            None
-            if cache_dir is None
-            else DiskSolveCache(cache_dir, track_marks=track_marks)
-        )
+        self.disk_cache = None if cache_dir is None else DiskSolveCache(cache_dir)
         # (type key, constrain_siblings) -> compiled type formula.
         self._type_cache: dict[tuple, sx.Formula] = {}
         # (expression text, type key) -> compiled query formula.
@@ -745,15 +734,7 @@ class StaticAnalyzer:
                 self.disk_cache_hits += 1
                 self._solve_cache[formula] = record
                 return record, "disk"
-        solver = SymbolicSolver(
-            formula,
-            early_quantification=self.early_quantification,
-            monolithic_relation=self.monolithic_relation,
-            interleaved_order=self.interleaved_order,
-            track_marks=self.track_marks,
-            budget=budget,
-        )
-        result = solver.solve()
+        result = SymbolicSolver(formula, budget=budget).solve()
         self.solver_runs += 1
         document = result.model_document()
         if document is not None and lift_context is not None:
@@ -1129,10 +1110,6 @@ class StaticAnalyzer:
     def _options(self) -> dict:
         """Constructor options replicating this analyzer in another process."""
         return {
-            "early_quantification": self.early_quantification,
-            "monolithic_relation": self.monolithic_relation,
-            "interleaved_order": self.interleaved_order,
-            "track_marks": self.track_marks,
             "cache_dir": None if self.disk_cache is None else str(self.disk_cache.directory),
             "prune_labels": self.prune_labels,
             "budget": self.budget,

@@ -184,13 +184,13 @@ def lean_alphabet(formula: sx.Formula) -> dict[str, list[str]]:
     }
 
 
-def solve_cache_key(formula: sx.Formula, track_marks: bool = True) -> str:
-    """The content address of a formula's solver verdict (``entry_key``).
+def solve_cache_key(formula: sx.Formula) -> str:
+    """The content address of a formula's solver verdict.
 
-    Covers the canonical formula digest, the Lean alphabet, the cache format
-    version, and the only solver option that changes verdicts
-    (``track_marks=False`` is the deliberately unsound ablation mode of
-    :class:`repro.solver.symbolic.SymbolicSolver`).
+    Covers the canonical formula digest, the Lean alphabet and the cache
+    format version.  The constant ``track_marks=True`` line records the
+    solver's mark tracking (Figure 16), which the analyzer always runs; it
+    stays in the key material so every published v3 address stays valid.
     """
     alphabet = lean_alphabet(formula)
     material = "\n".join(
@@ -199,15 +199,10 @@ def solve_cache_key(formula: sx.Formula, track_marks: bool = True) -> str:
             formula_digest(formula),
             "labels=" + ",".join(alphabet["labels"]),
             "attributes=" + ",".join(alphabet["attributes"]),
-            f"track_marks={track_marks}",
+            "track_marks=True",
         ]
     )
     return hashlib.sha256(material.encode()).hexdigest()
-
-
-#: Backwards-compatible alias: the function other modules historically call
-#: "the entry key" of the disk cache.
-entry_key = solve_cache_key
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +252,8 @@ class DiskSolveCache:
     safe under concurrent readers and writers (see the module docstring).
     """
 
-    def __init__(self, directory: str | os.PathLike, track_marks: bool = True):
+    def __init__(self, directory: str | os.PathLike):
         self.directory = Path(directory).expanduser()
-        self.track_marks = track_marks
         self.root = self.directory / f"v{CACHE_FORMAT_VERSION}"
         self.root.mkdir(parents=True, exist_ok=True)
         self._sequence = 0
@@ -273,7 +267,7 @@ class DiskSolveCache:
     def key_for(self, formula: sx.Formula) -> str:
         key = self._key_memo.get(formula)
         if key is None:
-            key = solve_cache_key(formula, track_marks=self.track_marks)
+            key = solve_cache_key(formula)
             self._key_memo[formula] = key
         return key
 

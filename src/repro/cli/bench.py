@@ -328,13 +328,13 @@ def scaling_query(depth: int) -> str:
 
 
 def _scaling_row(depth: int) -> dict:
-    from repro.analysis import Analyzer
+    from repro.api import Query, StaticAnalyzer
 
     query = scaling_query(depth)
     weaker = query.replace("[b2]", "") if depth >= 2 else "*"
-    result = Analyzer().containment(query, weaker)
-    assert result.holds, f"depth-{depth} containment must hold"
-    return {"depth": depth, "query": query, **result.solver_result.statistics.as_dict()}
+    outcome = StaticAnalyzer().solve(Query.containment(query, weaker))
+    assert outcome.holds, f"depth-{depth} containment must hold"
+    return {"depth": depth, "query": query, **outcome.statistics}
 
 
 def run_scaling(quick: bool = False) -> dict:

@@ -73,7 +73,6 @@ class ExplicitSolver:
 
     formula: sx.Formula
     max_types: int = 300_000
-    extra_labels: tuple[str, ...] = ()
     _plunged: sx.Formula = field(init=False, repr=False)
     _lean: Lean = field(init=False, repr=False)
 
@@ -81,7 +80,7 @@ class ExplicitSolver:
         self._plunged = sx.mu1(
             lambda x: self.formula | sx.dia(1, x) | sx.dia(2, x), prefix="Plunge"
         )
-        self._lean = compute_lean(self._plunged, extra_labels=self.extra_labels)
+        self._lean = compute_lean(self._plunged)
 
     @property
     def lean(self) -> Lean:

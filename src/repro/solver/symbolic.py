@@ -164,7 +164,6 @@ class SymbolicSolver:
     """
 
     formula: sx.Formula
-    extra_labels: tuple[str, ...] = ()
     early_quantification: bool = True
     monolithic_relation: bool = False
     interleaved_order: bool = True
@@ -181,7 +180,7 @@ class SymbolicSolver:
         self._plunged = sx.mu1(
             lambda x: self.formula | sx.dia(1, x) | sx.dia(2, x), prefix="Plunge"
         )
-        self._lean = compute_lean(self._plunged, extra_labels=self.extra_labels)
+        self._lean = compute_lean(self._plunged)
 
     @property
     def lean(self) -> Lean:
@@ -333,8 +332,3 @@ class SymbolicSolver:
             statistics=statistics,
             lean=self._lean,
         )
-
-
-def is_satisfiable(formula: sx.Formula, **options) -> bool:
-    """Convenience wrapper: run the symbolic solver and return satisfiability."""
-    return SymbolicSolver(formula, **options).solve().satisfiable

@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.analysis import Analyzer
 from repro.analysis.problems import Rooted, label_projection, relevant_attributes
 from repro.api import KINDS, AnalysisOutcome, BatchReport, Query, StaticAnalyzer, solve_many
 from repro.cache import formula_digest
@@ -62,15 +61,7 @@ def test_solve_many_matches_one_by_one_solve_on_table2():
     batch = StaticAnalyzer().solve_many(TABLE2_FAST)
     one_by_one = [StaticAnalyzer().solve(query) for query in TABLE2_FAST]
     assert [o.holds for o in batch.outcomes] == [o.holds for o in one_by_one]
-    # And both agree with the reference Analyzer of repro.analysis.
-    analyzer = Analyzer()
-    expected = [
-        analyzer.containment(*TABLE2_FAST[0].exprs).holds,
-        analyzer.containment(*TABLE2_FAST[1].exprs).holds,
-        all(r.holds for r in analyzer.equivalence(*TABLE2_FAST[2].exprs)),
-        analyzer.containment(*TABLE2_FAST[3].exprs).holds,
-    ]
-    assert [o.holds for o in batch.outcomes] == expected == [True, False, True, False]
+    assert [o.holds for o in batch.outcomes] == [True, False, True, False]
 
 
 def test_solve_cache_shares_repeated_queries():
@@ -325,10 +316,6 @@ def test_worker_options_rebuild_an_equivalent_analyzer(tmp_path):
     from repro.solver.governor import Budget
 
     analyzer = StaticAnalyzer(
-        early_quantification=False,
-        monolithic_relation=True,
-        interleaved_order=False,
-        track_marks=False,
         cache_dir=str(tmp_path),
         prune_labels=False,
         budget=Budget(max_steps=10**6),
@@ -345,6 +332,18 @@ def test_analyzer_has_no_engine_option():
     assert "backend" not in StaticAnalyzer()._options()
     with pytest.raises(TypeError, match="backend"):
         StaticAnalyzer(backend="dict")
+
+
+@pytest.mark.parametrize(
+    "knob",
+    ["early_quantification", "monolithic_relation", "interleaved_order", "track_marks"],
+)
+def test_analyzer_has_no_solver_ablation_knobs(knob):
+    """The ablation knobs live on SymbolicSolver only: no analyzer runs the
+    solver in a non-default (or, with ``track_marks=False``, unsound) mode."""
+    assert knob not in StaticAnalyzer()._options()
+    with pytest.raises(TypeError, match=knob):
+        StaticAnalyzer(**{knob: False})
 
 
 def test_solve_many_workers_matches_sequential_order_and_verdicts():

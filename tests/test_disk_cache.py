@@ -53,30 +53,23 @@ def test_solve_cache_key_is_pinned():
 
 
 @pytest.mark.parametrize(
-    ("formula", "track_marks", "expected"),
+    ("formula", "expected"),
     [
         (
             parse_formula("a & <1>b"),
-            True,
             "5e3e859d0e40c057f67664f7bac09b0dd167c628512d867a9c214ea14a0b377d",
         ),
         (
-            parse_formula("a & <1>b"),
-            False,
-            "361844a816756a5fd4382836cd8ca1103d7237e57713da202f8dc1d50e5801d6",
-        ),
-        (
             sx.mu1(lambda x: sx.prop("a") | sx.dia(1, x)),
-            True,
             "70e3ee9180d528cf5e5794b1abd415e3be3f6c752802451fec93e1d6fd240e14",
         ),
     ],
-    ids=["modal", "unmarked", "fixpoint"],
+    ids=["modal", "fixpoint"],
 )
-def test_solve_cache_key_pins_options_and_fixpoints(formula, track_marks, expected):
-    """The pinned addresses cover the verdict-changing solver option and an
-    alpha-renamed fixpoint binder, not just a bare proposition."""
-    assert solve_cache_key(formula, track_marks=track_marks) == expected
+def test_solve_cache_key_pins_options_and_fixpoints(formula, expected):
+    """The pinned addresses cover a modality and an alpha-renamed fixpoint
+    binder, not just a bare proposition."""
+    assert solve_cache_key(formula) == expected
 
 
 def test_v1_entries_are_clean_misses(tmp_path):
@@ -105,10 +98,6 @@ def test_v1_entries_are_clean_misses(tmp_path):
 
 
 def test_solve_cache_key_covers_options_and_alphabet():
-    formula = parse_formula("a & <1>b")
-    assert solve_cache_key(formula, track_marks=True) != solve_cache_key(
-        formula, track_marks=False
-    )
     alphabet = lean_alphabet(parse_formula("a & @href"))
     assert alphabet == {"labels": ["a"], "attributes": ["href"]}
 
@@ -222,15 +211,6 @@ def test_batch_report_counts_disk_hits(tmp_path):
     assert report.cache_hits == 1  # the repeat, from memory
     payload = json.loads(report.to_json())
     assert payload["disk_cache_hits"] == 1
-
-
-def test_unsound_solver_options_do_not_share_entries(tmp_path):
-    sound = StaticAnalyzer(cache_dir=tmp_path)
-    sound.solve(QUERY)
-    ablated = StaticAnalyzer(cache_dir=tmp_path, track_marks=False)
-    ablated.solve(QUERY)
-    assert ablated.disk_cache_hits == 0  # keys differ by track_marks
-    assert ablated.solver_runs == 1
 
 
 def test_concurrent_writers_publish_atomically(tmp_path):

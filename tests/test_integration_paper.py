@@ -71,7 +71,8 @@ def test_table2_row2_e3_and_e4_are_equivalent():
 
 def test_table2_row3_e6_versus_e5():
     # With e5 exactly as printed in Figure 21 the containment fails and the
-    # solver exhibits a counterexample (see EXPERIMENTS.md).
+    # solver exhibits a counterexample (benchmarks/reports/
+    # table2_decision_problems.txt records the row's measured verdicts).
     as_printed = check_containment(FIGURE_21[6], FIGURE_21[5])
     assert not as_printed.holds
     assert_genuine_counterexample(as_printed)

@@ -134,8 +134,8 @@ def test_pruned_lean_is_proportionally_smaller():
         "child::s2/child::leaf2", dtd
     )
     assert pruned.holds == unpruned.holds is True
-    pruned_lean = pruned.solver_result.statistics.lean_size
-    unpruned_lean = unpruned.solver_result.statistics.lean_size
+    pruned_lean = pruned.statistics["lean_size"]
+    unpruned_lean = unpruned.statistics["lean_size"]
     # 40 collapsed propositions and their content-model chains are gone.
     assert pruned_lean < unpruned_lean / 2
 

@@ -206,13 +206,12 @@ def test_formula_or_negation_is_satisfiable(formula):
 
 def _containment_formula(depth: int) -> sx.Formula:
     """The depth-N nested containment formula of the scaling benchmark."""
-    from repro.analysis.problems import _query_formula
+    from repro.xpath.compile import compile_xpath
 
     steps = ["a1"] + [f"a{i}[b{i}]" for i in range(2, depth + 1)]
     query = "/".join(steps)
     return sx.mk_and(
-        _query_formula(query, None),
-        negate(_query_formula(query.replace("[b2]", ""), None)),
+        compile_xpath(query), negate(compile_xpath(query.replace("[b2]", "")))
     )
 
 
