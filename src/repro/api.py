@@ -71,7 +71,6 @@ CLI wire the same wrapper is spelled ``"rooted:xhtml"``.)
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
@@ -85,7 +84,6 @@ from repro.analysis.problems import (
     type_inclusion_attributes,
 )
 from repro.cache import DiskSolveCache, SolveRecord
-from repro.core import faults
 from repro.core.errors import BudgetExceeded, ReproError, UnsupportedTypeError
 from repro.logic import syntax as sx
 from repro.solver.governor import Budget
@@ -374,24 +372,6 @@ class BatchReport:
         return json.dumps(self.as_dict(), **kwargs)
 
 
-@dataclass
-class _WorkItem:
-    """One solvable unit of a batch: a query, or one equivalence direction.
-
-    The multiprocess path decomposes each equivalence query into its two
-    directed containments so the directions can share solver work with the
-    rest of the batch exactly like the sequential path's recursive
-    :meth:`StaticAnalyzer.solve` does; ``role`` remembers which direction
-    this item is so the equivalence outcome can be reassembled.
-    """
-
-    out_index: int
-    #: ``None`` for a plain query, ``"forward"``/``"backward"`` for the two
-    #: directed containments of an equivalence query.
-    role: str | None
-    query: Query
-
-
 #: ``(schema, kept alphabet, rooted)``: what a pruned witness is lifted
 #: against (see :func:`_lift_witness`).
 LiftContext = tuple[DTD, tuple[str, ...], bool]
@@ -415,66 +395,16 @@ def _lift_witness(document: Tree, lift_context: LiftContext) -> Tree:
     return document if child is None else replace(document, children=(child,))
 
 
-# ---------------------------------------------------------------------------
-# Worker-process plumbing for multiprocess batch solving
-# ---------------------------------------------------------------------------
-
-#: The per-process analyzer of a :class:`~concurrent.futures.
-#: ProcessPoolExecutor` worker, created once by :func:`_pool_initializer`;
-#: its in-memory caches warm up over the worker's lifetime and its disk cache
-#: (when configured) is shared with every sibling process.
-_WORKER_ANALYZER: "StaticAnalyzer | None" = None
-
-
-def _pool_initializer(options: dict) -> None:
-    global _WORKER_ANALYZER
-    _WORKER_ANALYZER = StaticAnalyzer(**options)
-
-
-def _pool_solve(item: tuple) -> tuple:
-    """Solve one indexed query in a worker; returns counters for aggregation.
-
-    ``item`` is ``(index, query)`` optionally followed by a per-query
-    :class:`~repro.solver.governor.Budget` override and a *marker directory*.
-    While this function runs it keeps ``<marker_dir>/<index>.running`` on
-    disk; a worker dying mid-solve (OOM kill, injected crash) leaves the
-    marker behind, which is how :meth:`StaticAnalyzer._solve_many_parallel`
-    attributes a ``BrokenProcessPool`` to the query that poisoned the pool.
-    The per-query wall-clock timeout is the budget's deadline, enforced
-    cooperatively *inside* the worker by the resource governor.
-    """
-    index, query = item[0], item[1]
-    budget = item[2] if len(item) > 2 else None
-    marker_dir = item[3] if len(item) > 3 else None
-    marker = None
-    if marker_dir is not None:
-        marker = os.path.join(marker_dir, f"{index}.running")
-        try:
-            with open(marker, "w", encoding="utf-8"):
-                pass
-        except OSError:
-            marker = None
-    if faults.should_fire("worker-crash", " ".join(query.exprs)):
-        os._exit(137)  # simulate an OOM kill: no cleanup, no marker removal
-    analyzer = _WORKER_ANALYZER
-    runs = analyzer.solver_runs
-    hits = analyzer.solve_cache_hits
-    disk_hits = analyzer.disk_cache_hits
-    disk_writes = analyzer.disk_cache_writes
-    outcome = analyzer.solve(query, budget=budget)
-    if marker is not None:
-        try:
-            os.unlink(marker)
-        except OSError:
-            pass
-    return (
-        index,
-        outcome,
-        analyzer.solver_runs - runs,
-        analyzer.solve_cache_hits - hits,
-        analyzer.disk_cache_hits - disk_hits,
-        analyzer.disk_cache_writes - disk_writes,
-    )
+def _serialized_witness(
+    document: Tree | None, lift_context: LiftContext | None
+) -> str | None:
+    """A solver's witness as a record stores it: lifted (when the problem
+    was pruned, see :func:`_lift_witness`) and serialized."""
+    if document is None:
+        return None
+    if lift_context is not None:
+        document = _lift_witness(document, lift_context)
+    return serialize_tree(document)
 
 
 def _parallel_safe(query: Query) -> bool:
@@ -492,6 +422,18 @@ def _parallel_safe(query: Query) -> bool:
             sx.Formula,
         )
         for xml_type in query.types
+    )
+
+
+def _parts(query: Query) -> tuple[Query, ...]:
+    """An equivalence's two directed containments, or ``(query,)``."""
+    if query.kind != "equivalence":
+        return (query,)
+    expr1, expr2 = query.exprs
+    type1, type2 = query.types
+    return (
+        Query.containment(expr1, expr2, type1, type2),
+        Query.containment(expr2, expr1, type2, type1),
     )
 
 
@@ -736,20 +678,21 @@ class StaticAnalyzer:
                 return record, "disk"
         result = SymbolicSolver(formula, budget=budget).solve()
         self.solver_runs += 1
-        document = result.model_document()
-        if document is not None and lift_context is not None:
-            document = _lift_witness(document, lift_context)
         record = SolveRecord(
             satisfiable=result.satisfiable,
-            counterexample=None if document is None else serialize_tree(document),
+            counterexample=_serialized_witness(result.model_document(), lift_context),
             statistics=result.statistics.as_dict(),
             solve_seconds=result.statistics.solve_seconds,
         )
+        self._store(formula, record)
+        return record, None
+
+    def _store(self, formula: sx.Formula, record: SolveRecord) -> None:
+        """Write a definite verdict through the memory and disk caches."""
         self._solve_cache[formula] = record
         if self.disk_cache is not None:
             self.disk_cache.put(formula, record)
             self.disk_cache_writes += 1
-        return record, None
 
     def _degraded_record(
         self,
@@ -781,12 +724,11 @@ class StaticAnalyzer:
         document = None
         if result.model is not None:
             document = binary_forest_to_unranked(result.model)[0]
-            if lift_context is not None:
-                document = _lift_witness(document, lift_context)
+        counterexample = _serialized_witness(document, lift_context)
         elapsed = time.perf_counter() - started
         record = SolveRecord(
             satisfiable=result.satisfiable,
-            counterexample=None if document is None else serialize_tree(document),
+            counterexample=counterexample,
             statistics={
                 "degraded": True,
                 "lean_size": len(result.lean),
@@ -797,10 +739,7 @@ class StaticAnalyzer:
             },
             solve_seconds=elapsed,
         )
-        self._solve_cache[formula] = record
-        if self.disk_cache is not None:
-            self.disk_cache.put(formula, record)
-            self.disk_cache_writes += 1
+        self._store(formula, record)
         return record
 
     def clear_caches(self) -> None:
@@ -938,7 +877,7 @@ class StaticAnalyzer:
         exc = BudgetExceeded(
             "worker-crash",
             "worker process died while solving this query "
-            "(in the shared pool and again in an isolated retry)",
+            "(on its worker and again on a fresh one)",
         )
         return self._unknown_outcome(query, f"{query.kind} (unknown)", exc)
 
@@ -999,10 +938,7 @@ class StaticAnalyzer:
     def _equivalence(
         self, query: Query, budget: Budget | None = None
     ) -> AnalysisOutcome:
-        expr1, expr2 = query.exprs
-        type1, type2 = query.types
-        forward = self.solve(Query.containment(expr1, expr2, type1, type2), budget)
-        backward = self.solve(Query.containment(expr2, expr1, type2, type1), budget)
+        forward, backward = (self.solve(part, budget) for part in _parts(query))
         return self._assemble_equivalence(query, forward, backward)
 
     def _assemble_equivalence(
@@ -1011,8 +947,8 @@ class StaticAnalyzer:
         """Combine the two directed containment outcomes of an equivalence.
 
         Shared by the sequential path (which solves the directions through
-        :meth:`solve`) and the multiprocess path (which decomposes
-        equivalence into two :class:`_WorkItem` containments so the
+        :meth:`solve`) and the multiprocess path (which solves the
+        :func:`_parts` of an equivalence as units of their own, so the
         directions join batch deduplication like any other query).
         """
         expr1, expr2 = query.exprs
@@ -1130,38 +1066,40 @@ class StaticAnalyzer:
         The returned :class:`BatchReport` records how much was shared.
 
         With ``workers > 1``, independent queries fan out to a
-        :class:`~concurrent.futures.ProcessPoolExecutor`; result order always
-        matches query order.  Workers are fresh processes whose in-memory
-        caches warm up per worker — construct the analyzer with
-        ``cache_dir=...`` to share solver verdicts between them (the disk
-        store is atomic-publish-safe under concurrent writers, and its hits
-        and writes are aggregated into this analyzer's counters).  Queries
-        whose type constraints cannot cross a process boundary (raw Lµ
-        formulas) are transparently solved in the parent.
+        :class:`repro.workers.WorkerPool`; result order always matches query
+        order.  Workers are fresh processes whose in-memory caches warm up
+        per worker — construct the analyzer with ``cache_dir=...`` to share
+        solver verdicts between them (the disk store is atomic-publish-safe
+        under concurrent writers, and its hits and writes are aggregated
+        into this analyzer's counters).  Queries whose type constraints
+        cannot cross a process boundary (raw Lµ formulas) are transparently
+        solved in the parent.  No worker outlives the call.
 
         ``budget`` applies per query (tightening the analyzer-wide budget),
         and with ``workers > 1`` it doubles as the per-query wall-clock cap
-        inside each worker.  The batch survives worker crashes: the pool is
-        respawned, surviving queries are retried with capped backoff, and a
-        query whose worker dies twice (once in the shared pool, once in an
-        isolated single-worker retry) is quarantined as
-        ``unknown("worker-crash")`` — every other verdict is unaffected.
+        inside each worker.  The batch survives worker crashes: a worker
+        holds one query at a time, so a query whose worker dies is retried
+        once on a fresh worker, and a second death quarantines it as
+        ``unknown("worker-crash")`` — no other query is interrupted.
         """
         queries = list(queries)
+        runs_before = self.solver_runs
+        hits_before = self.solve_cache_hits
+        disk_before = self.disk_cache_hits
+        started = time.perf_counter()
         if workers <= 1 or len(queries) <= 1:
-            runs_before = self.solver_runs
-            hits_before = self.solve_cache_hits
-            disk_before = self.disk_cache_hits
-            started = time.perf_counter()
+            workers = 1
             outcomes = [self.solve(query, budget) for query in queries]
-            return BatchReport(
-                outcomes=outcomes,
-                total_seconds=time.perf_counter() - started,
-                solver_runs=self.solver_runs - runs_before,
-                cache_hits=self.solve_cache_hits - hits_before,
-                disk_cache_hits=self.disk_cache_hits - disk_before,
-            )
-        return self._solve_many_parallel(queries, workers, budget)
+        else:
+            outcomes = self._solve_many_parallel(queries, workers, budget)
+        return BatchReport(
+            outcomes=outcomes,
+            total_seconds=time.perf_counter() - started,
+            solver_runs=self.solver_runs - runs_before,
+            cache_hits=self.solve_cache_hits - hits_before,
+            disk_cache_hits=self.disk_cache_hits - disk_before,
+            workers=workers,
+        )
 
     def _dedupe_key(self, query: Query) -> tuple:
         """A hashable identity for batch deduplication (types via cache keys).
@@ -1180,93 +1118,6 @@ class StaticAnalyzer:
         )
 
     # -- multiprocess batch solving ------------------------------------------------
-
-    def _expand_work_items(self, queries: list[Query]) -> list[_WorkItem]:
-        """Decompose a batch into work items (equivalence → two containments)."""
-        items: list[_WorkItem] = []
-        for index, query in enumerate(queries):
-            if query.kind == "equivalence":
-                expr1, expr2 = query.exprs
-                type1, type2 = query.types
-                items.append(
-                    _WorkItem(
-                        index, "forward", Query.containment(expr1, expr2, type1, type2)
-                    )
-                )
-                items.append(
-                    _WorkItem(
-                        index, "backward", Query.containment(expr2, expr1, type2, type1)
-                    )
-                )
-            else:
-                items.append(_WorkItem(index, None, query))
-        return items
-
-    def _assemble_outcomes(
-        self,
-        queries: list[Query],
-        items: list[_WorkItem],
-        item_outcomes: list[AnalysisOutcome],
-    ) -> list[AnalysisOutcome]:
-        """Map work-item outcomes back onto the batch's query order."""
-        outcomes: list[AnalysisOutcome | None] = [None] * len(queries)
-        parts: dict[int, dict[str, AnalysisOutcome]] = {}
-        for item, outcome in zip(items, item_outcomes):
-            if item.role is None:
-                outcomes[item.out_index] = outcome
-            else:
-                parts.setdefault(item.out_index, {})[item.role] = outcome
-        for index, pair in parts.items():
-            outcomes[index] = self._assemble_equivalence(
-                queries[index], pair["forward"], pair["backward"]
-            )
-        return outcomes
-
-    #: Pool respawns tolerated per batch before the remaining queries are
-    #: declared ``unknown("worker-crash")`` wholesale.  A bound this small is
-    #: only reached when workers die repeatedly without attribution (e.g. the
-    #: pool initializer itself crashes), where retrying cannot converge.
-    MAX_POOL_RESPAWNS = 5
-
-    def _record_payload(self, payload: tuple, queries: list[Query], outcomes: list) -> None:
-        """Fold one worker result into ``outcomes`` and the cache counters."""
-        index, outcome, runs, hits, disk_hits, disk_writes = payload
-        # The worker's query object is a pickle round-trip copy; hand the
-        # caller back the exact object it submitted.
-        outcome.query = queries[index]
-        outcomes[index] = outcome
-        self.solver_runs += runs
-        self.solve_cache_hits += hits
-        self.disk_cache_hits += disk_hits
-        self.disk_cache_writes += disk_writes
-
-    def _retry_isolated(
-        self, index: int, query: Query, budget: Budget | None, marker_dir: str
-    ) -> tuple | None:
-        """One quarantined retry in a fresh single-worker pool.
-
-        Returns the worker payload, or ``None`` when the worker died again —
-        at which point the query is confirmed poison, not a bystander that
-        happened to share a pool with one.
-        """
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
-        pool = ProcessPoolExecutor(
-            max_workers=1,
-            initializer=_pool_initializer,
-            initargs=(self._options(),),
-        )
-        try:
-            return pool.submit(_pool_solve, (index, query, budget, marker_dir)).result()
-        except BrokenProcessPool:
-            return None
-        finally:
-            pool.shutdown(wait=False)
-            try:
-                os.unlink(os.path.join(marker_dir, f"{index}.running"))
-            except OSError:
-                pass
 
     def _replicate_outcome(
         self, leader: AnalysisOutcome, query: Query
@@ -1293,136 +1144,52 @@ class StaticAnalyzer:
         return self._outcome(query, problem, record, "memory", positive)
 
     def _solve_many_parallel(
-        self, queries: list[Query], workers: int, budget: Budget | None = None
-    ) -> BatchReport:
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
+        self, queries: list[Query], workers: int, budget: Budget | None
+    ) -> list[AnalysisOutcome]:
+        from repro.workers import WorkerPool
 
-        import shutil
-        import tempfile
-
-        started = time.perf_counter()
-        runs_before = self.solver_runs
-        hits_before = self.solve_cache_hits
-        disk_before = self.disk_cache_hits
-        # Fan out *work items*, not queries: an equivalence decomposes into
-        # its two containment halves so a standalone containment elsewhere in
-        # the batch shares a solve with it, exactly as the sequential path's
-        # solve cache would.
-        items = self._expand_work_items(queries)
-        item_queries = [item.query for item in items]
-        outcomes: list[AnalysisOutcome | None] = [None] * len(items)
-        # Ship each *distinct* item once: without deduplication every worker
-        # re-solves the duplicates the sequential path answers from its solve
-        # cache, and the fan-out loses exactly what the batch API gained.
-        groups: dict[tuple, list[int]] = {}
-        local: list[int] = []
-        for index, query in enumerate(item_queries):
-            if _parallel_safe(query):
-                groups.setdefault(self._dedupe_key(query), []).append(index)
-            else:
-                local.append(index)
-        # Each worker drops a `<index>.running` marker in this directory for
-        # the duration of a solve; a marker that survives a pool collapse is
-        # how the crash gets blamed on specific queries.
-        marker_dir = tempfile.mkdtemp(prefix="repro-batch-")
-        pending = {indices[0] for indices in groups.values()}
-        pool = None
-        respawns = 0
-        backoff = 0.05
-        first_round = True
-        try:
-            while pending or first_round:
-                if pool is None:
-                    pool = ProcessPoolExecutor(
-                        max_workers=workers,
-                        initializer=_pool_initializer,
-                        initargs=(self._options(),),
-                    )
-                submit = sorted(pending)
-                futures = {
-                    leader: pool.submit(
-                        _pool_solve, (leader, item_queries[leader], budget, marker_dir)
-                    )
-                    for leader in submit
-                }
-                if first_round:
-                    # Queries that cannot be shipped (raw-formula types) run
-                    # in the parent while the workers chew on theirs.
-                    for index in local:
-                        outcomes[index] = self.solve(item_queries[index], budget)
-                    first_round = False
-                broken = False
-                for leader in submit:
-                    # Futures that completed before a pool collapse still
-                    # hold their results, so drain every one rather than
-                    # bailing at the first BrokenProcessPool.
-                    try:
-                        payload = futures[leader].result()
-                    except BrokenProcessPool:
-                        broken = True
-                        continue
-                    self._record_payload(payload, item_queries, outcomes)
-                    pending.discard(leader)
-                if not broken:
+        # Solve *units*, not queries: an equivalence is its two containments,
+        # so a standalone containment elsewhere in the batch shares a solve
+        # with it, exactly as the sequential path's solve cache would.  The
+        # first unit of each dedupe class leads it and is the only one
+        # solved; without that, every worker re-solves the duplicates the
+        # sequential path answers from its solve cache.
+        units = [
+            [(self._dedupe_key(part), part) for part in _parts(query)]
+            for query in queries
+        ]
+        leaders: dict[tuple, Query] = {}
+        for parts in units:
+            for key, part in parts:
+                leaders.setdefault(key, part)
+        solved: dict[tuple, AnalysisOutcome] = {}
+        with WorkerPool(self, workers) as pool:
+            for key, leader in leaders.items():
+                if _parallel_safe(leader):
+                    pool.submit(key, leader, budget)
+            # Queries that cannot be shipped (raw-formula types) run in the
+            # parent while the workers chew on theirs.
+            for key, leader in leaders.items():
+                if not _parallel_safe(leader):
+                    solved[key] = self.solve(leader, budget)
+            while pool.pending():
+                key, outcome = pool.next()
+                solved[key] = outcome
+        outcomes = []
+        for query, parts in zip(queries, units):
+            answers = []
+            for key, part in parts:
+                if part is leaders[key]:
+                    answers.append(solved[key])
                     continue
-                pool.shutdown(wait=False)
-                pool = None
-                respawns += 1
-                # Leftover markers name the queries that were mid-solve when
-                # the pool died (the killer plus any collateral siblings the
-                # executor tore down with it).  Each gets one isolated retry;
-                # dying again in a pool of one is conclusive.
-                suspects = set()
-                for name in os.listdir(marker_dir):
-                    if not name.endswith(".running"):
-                        continue
-                    try:
-                        suspect = int(name.split(".", 1)[0])
-                    except ValueError:
-                        continue
-                    suspects.add(suspect)
-                    try:
-                        os.unlink(os.path.join(marker_dir, name))
-                    except OSError:
-                        pass
-                for leader in sorted(suspects & pending):
-                    payload = self._retry_isolated(
-                        leader, item_queries[leader], budget, marker_dir
-                    )
-                    if payload is None:
-                        outcomes[leader] = self._crash_outcome(item_queries[leader])
-                    else:
-                        self._record_payload(payload, item_queries, outcomes)
-                    pending.discard(leader)
-                if pending:
-                    if respawns >= self.MAX_POOL_RESPAWNS:
-                        for leader in sorted(pending):
-                            outcomes[leader] = self._crash_outcome(item_queries[leader])
-                        pending.clear()
-                    else:
-                        time.sleep(backoff)
-                        backoff = min(backoff * 2, 1.0)
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=False)
-            shutil.rmtree(marker_dir, ignore_errors=True)
-        for indices in groups.values():
-            outcome = outcomes[indices[0]]
-            for duplicate in indices[1:]:
-                outcomes[duplicate] = self._replicate_outcome(
-                    outcome, item_queries[duplicate]
-                )
-                if outcome.definite:
+                answers.append(self._replicate_outcome(solved[key], part))
+                if solved[key].definite:
                     self.solve_cache_hits += 1
-        return BatchReport(
-            outcomes=self._assemble_outcomes(queries, items, outcomes),
-            total_seconds=time.perf_counter() - started,
-            solver_runs=self.solver_runs - runs_before,
-            cache_hits=self.solve_cache_hits - hits_before,
-            disk_cache_hits=self.disk_cache_hits - disk_before,
-            workers=workers,
-        )
+            outcomes.append(
+                answers[0] if len(answers) == 1
+                else self._assemble_equivalence(query, *answers)
+            )
+        return outcomes
 
 
 def solve_many(queries: Iterable[Query], workers: int = 1, **options) -> BatchReport:

@@ -6,12 +6,11 @@ share one :class:`repro.api.StaticAnalyzer`, so an editor or load generator
 can stream thousands of queries at a single set of warm caches; with
 ``--cache-dir`` the verdicts also persist across restarts.
 
-With ``--workers N`` the service fans query requests out to a process pool
-(responses still arrive strictly in request order; control operations act as
-barriers so ``stats`` always reflects every request before them).  The
-parent parses and validates every line — workers only ever see well-formed
-:class:`repro.api.Query` objects — and aggregates worker cache counters into
-its own statistics.
+With ``--workers N`` the service fans query requests out to a
+:class:`repro.workers.WorkerPool`; responses still arrive strictly in
+request order (see :func:`_serve_parallel`).  The parent decodes every line
+with :func:`parse_line`, so workers only ever see well-formed
+:class:`repro.api.Query` objects.
 
 Requests are either query objects in the wire format of
 :mod:`repro.cli.wire`, or control operations:
@@ -35,22 +34,24 @@ with ``--deadline``/``--max-steps`` (or a per-request ``budget`` object,
 which tightens the service-wide limits) a pathological query costs its
 budget and returns an outcome with ``verdict_status: "unknown"`` — ``ok``
 stays true, the session keeps serving.  With ``--workers``, a worker
-process dying mid-solve does not take the service down either: the pool is
-respawned, in-flight queries are retried once, and a query that kills its
-worker twice is answered as ``unknown`` with ``budget_reason:
-"worker-crash"``.
+process dying mid-solve does not take the service down either: a request
+that kills its worker twice is answered as ``unknown`` with
+``budget_reason: "worker-crash"``, and no other request is interrupted.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import sys
-from typing import IO
+from typing import IO, TYPE_CHECKING
 
-from repro.api import StaticAnalyzer
+from repro.api import Query, StaticAnalyzer
 from repro.cli import wire
+from repro.solver.governor import Budget
 from repro.xmltypes.library import schema_catalog
+
+if TYPE_CHECKING:
+    from multiprocessing.connection import Connection
 
 
 def handle_op(payload: dict, analyzer: StaticAnalyzer) -> dict:
@@ -75,36 +76,52 @@ def handle_op(payload: dict, analyzer: StaticAnalyzer) -> dict:
     }
 
 
-def handle_line(
-    line: str, analyzer: StaticAnalyzer, dtd_cache: wire.DTDCache
-) -> dict | None:
-    """The response for one input line (``None`` for blank/comment lines)."""
+def parse_line(
+    line: str, dtd_cache: wire.DTDCache
+) -> tuple[dict, dict | None, Query | None, Budget | None] | None:
+    """Decode one input line: ``None`` for blank/comment lines, else
+    ``(response, op, query, budget)``.
+
+    ``response`` starts the reply (it echoes the request's ``id``).  A
+    control operation comes back as its payload ``op``, a query request as
+    its ``query`` and per-request ``budget``; a line that is neither has its
+    wire-error ``response`` complete already.
+    """
     line = line.strip()
     if not line or line.startswith("#"):
         return None
     try:
         payload = json.loads(line)
     except json.JSONDecodeError as exc:
-        return {"ok": False, "error": wire.error_payload(exc)}
+        return {"ok": False, "error": wire.error_payload(exc)}, None, None, None
     if not isinstance(payload, dict):
-        return {
-            "ok": False,
-            "error": {"kind": "ProtocolError", "message": "request must be an object"},
-        }
-    response: dict = {}
-    if "id" in payload:
-        response["id"] = payload["id"]
+        error = {"kind": "ProtocolError", "message": "request must be an object"}
+        return {"ok": False, "error": error}, None, None, None
+    response = {"id": payload["id"]} if "id" in payload else {}
     if "op" in payload:
-        response.update(handle_op(payload, analyzer))
-        return response
+        return response, payload, None, None
     try:
         query = wire.query_from_dict(payload, dtd_cache)
         budget = wire.budget_from_dict(payload)
     except (wire.WireError, ValueError) as exc:
         response.update(ok=False, error=wire.error_payload(exc))
-        return response
-    outcome = analyzer.solve(query, budget)
-    response.update(ok=outcome.ok, outcome=outcome.as_dict())
+        return response, None, None, None
+    return response, None, query, budget
+
+
+def handle_line(
+    line: str, analyzer: StaticAnalyzer, dtd_cache: wire.DTDCache
+) -> dict | None:
+    """The response for one input line (``None`` for blank/comment lines)."""
+    parsed = parse_line(line, dtd_cache)
+    if parsed is None:
+        return None
+    response, op, query, budget = parsed
+    if op is not None:
+        response.update(handle_op(op, analyzer))
+    elif query is not None:
+        outcome = analyzer.solve(query, budget)
+        response.update(ok=outcome.ok, outcome=outcome.as_dict())
     return response
 
 
@@ -119,7 +136,7 @@ def serve(
 ) -> int:
     """Run the request/response loop until end-of-input; returns exit code 0.
 
-    With ``workers > 1`` queries are dispatched to a process pool while the
+    With ``workers > 1`` queries are dispatched to a worker pool while the
     loop keeps reading; responses are written strictly in request order.
     ``budget`` bounds every solve (tightened further by per-request
     ``budget`` objects) and ``degrade`` enables the explicit-solver fallback
@@ -142,6 +159,30 @@ def serve(
     return 0
 
 
+def _read_lines(input_stream: IO[str], feed: Connection) -> None:
+    """Forward every input line to ``feed``, then ``None`` at end of input."""
+    try:
+        # Read a private wrapper of the descriptor, never the stream itself:
+        # a worker forked while this thread blocks inside the stream's
+        # readline() inherits its held buffer lock, and multiprocessing
+        # closes sys.stdin in every forked child, so the child would hang at
+        # start-up.  Streams without a descriptor (StringIO) hold no lock.
+        source = open(
+            input_stream.fileno(),
+            encoding=input_stream.encoding,
+            errors=input_stream.errors,
+            closefd=False,
+        )
+    except OSError:
+        source = input_stream
+    try:
+        for line in source:
+            feed.send(line)
+    finally:
+        feed.send(None)
+        feed.close()
+
+
 def _serve_parallel(
     input_stream: IO[str],
     output_stream: IO[str],
@@ -150,209 +191,71 @@ def _serve_parallel(
 ) -> int:
     """The pipelined loop behind ``serve(..., workers=N)``.
 
-    A sliding window of at most ``4 * workers`` in-flight queries keeps the
-    pool busy without unbounded buffering; completed heads are flushed
-    eagerly after every submission, and control operations (or end of input)
-    drain the window so their responses observe every earlier request.
-
-    The loop survives pool collapses: workers drop per-query marker files
-    (see :func:`repro.api._pool_solve`), so a ``BrokenProcessPool`` is
-    blamed on the specific queries that were mid-solve when a worker died.
-    The pool is respawned, blamed queries are retried once (a second blamed
-    crash answers them as ``unknown("worker-crash")`` via
-    :meth:`StaticAnalyzer._crash_outcome`), and *unblamed* in-flight queries
-    are resubmitted without penalty — a poison request never costs its
-    window-mates their verdicts, and the session keeps serving.
+    A window of at most ``4 * workers`` unanswered requests keeps the
+    :class:`repro.workers.WorkerPool` busy without unbounded buffering.  The
+    loop waits on input and workers together, so each response is written
+    as soon as it and every earlier one are ready — a client that waits for
+    each reply gets it.  A control operation waits for every earlier
+    response, so e.g. ``stats`` observes every request before it.
     """
-    import shutil
-    import tempfile
+    import threading
     from collections import deque
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+    from multiprocessing import Pipe
 
-    from repro.api import _parallel_safe, _pool_initializer, _pool_solve
+    from repro.workers import WorkerPool
 
     dtd_cache: wire.DTDCache = {}
-    max_in_flight = 4 * workers
+    # [response, waiting] in request order.  A query's entry is its pool
+    # ticket, and ``waiting`` turns False when its outcome arrives.
+    window: deque[list] = deque()
 
-    def emit(response: dict) -> None:
-        output_stream.write(json.dumps(response, ensure_ascii=False) + "\n")
-        output_stream.flush()
+    def answer(entry: list, outcome) -> None:
+        entry[0].update(ok=outcome.ok, outcome=outcome.as_dict())
+        entry[1] = False
 
-    def new_pool() -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_pool_initializer,
-            initargs=(analyzer._options(),),
-        )
+    def flush() -> None:
+        while window and not window[0][1]:
+            response = window.popleft()[0]
+            output_stream.write(json.dumps(response, ensure_ascii=False) + "\n")
+            output_stream.flush()
 
-    pool = new_pool()
-    marker_dir = tempfile.mkdtemp(prefix="repro-serve-")
-    sequence = 0
-    # Crashes in a row that left no marker to blame (e.g. a worker dying at
-    # startup): after a few, every in-flight query takes the penalty so the
-    # flush loop cannot respawn forever.
-    unattributed = 0
-    # Entries are mutable lists:
-    #   ["ready", response]
-    #   ["future", future, request_id, query, budget, crashes, seq]
-    pending: deque = deque()
+    def take(line: str) -> None:
+        parsed = parse_line(line, dtd_cache)
+        if parsed is None:
+            return
+        response, op, query, budget = parsed
+        entry = [response, query is not None]
+        if op is not None:
+            while pool.pending():
+                answer(*pool.next())
+                flush()
+            response.update(handle_op(op, analyzer))
+        elif query is not None:
+            pool.submit(entry, query, budget)
+        window.append(entry)
 
-    def in_flight() -> int:
-        return sum(1 for entry in pending if entry[0] == "future")
-
-    def submit(entry: list) -> None:
-        entry[1] = pool.submit(_pool_solve, (entry[6], entry[3], entry[4], marker_dir))
-
-    def handle_crash() -> None:
-        """Respawn the pool; retry in-flight queries, penalising only the
-        ones the leftover markers blame for the collapse."""
-        nonlocal pool, unattributed
-        pool.shutdown(wait=False)
-        pool = new_pool()
-        blamed = set()
-        for name in os.listdir(marker_dir):
-            if not name.endswith(".running"):
-                continue
-            try:
-                blamed.add(int(name.split(".", 1)[0]))
-            except ValueError:
-                continue
-            try:
-                os.unlink(os.path.join(marker_dir, name))
-            except OSError:
-                pass
-        unattributed = 0 if blamed else unattributed + 1
-        blame_everyone = unattributed >= 5
-        for entry in pending:
-            if entry[0] != "future":
-                continue
-            future = entry[1]
-            if future.done() and future.exception() is None:
-                continue  # finished before the collapse; result still good
-            if entry[6] in blamed or blame_everyone:
-                entry[5] += 1
-            if entry[5] >= 2:
-                # Twice blamed: quarantine.  One retry in a pool of one
-                # separates the actual poison (dies again → unknown) from a
-                # bystander that kept sharing collapse rounds with it.
-                payload = analyzer._retry_isolated(
-                    entry[6], entry[3], entry[4], marker_dir
-                )
-                if payload is None:
-                    outcome = analyzer._crash_outcome(entry[3])
-                else:
-                    _index, outcome, runs, hits, disk_hits, disk_writes = payload
-                    analyzer.solver_runs += runs
-                    analyzer.solve_cache_hits += hits
-                    analyzer.disk_cache_hits += disk_hits
-                    analyzer.disk_cache_writes += disk_writes
-                request_id = entry[2]
-                response = {} if request_id is None else {"id": request_id}
-                response.update(ok=outcome.ok, outcome=outcome.as_dict())
-                entry[:] = ["ready", response]
-            else:
-                submit(entry)
-
-    def flush(block_head: bool = False) -> None:
-        """Emit completed responses from the head (in request order).
-
-        With ``block_head`` the head future is awaited, so callers can
-        apply backpressure one entry at a time.
-        """
-        while pending:
-            entry = pending[0]
-            if entry[0] == "ready":
-                emit(entry[1])
-            else:
-                future, request_id = entry[1], entry[2]
-                if not block_head and not future.done():
-                    break
-                try:
-                    _index, outcome, runs, hits, disk_hits, disk_writes = (
-                        future.result()
-                    )
-                except BrokenProcessPool:
-                    # handle_crash rewrote the head (fresh future or a ready
-                    # crash response); take it from the top of the loop.
-                    handle_crash()
-                    continue
-                analyzer.solver_runs += runs
-                analyzer.solve_cache_hits += hits
-                analyzer.disk_cache_hits += disk_hits
-                analyzer.disk_cache_writes += disk_writes
-                response = {} if request_id is None else {"id": request_id}
-                response.update(ok=outcome.ok, outcome=outcome.as_dict())
-                emit(response)
-                block_head = False  # only force the first head
-            pending.popleft()
-
-    def drain() -> None:
-        while pending:
-            flush(block_head=True)
-
-    try:
-        for line in input_stream:
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            try:
-                payload = json.loads(stripped)
-            except json.JSONDecodeError as exc:
-                pending.append(
-                    ["ready", {"ok": False, "error": wire.error_payload(exc)}]
-                )
-            else:
-                if not isinstance(payload, dict):
-                    pending.append(
-                        [
-                            "ready",
-                            {
-                                "ok": False,
-                                "error": {
-                                    "kind": "ProtocolError",
-                                    "message": "request must be an object",
-                                },
-                            },
-                        ]
-                    )
-                elif "op" in payload:
-                    # Control operations are barriers: drain so e.g. stats
-                    # reflect every request submitted before them.
-                    drain()
-                    response = {"id": payload["id"]} if "id" in payload else {}
-                    response.update(handle_op(payload, analyzer))
-                    pending.append(["ready", response])
-                else:
-                    request_id = payload.get("id")
-                    try:
-                        query = wire.query_from_dict(payload, dtd_cache)
-                        query_budget = wire.budget_from_dict(payload)
-                    except (wire.WireError, ValueError) as exc:
-                        response = {} if request_id is None else {"id": request_id}
-                        response.update(ok=False, error=wire.error_payload(exc))
-                        pending.append(["ready", response])
-                    else:
-                        if _parallel_safe(query):
-                            sequence += 1
-                            entry = [
-                                "future", None, request_id, query, query_budget,
-                                0, sequence,
-                            ]
-                            submit(entry)
-                            pending.append(entry)
-                        else:  # pragma: no cover - wire types are always safe
-                            outcome = analyzer.solve(query, query_budget)
-                            response = {} if request_id is None else {"id": request_id}
-                            response.update(ok=outcome.ok, outcome=outcome.as_dict())
-                            pending.append(["ready", response])
+    # Start the workers before the reader thread, so that only replacements
+    # for dead workers fork while it runs.
+    with WorkerPool(analyzer, workers) as pool:
+        lines, feed = Pipe(duplex=False)
+        threading.Thread(
+            target=_read_lines, args=(input_stream, feed), daemon=True
+        ).start()
+        reading = True
+        while reading or window:
             flush()
-            while in_flight() > max_in_flight:
-                flush(block_head=True)
-        drain()
-    finally:
-        pool.shutdown(wait=False)
-        shutil.rmtree(marker_dir, ignore_errors=True)
+            room = reading and len(window) < 4 * workers
+            if room and (lines.poll() or not pool.pending()):
+                line = lines.recv()
+                if line is None:
+                    reading = False
+                else:
+                    take(line)
+            elif pool.pending():
+                finished = pool.next(lines if room else None)
+                if finished is not None:
+                    answer(*finished)
+        lines.close()
     return 0
 
 

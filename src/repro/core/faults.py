@@ -14,15 +14,15 @@ fuzzer's chaos axis — is :mod:`repro.testing.faults`, which re-exports it.
 
 A plan is installed either programmatically (:func:`install`, in-process
 tests) or through the :data:`FAULTS_ENV` environment variable, which worker
-processes inherit — that is how a fault can reach the far side of a
-``ProcessPoolExecutor``.  The env value is a JSON list of points::
+processes inherit — that is how a fault can reach the workers of a
+:class:`repro.workers.WorkerPool`.  The env value is a JSON list of points::
 
     REPRO_FAULTS='[{"point": "worker-crash", "match": "poison", "times": 1}]'
 
 Known points (the ``point`` names production sites use):
 
-* ``worker-crash`` — a batch worker ``os._exit``\\ s mid-solve
-  (:func:`repro.api._pool_solve`); ``match`` selects the query by substring.
+* ``worker-crash`` — a pool worker ``os._exit``\\ s mid-solve
+  (:func:`repro.workers._work`); ``match`` selects the query by substring.
 * ``cache-torn-write`` — :meth:`repro.cache.DiskSolveCache.put` writes a
   truncated entry straight to the final path, simulating a torn write that
   the atomic-publish protocol normally makes impossible.
@@ -34,8 +34,8 @@ Every decision is deterministic: a point fires when its ``match`` substring
 occurs in the site's detail string and its ``times`` counter (per process) is
 not yet spent.  The optional ``latch`` field names a file created atomically
 when the point first fires, after which no process fires it again — that is
-how a test injects *exactly one* crash across a pool of workers and its
-respawns.
+how a test injects *exactly one* crash across a pool of workers and their
+replacements.
 """
 
 from __future__ import annotations

@@ -12,6 +12,9 @@ whole ladder:
 * graceful degradation to the bounded explicit solver;
 * crash-tolerant batches: an injected mid-batch worker crash must leave
   every other verdict identical to an uninjected run;
+* the one worker pool behind ``solve_many`` and ``serve``: one crash rule on
+  both paths, no worker outliving the call, non-fork start methods, and
+  interactive ``serve --workers`` clients;
 * disk-cache corruption quarantine (including the torn-write fault point);
 * the wire/CLI surface (per-request budgets, exit code 3) and the fuzzer's
   chaos axis.
@@ -21,11 +24,18 @@ from __future__ import annotations
 
 import io
 import json
+import multiprocessing
+import os
+import select
+import subprocess
+import sys
 import textwrap
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.api import BatchReport, Query, StaticAnalyzer
 from repro.cli import main
 from repro.cli import wire
@@ -510,6 +520,162 @@ def test_serve_parallel_survives_poison_request(monkeypatch):
     assert by_id[1]["outcome"]["verdict_status"] == "definite"
     assert by_id[3]["outcome"]["verdict_status"] == "definite"
     assert by_id[3]["outcome"]["holds"] is True
+
+
+# ---------------------------------------------------------------------------
+# One worker pool behind solve_many and serve
+# ---------------------------------------------------------------------------
+
+CRASH_BATCH = [
+    Query.satisfiability("a/b"),
+    Query.satisfiability("zzpoison"),
+    Query.containment("a/b", "a//b"),
+]
+
+VERDICT_FIELDS = ("verdict_status", "holds", "satisfiable", "budget_reason")
+
+
+def _pool_verdicts(path: str, queries: list[Query]) -> list[tuple]:
+    """The verdicts of ``queries`` through two workers on one of the paths."""
+    if path == "solve_many":
+        return _verdicts(StaticAnalyzer().solve_many(queries, workers=2))
+    requests = [
+        {"id": index, "kind": query.kind, "exprs": list(query.exprs)}
+        for index, query in enumerate(queries)
+    ]
+    responses = _serve_lines(requests, workers=2)
+    assert [response["id"] for response in responses] == list(range(len(queries)))
+    return [
+        tuple(response["outcome"][name] for name in VERDICT_FIELDS)
+        for response in responses
+    ]
+
+
+@pytest.mark.parametrize("crashes", [1, 2])
+@pytest.mark.parametrize("path", ["solve_many", "serve"])
+def test_one_crash_rule_on_both_paths(path, crashes, tmp_path, monkeypatch):
+    """A worker holds one query, so a crash blames exactly that query: one
+    death is retried on a fresh worker and keeps the uninjected verdict, a
+    second death quarantines the query as unknown('worker-crash'), and the
+    bystanders never change.  Each latched point fires once across every
+    process, so ``crashes`` points kill exactly ``crashes`` workers."""
+    reference = _verdicts(StaticAnalyzer().solve_many(CRASH_BATCH))
+    latches = [tmp_path / f"crash-{number}.latch" for number in range(crashes)]
+    plan = [
+        {"point": "worker-crash", "match": "zzpoison", "times": None, "latch": str(latch)}
+        for latch in latches
+    ]
+    monkeypatch.setenv(faults.FAULTS_ENV, json.dumps(plan))
+    verdicts = _pool_verdicts(path, CRASH_BATCH)
+    assert all(latch.exists() for latch in latches), "a fault never fired"
+    poison, expected = verdicts.pop(1), reference.pop(1)
+    assert verdicts == reference, "a bystander's verdict changed"
+    if crashes == 1:
+        assert poison == expected
+    else:
+        assert poison == ("unknown", None, None, "worker-crash")
+
+
+@pytest.mark.parametrize("path", ["solve_many", "serve"])
+def test_no_worker_outlives_the_call(path):
+    _pool_verdicts(path, CRASH_BATCH)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_context().get_start_method() != "fork",
+    reason="only forked workers inherit the patched solve",
+)
+def test_worker_exception_is_reraised_in_the_parent(monkeypatch):
+    """A bug inside a worker is not a crash to quarantine: like a sequential
+    solve, the batch raises it, with the worker's traceback attached."""
+
+    def broken_solve(self, query, budget=None):
+        raise RuntimeError(f"bug while solving {query.exprs[0]}")
+
+    monkeypatch.setattr(StaticAnalyzer, "solve", broken_solve)
+    with pytest.raises(RuntimeError, match="bug while solving") as info:
+        StaticAnalyzer().solve_many(CRASH_BATCH, workers=2)
+    assert "broken_solve" in "".join(info.value.__notes__)
+    assert multiprocessing.active_children() == []
+
+
+SPAWN_SCRIPT = """
+import io, json, multiprocessing
+from repro.api import Query, StaticAnalyzer
+from repro.cli.serve import serve
+
+multiprocessing.set_start_method("spawn")
+queries = [
+    Query.satisfiability("a/b"),
+    Query.containment("a/b", "a//b"),
+    Query.emptiness("c[d]"),
+]
+report = StaticAnalyzer().solve_many(queries, workers=2)
+output = io.StringIO()
+request = {"id": 1, "kind": "containment", "exprs": ["a//b", "a/b"]}
+serve(io.StringIO(json.dumps(request) + "\\n"), output, workers=2)
+print(json.dumps({
+    "batch": [[o.verdict_status, o.holds] for o in report.outcomes],
+    "serve": json.loads(output.getvalue())["outcome"]["holds"],
+}))
+"""
+
+
+def test_pool_answers_under_the_spawn_start_method():
+    """Workers started without fork re-import the package and still answer
+    (Python 3.14 makes forkserver the Linux default)."""
+    source_root = Path(repro.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", SPAWN_SCRIPT],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(source_root)},
+        timeout=120,
+        check=True,
+    )
+    report = json.loads(result.stdout)
+    assert report["batch"] == [["definite", True], ["definite", True], ["definite", False]]
+    assert report["serve"] is False
+
+
+def test_serve_workers_answers_each_request_before_the_next():
+    """An interactive client waits for each reply with stdin still open.
+    Under an unlatched poison plan the poison request is quarantined, and
+    the session keeps answering."""
+    source_root = Path(repro.__file__).resolve().parents[1]
+    plan = [{"point": "worker-crash", "match": "zzpoison", "times": None}]
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", "--workers", "2"],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        text=True,
+        env={
+            **os.environ,
+            "PYTHONPATH": str(source_root),
+            faults.FAULTS_ENV: json.dumps(plan),
+        },
+    )
+    try:
+        replies = []
+        for number, expr in enumerate(["a", "zzpoison", "a/b"]):
+            request = {"id": number, "kind": "satisfiability", "exprs": [expr]}
+            process.stdin.write(json.dumps(request) + "\n")
+            process.stdin.flush()
+            readable, _, _ = select.select([process.stdout], [], [], 30)
+            assert readable, f"no reply to {expr!r} within 30 s"
+            replies.append(json.loads(process.stdout.readline()))
+        process.stdin.close()
+        assert process.wait(timeout=30) == 0
+    finally:
+        process.kill()
+        process.wait()
+        process.stdout.close()
+    assert [reply["id"] for reply in replies] == [0, 1, 2]
+    assert [
+        (reply["outcome"]["verdict_status"], reply["outcome"]["budget_reason"])
+        for reply in replies
+    ] == [("definite", None), ("unknown", "worker-crash"), ("definite", None)]
 
 
 # ---------------------------------------------------------------------------
