@@ -395,18 +395,6 @@ def _lift_witness(document: Tree, lift_context: LiftContext) -> Tree:
     return document if child is None else replace(document, children=(child,))
 
 
-def _serialized_witness(
-    document: Tree | None, lift_context: LiftContext | None
-) -> str | None:
-    """A solver's witness as a record stores it: lifted (when the problem
-    was pruned, see :func:`_lift_witness`) and serialized."""
-    if document is None:
-        return None
-    if lift_context is not None:
-        document = _lift_witness(document, lift_context)
-    return serialize_tree(document)
-
-
 def _parallel_safe(query: Query) -> bool:
     """Whether a query can be shipped to a worker process.
 
@@ -455,8 +443,8 @@ class StaticAnalyzer:
     always the answer the solver would produce — the solve cache is keyed by
     the (hash-consed) Lµ formula, the translation caches by the
     expression/type pair they translate.  Every solve runs
-    :class:`repro.solver.symbolic.SymbolicSolver` with its sound defaults;
-    the solver's ablation knobs are not analyzer options.
+    :class:`repro.solver.symbolic.SymbolicSolver`, which has one
+    configuration.
 
     With ``cache_dir`` set, solver verdicts are additionally written through
     to a :class:`repro.cache.DiskSolveCache` rooted at that directory and
@@ -467,39 +455,24 @@ class StaticAnalyzer:
     :mod:`repro.cache`.
 
     **Resource governance.**  ``budget`` bounds every solve (see
-    :class:`repro.solver.governor.Budget`); ``max_lean`` is shorthand for a
-    Lean-size bound — the analyzer then refuses to *compile* an
-    exponentially-sized problem (Lemma 6.7 prices it at ``2^O(lean)``) and
-    returns an ``unknown`` outcome up front.  Budget exhaustion never raises:
-    it produces a first-class ``unknown`` outcome with a structured
-    ``budget_reason``.  With ``degrade=True`` a budget-exhausted solve falls
-    back to the bounded ψ-type :class:`repro.solver.explicit.ExplicitSolver`
-    when the problem is small enough (``≤ DEGRADE_MAX_TYPES`` estimated
-    ψ-types), so small-but-tightly-budgeted queries still get a definite
-    verdict.  Only definite verdicts ever enter a cache layer.
+    :class:`repro.solver.governor.Budget`); with ``max_lean`` set the
+    analyzer refuses to *solve* an exponentially-sized problem (Lemma 6.7
+    prices it at ``2^O(lean)``) and returns an ``unknown`` outcome up front.
+    Budget exhaustion never raises: it produces a first-class ``unknown``
+    outcome with a structured ``budget_reason``.  Only definite verdicts
+    ever enter a cache layer.
     """
-
-    #: Estimated-ψ-type ceiling under which graceful degradation engages
-    #: (mirrors the fuzzer's explicit-oracle gate, ``Bounds.explicit_types``).
-    DEGRADE_MAX_TYPES = 2048
 
     def __init__(
         self,
         cache_dir: str | None = None,
         prune_labels: bool = True,
         budget: Budget | None = None,
-        max_lean: int | None = None,
-        degrade: bool = False,
     ):
         self.prune_labels = prune_labels
         #: Default resource budget for every solve (``None`` = unlimited);
-        #: per-call overrides merge on top (see :meth:`solve`).
+        #: a per-call budget can only tighten it (see :meth:`solve`).
         self.budget = budget
-        if max_lean is not None:
-            base = self.budget or Budget()
-            if base.max_lean is None:
-                self.budget = base.merged_with(Budget(max_lean=max_lean))
-        self.degrade = degrade
         self.disk_cache = None if cache_dir is None else DiskSolveCache(cache_dir)
         # (type key, constrain_siblings) -> compiled type formula.
         self._type_cache: dict[tuple, sx.Formula] = {}
@@ -678,69 +651,20 @@ class StaticAnalyzer:
                 return record, "disk"
         result = SymbolicSolver(formula, budget=budget).solve()
         self.solver_runs += 1
+        document = result.model_document()
+        if document is not None and lift_context is not None:
+            document = _lift_witness(document, lift_context)
         record = SolveRecord(
             satisfiable=result.satisfiable,
-            counterexample=_serialized_witness(result.model_document(), lift_context),
+            counterexample=None if document is None else serialize_tree(document),
             statistics=result.statistics.as_dict(),
             solve_seconds=result.statistics.solve_seconds,
         )
-        self._store(formula, record)
-        return record, None
-
-    def _store(self, formula: sx.Formula, record: SolveRecord) -> None:
-        """Write a definite verdict through the memory and disk caches."""
         self._solve_cache[formula] = record
         if self.disk_cache is not None:
             self.disk_cache.put(formula, record)
             self.disk_cache_writes += 1
-
-    def _degraded_record(
-        self,
-        formula: sx.Formula,
-        lift_context: LiftContext | None,
-    ) -> SolveRecord | None:
-        """Definite verdict from the bounded ψ-type solver, or ``None``.
-
-        The degradation ladder's second rung: when the budgeted symbolic
-        solve ran out, the eager algorithm of Figure 16 may still decide the
-        problem — its cost is governed by the ψ-type count, not by how hard
-        the BDD fixpoint happened to be under this budget.  Engages only
-        below :data:`DEGRADE_MAX_TYPES` estimated types.  A verdict from
-        here is sound and complete, so it enters the caches like any other.
-        """
-        from repro.core.errors import SolverLimitError
-        from repro.solver.explicit import ExplicitSolver
-        from repro.trees.binary import binary_forest_to_unranked
-
-        started = time.perf_counter()
-        solver = ExplicitSolver(formula, max_types=self.DEGRADE_MAX_TYPES)
-        if solver.estimated_types() > self.DEGRADE_MAX_TYPES:
-            return None
-        try:
-            result = solver.solve()
-        except SolverLimitError:
-            return None
-        self.solver_runs += 1
-        document = None
-        if result.model is not None:
-            document = binary_forest_to_unranked(result.model)[0]
-        counterexample = _serialized_witness(document, lift_context)
-        elapsed = time.perf_counter() - started
-        record = SolveRecord(
-            satisfiable=result.satisfiable,
-            counterexample=counterexample,
-            statistics={
-                "degraded": True,
-                "lean_size": len(result.lean),
-                "iterations": result.iterations,
-                "entry_count": result.entry_count,
-                "type_count": result.type_count,
-                "solve_seconds": round(elapsed, 6),
-            },
-            solve_seconds=elapsed,
-        )
-        self._store(formula, record)
-        return record
+        return record, None
 
     def clear_caches(self) -> None:
         """Drop every in-memory cached translation and solver verdict.
@@ -776,12 +700,11 @@ class StaticAnalyzer:
         the message) rather than raised, so one bad query never aborts a
         :meth:`solve_many` batch.  Programming errors still raise.
 
-        ``budget`` tightens the analyzer-wide budget for this call only (the
-        per-call limits win where both are set).  A budgeted solve that runs
-        out returns an *unknown* outcome — ``verdict_status == "unknown"``,
-        ``holds``/``satisfiable`` both ``None``, ``budget_reason`` naming the
-        exhausted resource — unless ``degrade=True`` and the bounded explicit
-        solver can still decide the instance.
+        ``budget`` tightens the analyzer-wide budget for this call only
+        (where both set a limit, the smaller one applies).  A budgeted solve
+        that runs out returns an *unknown* outcome — ``verdict_status ==
+        "unknown"``, ``holds``/``satisfiable`` both ``None``,
+        ``budget_reason`` naming the exhausted resource.
         """
         if query.kind == "equivalence":
             return self._equivalence(query, budget)
@@ -798,17 +721,13 @@ class StaticAnalyzer:
             # Must precede the ANALYSIS_ERRORS arm: BudgetExceeded is a
             # ReproError, and swallowing it there would misreport resource
             # exhaustion as a definite input failure.
-            if self.degrade and exc.reason != "worker-crash":
-                record = self._degraded_record(formula, lift_context)
-                if record is not None:
-                    return self._outcome(query, problem, record, None, positive)
             return self._unknown_outcome(query, problem, exc)
         except ANALYSIS_ERRORS as exc:
             return self._error_outcome(query, exc)
         return self._outcome(query, problem, record, source, positive)
 
     def _effective_budget(self, budget: Budget | None) -> Budget | None:
-        """The analyzer-wide budget tightened by a per-call override."""
+        """The analyzer-wide budget tightened by a per-call budget."""
         if budget is None:
             return self.budget
         if self.budget is None:
@@ -1049,7 +968,6 @@ class StaticAnalyzer:
             "cache_dir": None if self.disk_cache is None else str(self.disk_cache.directory),
             "prune_labels": self.prune_labels,
             "budget": self.budget,
-            "degrade": self.degrade,
         }
 
     def solve_many(

@@ -476,7 +476,7 @@ class BDDManager:
         """Rename variables according to ``mapping`` (old name -> new name).
 
         When the mapping preserves the relative order of the variables that
-        actually occur in ``node`` (as the solver's interleaved x/y vectors
+        actually occur in ``node`` (as the solver's x-to-y vector renames
         do), the result is built by a linear structural pass.  Otherwise the
         general (and much slower) composition with fresh literals through
         ``ite`` is used, which is correct for any mapping.  Results are

@@ -189,8 +189,8 @@ def solve_cache_key(formula: sx.Formula) -> str:
 
     Covers the canonical formula digest, the Lean alphabet and the cache
     format version.  The constant ``track_marks=True`` line records the
-    solver's mark tracking (Figure 16), which the analyzer always runs; it
-    stays in the key material so every published v3 address stays valid.
+    solver's mark tracking (Figure 16), which every solve runs; it stays in
+    the key material so every published v3 address stays valid.
     """
     alphabet = lean_alphabet(formula)
     material = "\n".join(

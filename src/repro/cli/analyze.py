@@ -66,11 +66,7 @@ def run(args) -> int:
     # Convert what converts; wire-format failures become error entries in the
     # report (mirroring the analyzer's structured error outcomes) so one bad
     # batch line never hides the verdicts of the others.
-    analyzer = StaticAnalyzer(
-        cache_dir=args.cache_dir,
-        budget=budget_from_args(args),
-        degrade=getattr(args, "degrade", False),
-    )
+    analyzer = StaticAnalyzer(cache_dir=args.cache_dir, budget=budget_from_args(args))
     dtd_cache: wire.DTDCache = {}
     queries, budgets, conversion_errors = [], [], {}
     for position, payload in enumerate(payloads):

@@ -25,11 +25,7 @@ from repro.xslt import audit_stylesheet
 
 
 def run(args) -> int:
-    analyzer = StaticAnalyzer(
-        cache_dir=args.cache_dir,
-        budget=budget_from_args(args),
-        degrade=getattr(args, "degrade", False),
-    )
+    analyzer = StaticAnalyzer(cache_dir=args.cache_dir, budget=budget_from_args(args))
     try:
         report = audit_stylesheet(
             args.stylesheet, args.schema, analyzer=analyzer, workers=args.workers

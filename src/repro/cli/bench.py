@@ -317,8 +317,8 @@ SCALING_PRODUCT_CALLS_MAX_DEPTH3 = 22
 
 #: CI guard: the depth-3 ``bdd_ite_calls`` counter (ternary operations,
 #: recursive expansions included) must not regress above this (measured
-#: 11,023, committed with headroom).  Deterministic like the guard above.
-SCALING_ITE_CALLS_MAX_DEPTH3 = 15_000
+#: 10,434, committed with headroom).  Deterministic like the guard above.
+SCALING_ITE_CALLS_MAX_DEPTH3 = 14_000
 
 
 def scaling_query(depth: int) -> str:

@@ -9,7 +9,7 @@ stdout.
 With ``--chaos`` every trial additionally stresses resource governance: a
 seeded budgeted re-solve and an injected deadline expiry must both degrade
 into structured ``BudgetExceeded`` outcomes, never a wrong verdict or a hard
-crash (the fault-injection harness of :mod:`repro.testing.faults`).
+crash (the fault-injection harness of :mod:`repro.core.faults`).
 
 Exit codes follow the ``repro analyze`` contract:
 

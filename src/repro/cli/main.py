@@ -44,6 +44,22 @@ def _add_cache_dir_option(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _limit(field: str, parse):
+    """The argparse type of the budget option for ``field``: the flag's
+    text parsed, then checked like a wire budget field (imported lazily so
+    ``repro --help`` stays solver-free)."""
+
+    def convert(text: str):
+        from repro.solver.governor import checked_limit
+
+        try:
+            return checked_limit(field, parse(text))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
+
+
 def _add_budget_options(parser: argparse.ArgumentParser) -> None:
     budget = parser.add_argument_group(
         "resource budgets",
@@ -52,38 +68,32 @@ def _add_budget_options(parser: argparse.ArgumentParser) -> None:
     )
     budget.add_argument(
         "--deadline",
-        type=float,
+        type=_limit("deadline_seconds", float),
         default=None,
         metavar="SECONDS",
         help="wall-clock deadline per solver run",
     )
     budget.add_argument(
         "--max-steps",
-        type=int,
+        type=_limit("max_steps", int),
         default=None,
         metavar="N",
         help="cap on BDD kernel steps per solver run (machine-independent)",
     )
     budget.add_argument(
         "--max-iterations",
-        type=int,
+        type=_limit("max_iterations", int),
         default=None,
         metavar="N",
         help="cap on fixpoint iterations per solver run",
     )
     budget.add_argument(
         "--max-lean",
-        type=int,
+        type=_limit("max_lean", int),
         default=None,
         metavar="N",
         help="refuse formulas whose Lean exceeds N before any BDD is built "
         "(the algorithm is 2^O(lean))",
-    )
-    budget.add_argument(
-        "--degrade",
-        action="store_true",
-        help="when a budget runs out, fall back to the bounded explicit "
-        "solver for instances small enough to decide eagerly",
     )
 
 

@@ -132,21 +132,15 @@ def serve(
     analyzer: StaticAnalyzer | None = None,
     workers: int = 1,
     budget: "object | None" = None,
-    degrade: bool = False,
 ) -> int:
     """Run the request/response loop until end-of-input; returns exit code 0.
 
     With ``workers > 1`` queries are dispatched to a worker pool while the
     loop keeps reading; responses are written strictly in request order.
-    ``budget`` bounds every solve (tightened further by per-request
-    ``budget`` objects) and ``degrade`` enables the explicit-solver fallback
-    for budget-exhausted queries.
+    ``budget`` bounds every solve; a per-request ``budget`` object can only
+    tighten it.
     """
-    analyzer = analyzer or StaticAnalyzer(
-        cache_dir=cache_dir,
-        budget=budget,
-        degrade=degrade,
-    )
+    analyzer = analyzer or StaticAnalyzer(cache_dir=cache_dir, budget=budget)
     if workers > 1:
         return _serve_parallel(input_stream, output_stream, analyzer, workers)
     dtd_cache: wire.DTDCache = {}
@@ -268,5 +262,4 @@ def run(args) -> int:
         cache_dir=args.cache_dir,
         workers=getattr(args, "workers", 1) or 1,
         budget=budget_from_args(args),
-        degrade=getattr(args, "degrade", False),
     )

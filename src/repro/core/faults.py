@@ -1,4 +1,4 @@
-"""Deterministic fault injection: the plumbing behind ``repro.testing.faults``.
+"""Deterministic fault injection: ``repro.core.faults``.
 
 Robustness code is only trustworthy if its failure paths actually run, so the
 library carries *injectable failure points* at the places where the real world
@@ -9,8 +9,18 @@ writer, a deadline expiring between checkpoints.  Production code calls
 
 This module lives in :mod:`repro.core` (stdlib-only, no intra-package
 imports) so the solver, the cache and the API façade can all host injection
-sites without import cycles; the user-facing harness — plan helpers, the
-fuzzer's chaos axis — is :mod:`repro.testing.faults`, which re-exports it.
+sites without import cycles.  The same module is the harness that tests and
+the fuzzer's chaos axis (:mod:`repro.testing.fuzz`) install plans through::
+
+    from repro.core import faults
+
+    faults.install(faults.FaultPlan([
+        faults.FaultPoint(point="worker-crash", match="poison"),
+    ]))
+    try:
+        ...  # code under test
+    finally:
+        faults.uninstall()
 
 A plan is installed either programmatically (:func:`install`, in-process
 tests) or through the :data:`FAULTS_ENV` environment variable, which worker

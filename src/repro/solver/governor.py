@@ -22,19 +22,53 @@ solver and the BDD manager poll:
 Exhaustion raises :class:`repro.core.errors.BudgetExceeded` with a structured
 ``reason`` (``"deadline"``, ``"steps"``, ``"iterations"``, ``"lean"``); the
 API façade converts it into an ``unknown`` outcome (see
-:class:`repro.api.AnalysisOutcome`), optionally after degrading to the
-bounded explicit solver.  A step is one kernel frame, so ``max_steps``
-trips deterministically: the same formula under the same budget reports the
-same reason on every run.
+:class:`repro.api.AnalysisOutcome`).  A step is one kernel frame, so
+``max_steps`` trips deterministically: the same formula under the same
+budget reports the same reason on every run.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 from repro.core import faults
 from repro.core.errors import BudgetExceeded
+
+#: The fields of a :class:`Budget`, each with whether it counts (and so must
+#: be a whole number).
+_LIMIT_FIELDS = {
+    "deadline_seconds": False,
+    "max_steps": True,
+    "max_iterations": True,
+    "max_lean": True,
+}
+
+
+def checked_limit(name: str, value: object) -> float | int:
+    """``value`` as the budget field ``name``, or a ``ValueError`` naming it.
+
+    A limit is a positive finite number, and a count is a whole one.
+    ``json.loads`` parses ``NaN`` and ``Infinity`` (and ``float`` parses
+    ``"nan"``), and every comparison with NaN is false, so such a value
+    would silently lift its limit: it is refused like a boolean or a
+    fractional count.  So is a deadline too large for a float.
+    """
+    whole = _LIMIT_FIELDS[name]
+    finite = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if finite and not whole:
+        try:
+            value = float(value)
+        except OverflowError:
+            finite = False
+    if not finite or (isinstance(value, float) and not math.isfinite(value)):
+        raise ValueError(f"budget field {name} must be a finite number, got {value!r}")
+    if whole and value != int(value):
+        raise ValueError(f"budget field {name} must be a whole number, got {value!r}")
+    if value <= 0:
+        raise ValueError(f"budget field {name} must be positive, got {value!r}")
+    return int(value) if whole else value
 
 
 @dataclass(frozen=True)
@@ -44,15 +78,22 @@ class Budget:
     ``deadline_seconds`` bounds wall-clock time, ``max_steps`` bounds BDD
     kernel frames (a machine-independent work measure), ``max_iterations``
     bounds fixpoint iterations, and ``max_lean`` refuses formulas whose Lean
-    exceeds the bound before any BDD is built.  A budget is plain data and
-    pickles across process boundaries, so batch workers enforce the same
-    limits as the parent.
+    exceeds the bound before any BDD is built.  Every set field must pass
+    :func:`checked_limit`, whichever way the budget was built (Python, the
+    wire, the CLI flags).  A budget is plain data and pickles across process
+    boundaries, so batch workers enforce the same limits as the parent.
     """
 
     deadline_seconds: float | None = None
     max_steps: int | None = None
     max_iterations: int | None = None
     max_lean: int | None = None
+
+    def __post_init__(self) -> None:
+        for name in _LIMIT_FIELDS:
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, checked_limit(name, value))
 
     @property
     def unlimited(self) -> bool:
@@ -73,48 +114,32 @@ class Budget:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "Budget":
-        unknown = set(payload) - {
-            "deadline_seconds",
-            "max_steps",
-            "max_iterations",
-            "max_lean",
-        }
+        """A budget from its wire form (see :meth:`as_dict`)."""
+        unknown = set(payload) - set(_LIMIT_FIELDS)
         if unknown:
             raise ValueError(f"unknown budget field(s): {sorted(unknown)}")
-
-        def _number(name: str, converter) -> float | int | None:
-            value = payload.get(name)
-            if value is None:
-                return None
-            converted = converter(value)
-            if converted <= 0:
-                raise ValueError(f"budget field {name} must be positive, got {value!r}")
-            return converted
-
-        return cls(
-            deadline_seconds=_number("deadline_seconds", float),
-            max_steps=_number("max_steps", int),
-            max_iterations=_number("max_iterations", int),
-            max_lean=_number("max_lean", int),
-        )
+        return cls(**payload)
 
     def merged_with(self, other: "Budget | None") -> "Budget":
-        """This budget with ``other``'s set fields taking precedence."""
+        """The tighter of the two budgets, field by field.
+
+        A field set on one side only keeps that value; where both set it,
+        the smaller limit applies.  Merging can therefore only tighten a
+        budget: a per-request budget never lifts a service-wide limit.
+        """
         if other is None:
             return self
+
+        def tighter(mine, theirs):
+            if mine is None:
+                return theirs
+            return mine if theirs is None else min(mine, theirs)
+
         return Budget(
-            deadline_seconds=(
-                other.deadline_seconds
-                if other.deadline_seconds is not None
-                else self.deadline_seconds
-            ),
-            max_steps=other.max_steps if other.max_steps is not None else self.max_steps,
-            max_iterations=(
-                other.max_iterations
-                if other.max_iterations is not None
-                else self.max_iterations
-            ),
-            max_lean=other.max_lean if other.max_lean is not None else self.max_lean,
+            deadline_seconds=tighter(self.deadline_seconds, other.deadline_seconds),
+            max_steps=tighter(self.max_steps, other.max_steps),
+            max_iterations=tighter(self.max_iterations, other.max_iterations),
+            max_lean=tighter(self.max_lean, other.max_lean),
         )
 
 

@@ -25,23 +25,21 @@ class LeanEncoding:
     """Bit-vector encoding of ψ-types over a BDD manager.
 
     Variable ``x{i}`` stands for "the i-th Lean formula belongs to the type";
-    ``y{i}`` is its primed (witness) copy.  The variable order interleaves the
-    two vectors and follows the Lean order, which itself follows the
-    breadth-first traversal of the formula (Section 7.4).
+    ``y{i}`` is its primed (witness) copy.  Within each vector the order
+    follows the Lean order, which itself follows the breadth-first traversal
+    of the formula (Section 7.4).  Unlike Section 7.4 the two vectors are not
+    interleaved: every ``x`` variable lies above every ``y`` variable, which
+    measures fewer ITE calls and peak nodes at every scaling depth (see
+    docs/ARCHITECTURE.md).  The sets of types and the reconstruction
+    constraints are BDDs over ``x`` only, and both orders rank the ``x``
+    variables alike, so the choice never moves a witness.
     """
 
-    def __init__(self, lean: Lean, interleaved: bool = True):
+    def __init__(self, lean: Lean):
         self.lean = lean
         self.x_names = [f"x{i}" for i in range(len(lean))]
         self.y_names = [f"y{i}" for i in range(len(lean))]
-        if interleaved:
-            order = []
-            for x_name, y_name in zip(self.x_names, self.y_names):
-                order.append(x_name)
-                order.append(y_name)
-        else:
-            order = self.x_names + self.y_names
-        self.manager = BDDManager(order)
+        self.manager = BDDManager(self.x_names + self.y_names)
         self._status_cache: dict[tuple[sx.Formula, bool], BDD] = {}
         self._x_to_y = dict(zip(self.x_names, self.y_names))
         self._y_to_x = dict(zip(self.y_names, self.x_names))
@@ -229,16 +227,14 @@ class _Component:
 
 
 class TransitionRelation:
-    """The relation ∆ₐ of Definition 6.2 in partitioned (or monolithic) form.
+    """The relation ∆ₐ of Definition 6.2 in partitioned form.
 
     ``witness(target)`` computes the Wit formula of Section 7.1: the set of
     types ``x`` such that, *if* ``x`` claims an ``a``-child, a compatible
     witness exists in ``target``; ``witness_strict`` additionally requires the
     child to exist (used for propagating the start mark through a branch).
-    Both share one relational product per target: the product is cached by
-    the target's node id, so the fixpoint loop of :mod:`repro.solver.symbolic`
-    never recomputes it when a set is unchanged between iterations (or when
-    both the guarded and the strict witness of the same set are needed).
+    The fixpoint loop of :mod:`repro.solver.symbolic` asks for each product
+    only when its set changed, so there is no per-target product cache.
 
     Every product runs over the whole target through the precomputed
     early-quantification schedule.  Each schedule step keeps a persistent
@@ -250,29 +246,13 @@ class TransitionRelation:
     of a product against the empty set).
     """
 
-    def __init__(
-        self,
-        encoding: LeanEncoding,
-        program: int,
-        early_quantification: bool = True,
-        monolithic: bool = False,
-    ):
+    def __init__(self, encoding: LeanEncoding, program: int):
         if program not in FORWARD_MODALITIES:
             raise ValueError("transition relations are built for programs 1 and 2 only")
         self.encoding = encoding
         self.program = program
-        self.early_quantification = early_quantification
-        self.monolithic = monolithic
         self.partitions = self._build_partitions()
-        self._monolithic_relation: BDD | None = None
-        if monolithic:
-            relation = encoding.manager.true()
-            for partition in self.partitions:
-                relation = relation & partition.function
-            self._monolithic_relation = relation
-        self._schedule = (
-            self._build_schedule() if early_quantification and not monolithic else []
-        )
+        self._schedule = self._build_schedule()
         self._partition_primed: frozenset[str] = frozenset().union(
             *(partition.primed_support for partition in self.partitions)
         ) if self.partitions else frozenset()
@@ -280,11 +260,7 @@ class TransitionRelation:
             index: step.primed_support for index, step in enumerate(self._schedule)
         }
         self._components = self._build_components()
-        # Keyed by the target's node id (targets always come from this
-        # relation's own manager; see ``_witness_product``).
-        self._product_cache: dict[int, BDD] = {}
         self.product_calls = 0
-        self.product_cache_hits = 0
         self.partitions_skipped = 0
 
     def _build_partitions(self) -> list[_Partition]:
@@ -313,9 +289,9 @@ class TransitionRelation:
         The greedy choice eliminates, at each step, the primed variable
         mentioned by the *fewest remaining partitions* (so each block
         conjoins as few partitions as possible), breaking ties towards the
-        shallowest variable in the interleaved order (quantifying
-        top-of-order ``y`` variables early collapses the upper levels of
-        every intermediate before the deeper equivalences are conjoined).
+        shallowest variable in the order (quantifying the upper ``y``
+        variables early collapses those levels of every intermediate before
+        the deeper equivalences are conjoined).
         Against the previous min-total-support choice this measures ~3x
         faster products on the deep-nesting scaling family and slightly
         faster XHTML rows (see BENCH_scaling.json).
@@ -419,16 +395,6 @@ class TransitionRelation:
     def _product(self, frontier_y: BDD) -> BDD:
         """``∃ y . frontier(y) ∧ ∆ₐ(x, y)`` with early quantification."""
         all_primed = set(self.encoding.y_names)
-
-        if self.monolithic and self._monolithic_relation is not None:
-            return frontier_y.and_exists(self._monolithic_relation, all_primed)
-
-        if not self.early_quantification:
-            conjunction = frontier_y
-            for partition in self.partitions:
-                conjunction = conjunction & partition.function
-            return conjunction.exists(all_primed)
-
         current = frontier_y
         frontier_support = set(current.support()) & all_primed
         # Variables only the frontier mentions can go immediately: no
@@ -456,9 +422,11 @@ class TransitionRelation:
         )
 
     def _witness_product(self, target_x: BDD) -> BDD:
-        """``∃y (target(y) ∧ ischildₐ(y) ∧ ∆ₐ(x,y))``, cached per target node."""
+        """``∃y (target(y) ∧ ischildₐ(y) ∧ ∆ₐ(x,y))``."""
         manager = self.encoding.manager
         if target_x.manager is not manager:
+            # The per-step ``and_exists`` memos are keyed by node id, which
+            # only means something inside the manager that made it.
             raise ValueError(
                 "witness target was built on a different BDD manager; node "
                 "ids are only meaningful within the manager that made them"
@@ -467,14 +435,8 @@ class TransitionRelation:
             # ∃y (⊥ ∧ ∆ₐ) — nothing to compute, every partition is skipped.
             self.partitions_skipped += len(self.partitions)
             return manager.false()
-        cached = self._product_cache.get(target_x.node)
-        if cached is not None:
-            self.product_cache_hits += 1
-            return cached
         self.product_calls += 1
-        product = self._product(self._frontier(target_x))
-        self._product_cache[target_x.node] = product
-        return product
+        return self._product(self._frontier(target_x))
 
     def witness(self, target_x: BDD) -> BDD:
         """``Witₐ(target)``: ``isparentₐ(x) → ∃y (target(y) ∧ ischildₐ(y) ∧ ∆ₐ(x,y))``."""
@@ -521,10 +483,3 @@ class TransitionRelation:
                 literal_parts.append(literal if holds_at_parent else ~literal)
         status_parts.sort(key=lambda part: part.dag_size())
         return literal_parts + status_parts
-
-    def child_constraint(self, parent_bits: dict[int, bool]) -> BDD:
-        """Monolithic form of :meth:`child_constraint_parts` (small leans only)."""
-        constraint = self.encoding.manager.true()
-        for part in self.child_constraint_parts(parent_bits):
-            constraint = constraint & part
-        return constraint

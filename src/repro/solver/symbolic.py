@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 from repro.bdd.manager import BDD
 from repro.logic import syntax as sx
 from repro.logic.closure import Lean, lean as compute_lean
-from repro.logic.cyclefree import assert_cycle_free
 from repro.solver.governor import Budget, governor_for
+from repro.solver.models import reconstruct_counterexample
 from repro.solver.relations import LeanEncoding, TransitionRelation
 from repro.trees.binary import BinTree
 from repro.trees.unranked import Tree
@@ -60,9 +60,8 @@ class SolverStatistics:
     * ``peak_set_nodes`` — largest combined BDD size (in nodes) of the two
       proved-type sets ``U``/``M`` across iterations: the memory high-water
       mark of the fixpoint computation.
-    * ``product_calls`` / ``product_cache_hits`` — relational products
-      actually computed vs. answered from the per-target product cache of
-      :class:`repro.solver.relations.TransitionRelation`.
+    * ``product_calls`` — relational products computed by the two
+      :class:`repro.solver.relations.TransitionRelation` objects.
     * ``bdd_node_count`` / ``bdd_peak_node_count`` — live and peak nodes of
       the solver's BDD manager at the end of the run.
     * ``bdd_ite_calls`` / ``bdd_ite_cache_hits`` — ternary operations issued
@@ -79,7 +78,6 @@ class SolverStatistics:
     partitions_skipped: int = 0
     peak_set_nodes: int = 0
     product_calls: int = 0
-    product_cache_hits: int = 0
     bdd_node_count: int = 0
     bdd_peak_node_count: int = 0
     bdd_ite_calls: int = 0
@@ -95,7 +93,6 @@ class SolverStatistics:
             "partitions_skipped": self.partitions_skipped,
             "peak_set_nodes": self.peak_set_nodes,
             "product_calls": self.product_calls,
-            "product_cache_hits": self.product_cache_hits,
             "bdd_node_count": self.bdd_node_count,
             "bdd_peak_node_count": self.bdd_peak_node_count,
             "bdd_ite_calls": self.bdd_ite_calls,
@@ -136,47 +133,32 @@ class SolverResult:
 class SymbolicSolver:
     """BDD-based decision procedure for cycle-free closed Lµ formulas.
 
-    Parameters mirror the implementation choices discussed in Section 7 and
-    are exposed so the benchmarks can ablate them:
+    The algorithm is only correct for cycle-free formulas; the translations
+    of Section 8 produce nothing else, and
+    :func:`repro.logic.cyclefree.assert_cycle_free` checks an arbitrary one.
+    Every run uses the same implementation choices: partitioned ``∆ₐ``
+    relations with early quantification (Section 7.3), the ``x``-above-``y``
+    variable order of :class:`repro.solver.relations.LeanEncoding`, and the
+    two mark-tracking sets of Figure 16.
 
-    * ``early_quantification`` — conjunctive partitioning with early
-      quantification (Section 7.3); when False the relational product conjoins
-      everything before quantifying.
-    * ``monolithic_relation`` — build the full ``∆ₐ`` BDD up front instead of
-      keeping it partitioned.
-    * ``interleaved_order`` — interleave the unprimed/primed vectors in the
-      BDD variable order (Section 7.4).
-    * ``track_marks`` — maintain the two sets ``U``/``M`` enforcing that the
-      start mark occurs exactly once; switching this off reproduces the
-      unsound behaviour that motivates the four-case update of Figure 16.
-    * ``check_cycle_freeness`` — verify the input formula is cycle-free before
-      solving (the algorithm is only correct for cycle-free formulas).
-    * ``budget`` — optional :class:`repro.solver.governor.Budget` bounding
-      the run (wall-clock deadline, BDD kernel steps, fixpoint iterations,
-      Lean size).  Exhaustion raises :class:`repro.core.errors.
-      BudgetExceeded` with a structured reason; the governor is polled once
-      per fixpoint iteration and — via the BDD manager's kernel ticks — every
-      ~1024 kernel frames, so a deadline bites within milliseconds even
-      inside one enormous iteration.  The budget is
-      the only bound on the number of iterations: without one the loop runs
-      until the sets are stable, which always happens (they grow
-      monotonically in a finite lattice).
+    ``budget`` is an optional :class:`repro.solver.governor.Budget` bounding
+    the run (wall-clock deadline, BDD kernel steps, fixpoint iterations, Lean
+    size).  Exhaustion raises :class:`repro.core.errors.BudgetExceeded` with
+    a structured reason; the governor is polled once per fixpoint iteration
+    and — via the BDD manager's kernel ticks — every ~1024 kernel frames, so
+    a deadline bites within milliseconds even inside one enormous iteration.
+    The budget is the only bound on the number of iterations: without one
+    the loop runs until the sets are stable, which always happens (they grow
+    monotonically in a finite lattice).
     """
 
     formula: sx.Formula
-    early_quantification: bool = True
-    monolithic_relation: bool = False
-    interleaved_order: bool = True
-    track_marks: bool = True
-    check_cycle_freeness: bool = False
     budget: Budget | None = None
 
     _lean: Lean = field(init=False, repr=False)
     _plunged: sx.Formula = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.check_cycle_freeness:
-            assert_cycle_free(self.formula)
         self._plunged = sx.mu1(
             lambda x: self.formula | sx.dia(1, x) | sx.dia(2, x), prefix="Plunge"
         )
@@ -200,18 +182,10 @@ class SymbolicSolver:
             governor.check_lean(len(self._lean))
         start_translation = time.perf_counter()
 
-        encoding = LeanEncoding(self._lean, interleaved=self.interleaved_order)
+        encoding = LeanEncoding(self._lean)
         if governor is not None:
             encoding.manager.set_governor(governor)
-        relations = {
-            program: TransitionRelation(
-                encoding,
-                program,
-                early_quantification=self.early_quantification,
-                monolithic=self.monolithic_relation,
-            )
-            for program in (1, 2)
-        }
+        relations = {program: TransitionRelation(encoding, program) for program in (1, 2)}
         statistics.relation_partitions = sum(
             len(relation.partitions) for relation in relations.values()
         )
@@ -232,8 +206,7 @@ class SymbolicSolver:
         model: BinTree | None = None
 
         # Witness BDDs are recomputed only when the set they depend on
-        # actually changed in the previous iteration; together with the
-        # per-target product cache in TransitionRelation this removes the
+        # actually changed in the previous iteration, which removes the
         # redundant relational products the naive loop performs once one of
         # the two sets has stabilised.  Every recomputation is a full product
         # through the early-quantification schedule, whose persistent
@@ -253,41 +226,24 @@ class SymbolicSolver:
             statistics.iterations = iteration
             if governor is not None:
                 governor.check_iteration(iteration)
-            if self.track_marks:
-                if unmarked.node != unmarked_node_seen:
-                    witness_unmarked = {
-                        program: relations[program].witness(unmarked)
-                        for program in (1, 2)
-                    }
-                    unmarked_node_seen = unmarked.node
-                both_witnessed = witness_unmarked[1] & witness_unmarked[2]
-                new_unmarked = types_unmarked & both_witnessed
-                if marked.node != marked_node_seen:
-                    strict_marked = {
-                        program: relations[program].witness_strict(marked)
-                        for program in (1, 2)
-                    }
-                    marked_node_seen = marked.node
-                marked_here = start_literal & both_witnessed
-                marked_first = (
-                    not_start & strict_marked[1] & witness_unmarked[2]
-                )
-                marked_second = (
-                    not_start & witness_unmarked[1] & strict_marked[2]
-                )
-                new_marked = types & (marked_here | marked_first | marked_second)
-            else:
-                # Unsound shortcut kept for the ablation benchmark: a single
-                # set is maintained and the mark is treated as an ordinary
-                # proposition, so several marks (or none) may occur in a
-                # "model".  This is exactly what the four-case update of
-                # Figure 16 prevents.
-                new_unmarked = false
-                new_marked = (
-                    types
-                    & relations[1].witness(marked)
-                    & relations[2].witness(marked)
-                )
+            if unmarked.node != unmarked_node_seen:
+                witness_unmarked = {
+                    program: relations[program].witness(unmarked)
+                    for program in (1, 2)
+                }
+                unmarked_node_seen = unmarked.node
+            both_witnessed = witness_unmarked[1] & witness_unmarked[2]
+            new_unmarked = types_unmarked & both_witnessed
+            if marked.node != marked_node_seen:
+                strict_marked = {
+                    program: relations[program].witness_strict(marked)
+                    for program in (1, 2)
+                }
+                marked_node_seen = marked.node
+            marked_here = start_literal & both_witnessed
+            marked_first = not_start & strict_marked[1] & witness_unmarked[2]
+            marked_second = not_start & witness_unmarked[1] & strict_marked[2]
+            new_marked = types & (marked_here | marked_first | marked_second)
 
             # The update operator is monotone and the iteration starts from
             # ⊥, so the proved sets only grow: ``new_unmarked``/``new_marked``
@@ -303,21 +259,15 @@ class SymbolicSolver:
             success = marked & final_filter
             if not success.is_false:
                 satisfiable = True
-                if self.track_marks:
-                    from repro.solver.models import reconstruct_counterexample
-
-                    model = reconstruct_counterexample(
-                        encoding, relations, snapshots, success
-                    )
+                model = reconstruct_counterexample(
+                    encoding, relations, snapshots, success
+                )
                 break
             if not changed:
                 break
 
         statistics.solve_seconds = time.perf_counter() - start_solve
         statistics.product_calls = sum(r.product_calls for r in relations.values())
-        statistics.product_cache_hits = sum(
-            r.product_cache_hits for r in relations.values()
-        )
         statistics.partitions_skipped = sum(
             r.partitions_skipped for r in relations.values()
         )

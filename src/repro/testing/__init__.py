@@ -22,9 +22,9 @@ specifications that share no code with the BDD engine:
   compares both verdicts against the oracles, shrinks any disagreement,
   and serialises it into ``tests/corpus/`` for permanent
   replay by ``tests/test_corpus.py``;
-* :mod:`repro.testing.faults` — deterministic fault injection (worker
-  crashes, torn cache writes, expiring deadlines) behind ``repro fuzz
-  --chaos`` and the robustness test-suite.
+* ``faults`` — :mod:`repro.core.faults`, deterministic fault injection
+  (worker crashes, torn cache writes, expiring deadlines) behind ``repro
+  fuzz --chaos`` and the robustness test-suite.
 
 See ``docs/TESTING.md`` for the user-facing guide.
 """
@@ -55,7 +55,7 @@ from repro.testing.oracle import (
 )
 from repro.testing.shrink import shrink_case
 from repro.testing.corpus import FuzzCase, load_corpus, write_corpus_case
-from repro.testing import faults
+from repro.core import faults
 
 __all__ = [
     "Bounds",

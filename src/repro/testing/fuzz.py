@@ -18,7 +18,7 @@ governance* on every trial: a solve under a small seeded step budget must
 either agree with the unbudgeted reference verdict or surface as a
 structured :class:`~repro.core.errors.BudgetExceeded` (never a wrong verdict
 and never any other exception), and a solve with an injected deadline-expiry
-fault (:mod:`repro.testing.faults`) must raise
+fault (:mod:`repro.core.faults`) must raise
 ``BudgetExceeded(reason="deadline")`` — proving the governor's checkpoints
 are reachable on arbitrary generated formulas.
 
@@ -292,14 +292,14 @@ def _chaos_check(
       :class:`~repro.core.errors.BudgetExceeded` — a *different* verdict, or
       any other exception, is a disagreement like any oracle split;
     * a re-solve with an injected deadline expiry (the ``deadline`` fault
-      point of :mod:`repro.testing.faults`) must raise
+      point of :mod:`repro.core.faults`) must raise
       ``BudgetExceeded(reason="deadline")`` — every governed solve polls at
       its first fixpoint iteration, so a formula on which the fault never
       surfaces means a checkpoint went missing.
     """
     from repro.core.errors import BudgetExceeded
     from repro.solver.governor import Budget
-    from repro.testing import faults
+    from repro.core import faults
 
     outcome.chaos_checked = True
     rng = random.Random((outcome.index << 20) ^ outcome.lean_size)

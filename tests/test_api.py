@@ -318,9 +318,7 @@ def test_worker_options_rebuild_an_equivalent_analyzer(tmp_path):
     analyzer = StaticAnalyzer(
         cache_dir=str(tmp_path),
         prune_labels=False,
-        budget=Budget(max_steps=10**6),
-        max_lean=64,
-        degrade=True,
+        budget=Budget(max_steps=10**6, max_lean=64),
     )
     options = analyzer._options()
     assert options["budget"] == Budget(max_steps=10**6, max_lean=64)
@@ -339,11 +337,47 @@ def test_analyzer_has_no_engine_option():
     ["early_quantification", "monolithic_relation", "interleaved_order", "track_marks"],
 )
 def test_analyzer_has_no_solver_ablation_knobs(knob):
-    """The ablation knobs live on SymbolicSolver only: no analyzer runs the
-    solver in a non-default (or, with ``track_marks=False``, unsound) mode."""
+    """No analyzer option selects a solver configuration: the solver has
+    exactly one (with ``track_marks=False`` it used to be unsound)."""
     assert knob not in StaticAnalyzer()._options()
     with pytest.raises(TypeError, match=knob):
         StaticAnalyzer(**{knob: False})
+
+
+@pytest.mark.parametrize(
+    "build, keyword",
+    [
+        ("solver", "early_quantification"),
+        ("solver", "monolithic_relation"),
+        ("solver", "interleaved_order"),
+        ("solver", "track_marks"),
+        ("solver", "check_cycle_freeness"),
+        ("analyzer", "max_lean"),
+        ("analyzer", "degrade"),
+        ("relation", "early_quantification"),
+        ("relation", "monolithic"),
+        ("encoding", "interleaved"),
+    ],
+)
+def test_removed_configuration_keywords_raise_type_error(build, keyword):
+    """The solver has one configuration, and ``Budget(max_lean=...)`` is the
+    one spelling of a Lean bound: every removed keyword is a TypeError."""
+    from repro.logic import syntax as sx
+    from repro.logic.closure import lean as compute_lean
+    from repro.solver.relations import LeanEncoding, TransitionRelation
+    from repro.solver.symbolic import SymbolicSolver
+
+    formula = sx.prop("a") & sx.START
+    constructors = {
+        "solver": lambda **kw: SymbolicSolver(formula, **kw),
+        "analyzer": lambda **kw: StaticAnalyzer(**kw),
+        "relation": lambda **kw: TransitionRelation(
+            LeanEncoding(compute_lean(formula)), 1, **kw
+        ),
+        "encoding": lambda **kw: LeanEncoding(compute_lean(formula), **kw),
+    }
+    with pytest.raises(TypeError, match=keyword):
+        constructors[build](**{keyword: 1})
 
 
 def test_solve_many_workers_matches_sequential_order_and_verdicts():

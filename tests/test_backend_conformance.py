@@ -293,11 +293,11 @@ def test_psi_type_count_matches_enumeration():
 
 @pytest.mark.parametrize("method", ["witness", "witness_strict"])
 def test_witness_rejects_target_from_another_manager(method):
-    """The witness-product cache is keyed by node id, which only means
-    something inside the manager that made it: a target built on a second
-    encoding (hence a second manager) must be rejected, not silently looked
-    up by its id — by ``witness`` and by the mark-propagating
-    ``witness_strict`` alike, which share that cache."""
+    """The per-step ``and_exists`` memos are keyed by node id, which only
+    means something inside the manager that made it: a target built on a
+    second encoding (hence a second manager) must be rejected, not silently
+    looked up by its id — by ``witness`` and by the mark-propagating
+    ``witness_strict`` alike."""
     from repro.logic import syntax as sx
     from repro.logic.closure import lean as compute_lean
     from repro.solver.relations import LeanEncoding, TransitionRelation
@@ -314,7 +314,6 @@ def test_witness_rejects_target_from_another_manager(method):
     with pytest.raises(ValueError, match="different BDD manager"):
         witness(foreign.types_constraint())
     assert relation.product_calls == 1
-    assert relation.product_cache_hits == 0
-    # The target's own manager still gets the cached product.
+    # The target's own manager still gets its product.
     witness(encoding.types_constraint())
-    assert (relation.product_calls, relation.product_cache_hits) == (1, 1)
+    assert relation.product_calls == 2

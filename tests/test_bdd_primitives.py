@@ -108,9 +108,10 @@ def test_node_count_statistics(manager):
     assert set(payload) >= {"ite_calls", "ite_cache_hits", "neg_calls"}
 
 
-def test_child_constraint_matches_its_partitioned_form():
-    # The monolithic wrapper must agree with the partitioned constraint the
-    # model reconstruction consumes.
+def test_child_constraint_parts_mention_only_unprimed_variables():
+    # Model reconstruction conjoins these parts into the solver's sets, which
+    # are BDDs over x only; that is why the placement of the y vector in the
+    # variable order cannot move a witness.
     from repro.logic import syntax as sx
     from repro.logic.closure import lean as compute_lean
     from repro.solver.relations import LeanEncoding, TransitionRelation
@@ -123,12 +124,11 @@ def test_child_constraint_matches_its_partitioned_form():
         encoding.top_index(1): True,
         encoding.lean.position(sx.dia(1, sx.prop("b"))): True,
     }
-    monolithic = relation.child_constraint(bits)
-    rebuilt = encoding.manager.true()
+    conjunction = encoding.manager.true()
     for part in relation.child_constraint_parts(bits):
-        rebuilt = rebuilt & part
-    assert monolithic == rebuilt
-    assert not monolithic.is_false
+        assert set(part.support()) <= set(encoding.x_names)
+        conjunction = conjunction & part
+    assert not conjunction.is_false
 
 
 def test_rename_fast_path_used_for_order_preserving_maps():

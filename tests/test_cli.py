@@ -74,6 +74,36 @@ def test_parser_rejects_backend_option(command, capsys):
     assert "unrecognized arguments: --backend dict" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["analyze", "audit", "serve"])
+def test_parser_rejects_degrade_option(command, capsys):
+    """The explicit-solver fallback is gone: ``--degrade`` is a usage error."""
+    argv = ENGINE_FREE_COMMANDS[command]
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args([*argv, "--degrade"])
+    assert excinfo.value.code == EXIT_USAGE
+    assert "unrecognized arguments: --degrade" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--deadline", "nan"),
+        ("--deadline", "inf"),
+        ("--deadline", "0"),
+        ("--max-steps", "-5"),
+        ("--max-iterations", "0"),
+        ("--max-lean", "2.7"),
+    ],
+)
+def test_parser_rejects_invalid_budget_flags(flag, value, capsys):
+    """A NaN deadline would silently disable the limit, and a non-positive
+    count would make every solve unknown: both are usage errors."""
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(["serve", flag, value])
+    assert excinfo.value.code == EXIT_USAGE
+    assert f"argument {flag}" in capsys.readouterr().err
+
+
 def test_parser_rejects_unknown_subcommand(capsys):
     with pytest.raises(SystemExit) as excinfo:
         build_parser().parse_args(["frobnicate"])

@@ -43,7 +43,7 @@ from repro.cli.analyze import EXIT_ANALYSIS_ERROR, EXIT_OK, EXIT_UNKNOWN
 from repro.cli.serve import serve
 from repro.core.errors import BUDGET_REASONS, BudgetExceeded
 from repro.solver.governor import Budget, ResourceGovernor, governor_for
-from repro.testing import faults
+from repro.core import faults
 
 #: A containment whose full solve is effectively unbounded (the scaling
 #: family of docs/BENCHMARKS.md at depth 14): ``a1/a2[b2]/.../a14[b14]``
@@ -84,6 +84,36 @@ def test_budget_merged_with_tightens_field_by_field():
     merged = analyzer_wide.merged_with(per_request)
     assert merged == Budget(deadline_seconds=10.0, max_steps=50, max_lean=30)
     assert analyzer_wide.merged_with(None) == analyzer_wide
+
+
+def test_budget_merged_with_never_loosens():
+    service = Budget(deadline_seconds=2.0, max_steps=100, max_iterations=3, max_lean=5)
+    looser = Budget(
+        deadline_seconds=3600.0, max_steps=10**9, max_iterations=10**6, max_lean=100_000
+    )
+    assert service.merged_with(looser) == service
+    assert looser.merged_with(service) == service
+
+
+@pytest.mark.parametrize(
+    "field", ["deadline_seconds", "max_steps", "max_iterations", "max_lean"]
+)
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "true", "false", '"5"'])
+def test_budget_rejects_non_finite_and_boolean_fields(field, text):
+    # json.loads accepts NaN and Infinity; NaN compares false with every
+    # bound, so accepting it would silently lift the limit.
+    payload = json.loads(f'{{"{field}": {text}}}')
+    with pytest.raises(ValueError, match=field):
+        Budget.from_dict(payload)
+    with pytest.raises(ValueError, match=field):
+        Budget(**payload)
+
+
+@pytest.mark.parametrize("field", ["max_steps", "max_iterations", "max_lean"])
+def test_budget_from_dict_rejects_fractional_counts(field):
+    with pytest.raises(ValueError, match=f"{field} must be a whole number"):
+        Budget.from_dict({field: 2.7})
+    assert getattr(Budget.from_dict({field: 3.0}), field) == 3
 
 
 def test_governor_for_returns_none_when_unlimited():
@@ -184,9 +214,14 @@ def test_max_lean_gate_refuses_before_solving():
 
 def test_analyzer_wide_budget_merges_with_per_call_budget():
     analyzer = StaticAnalyzer(budget=Budget(max_lean=5))
-    # The per-call budget relaxes the lean gate; the solve then completes.
+    # A per-call budget cannot relax the analyzer-wide lean gate ...
     outcome = analyzer.solve(Query.satisfiability("a/b"), Budget(max_lean=10_000))
-    assert outcome.definite and outcome.satisfiable is True
+    assert outcome.unknown and outcome.budget_reason == "lean"
+    assert outcome.statistics["budget"]["limit"] == 5
+    # ... but it tightens the fields the analyzer leaves open.
+    roomy = StaticAnalyzer(budget=Budget(max_lean=10_000))
+    outcome = roomy.solve(Query.containment("a/b", "a//b"), Budget(max_steps=1))
+    assert outcome.unknown and outcome.budget_reason == "steps"
 
 
 def test_error_outcomes_carry_error_status():
@@ -233,36 +268,10 @@ def test_pathological_query_trips_deadline():
     assert elapsed < 10.0, f"deadline trip took {elapsed:.1f}s"
 
 
-# ---------------------------------------------------------------------------
-# Graceful degradation to the bounded explicit solver
-# ---------------------------------------------------------------------------
-
-
-def test_degradation_rescues_small_instances():
-    analyzer = StaticAnalyzer(degrade=True)
-    outcome = analyzer.solve(Query.satisfiability("a"), Budget(max_steps=1))
-    assert outcome.definite and outcome.satisfiable is True
-    assert outcome.statistics["degraded"] is True
-    assert outcome.counterexample is not None
-    # The degraded verdict is definite, so it enters the cache like any other.
-    replay = analyzer.solve(Query.satisfiability("a"), Budget(max_steps=1))
-    assert replay.definite and replay.from_cache
-
-
-def test_degradation_declines_large_instances():
-    # "a/b" estimates 6144 psi-types > DEGRADE_MAX_TYPES: the fallback would
-    # cost seconds, so the analyzer stays honest and reports unknown.
-    analyzer = StaticAnalyzer(degrade=True)
-    outcome = analyzer.solve(Query.satisfiability("a/b"), Budget(max_steps=1))
-    assert outcome.unknown and outcome.budget_reason == "steps"
-
-
-def test_degradation_never_engages_for_worker_crash():
-    # worker-crash unknowns mean the query kills processes; re-running it
-    # in-process via the explicit solver would be reckless.
-    analyzer = StaticAnalyzer(degrade=True)
-    outcome = analyzer._crash_outcome(Query.satisfiability("a"))
+def test_crash_outcome_is_a_worker_crash_unknown():
+    outcome = StaticAnalyzer()._crash_outcome(Query.satisfiability("a"))
     assert outcome.unknown and outcome.budget_reason == "worker-crash"
+    assert outcome.holds is None and outcome.counterexample is None
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +399,31 @@ def test_wire_budget_from_dict():
         wire.budget_from_dict({"budget": {"max_steps": -1}})
 
 
+@pytest.mark.parametrize(
+    "budget_text, field",
+    [
+        ('{"deadline_seconds": NaN}', "deadline_seconds"),
+        ('{"deadline_seconds": Infinity}', "deadline_seconds"),
+        ('{"max_steps": true}', "max_steps"),
+        ('{"max_iterations": 2.7}', "max_iterations"),
+        ('{"max_lean": Infinity}', "max_lean"),
+        # Too large for a float: this used to end the serve loop.
+        ('{"deadline_seconds": 1%s}' % ("0" * 400), "deadline_seconds"),
+    ],
+    ids=["nan", "infinity", "bool", "fraction", "lean-infinity", "overflow"],
+)
+def test_wire_rejects_non_finite_boolean_and_fractional_budgets(budget_text, field):
+    line = '{"id": 7, "kind": "satisfiability", "exprs": ["a"], "budget": %s}' % budget_text
+    with pytest.raises(wire.WireError, match=f"invalid budget: budget field {field}"):
+        wire.budget_from_dict(json.loads(line))
+    output = io.StringIO()
+    assert serve(io.StringIO(line + '\n{"op": "ping"}\n'), output) == 0
+    response, ping = [json.loads(text) for text in output.getvalue().splitlines()]
+    assert response["id"] == 7 and response["ok"] is False
+    assert field in response["error"]["message"]
+    assert ping == {"ok": True, "op": "ping"}
+
+
 def test_analyze_cli_budget_exit_code_three(capsys):
     code = main(["analyze", "a/b", "a//b", "--max-steps", "1"])
     document = json.loads(capsys.readouterr().out)
@@ -501,6 +535,34 @@ def test_serve_analyzer_wide_budget():
         budget=Budget(max_steps=1),
     )
     assert responses[0]["outcome"]["verdict_status"] == "unknown"
+
+
+@pytest.mark.parametrize(
+    "flags, request_budget, exprs, reason, limit",
+    [
+        (["--max-lean", "5"], {"max_lean": 100_000}, ["a/b[c]//d"], "lean", 5),
+        (["--deadline", "1"], {"deadline_seconds": 3600},
+         [PATHOLOGICAL, PATHOLOGICAL_SUPERSET], "deadline", 1.0),
+    ],
+    ids=["max-lean", "deadline"],
+)
+def test_serve_per_request_budget_cannot_loosen_the_service_budget(
+    flags, request_budget, exprs, reason, limit, monkeypatch, capsys
+):
+    """``repro serve --max-lean 5`` refuses ``a/b[c]//d``, and ``--deadline
+    1`` gives up on the pathological containment; a request asking for a
+    looser budget is answered the same way."""
+    kind = "satisfiability" if len(exprs) == 1 else "containment"
+    request = {"id": 1, "kind": kind, "exprs": exprs, "budget": request_budget}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(request) + "\n"))
+    started = time.perf_counter()
+    assert main(["serve", *flags]) == 0
+    assert time.perf_counter() - started < 30.0
+    [response] = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    outcome = response["outcome"]
+    assert outcome["verdict_status"] == "unknown", outcome
+    assert outcome["budget_reason"] == reason
+    assert outcome["statistics"]["budget"]["limit"] == limit
 
 
 def test_serve_parallel_survives_poison_request(monkeypatch):

@@ -1,0 +1,51 @@
+"""Byte-level pin of serialized witnesses.
+
+No optimisation or deletion may change a serialized witness.  This test
+solves the satisfiable problems of the serve-stream benchmark pool that solve
+in well under a second (``cold_solve_s < 0.1`` in
+``perfbench/reference/serve-stream.json``, which is only read here) and pins
+the SHA-256 digest of their verdicts and witnesses, in pool order.  The set
+covers every query kind except equivalence, over untyped problems, the
+wikipedia, smil and xhtml-core schemas, ``rooted:`` types and inline DTDs.
+
+A change that moves a witness — a different variable order, another model
+pick, a different lifting — changes the digest.  When such a change is
+intended, the new digest must be recorded together with the reason.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+from repro.api import StaticAnalyzer
+from repro.cli import wire
+
+REFERENCE = (
+    Path(__file__).resolve().parent.parent
+    / "perfbench" / "reference" / "serve-stream.json"
+)
+
+PINNED_PROBLEMS = 44
+PINNED_DIGEST = "827b697c090f130e1043ba9913d279331c9a5cb6ebc0ae4eb019274413870f0b"
+
+
+def _pinned_requests() -> list[dict]:
+    pool = json.loads(REFERENCE.read_text(encoding="utf-8"))["pool"]
+    return [
+        entry["request"]
+        for entry in pool
+        if entry["expected"]["satisfiable"] and entry["cold_solve_s"] < 0.1
+    ]
+
+
+def test_serialized_witnesses_are_byte_identical():
+    requests = _pinned_requests()
+    assert len(requests) == PINNED_PROBLEMS
+    answers = []
+    for request in requests:
+        outcome = StaticAnalyzer().solve(wire.query_from_dict(request, {}))
+        assert outcome.definite and outcome.satisfiable, request
+        assert outcome.counterexample is not None, request
+        answers.append([outcome.holds, outcome.counterexample])
+    payload = json.dumps(answers, ensure_ascii=False).encode("utf-8")
+    assert hashlib.sha256(payload).hexdigest() == PINNED_DIGEST
