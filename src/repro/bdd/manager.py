@@ -16,10 +16,13 @@ Operation caching follows the classical computed-table design [Brace, Rudell &
 Bryant, DAC'90]: every :meth:`BDDManager.ite` call is normalised to a
 *canonical* triple first (constant-argument simplifications, then argument
 swaps for the commutative ``∧``/``∨`` shapes), so equivalent calls share one
-cache entry.  Negation has a dedicated two-way cache, and the renaming used
-for the solver's primed/unprimed vectors takes a linear structural fast path
-whenever the mapping preserves the variable order.  :meth:`BDDManager.statistics`
-exposes the node-table and cache counters the benchmarks report.
+cache entry.  Conjunction and disjunction run a binary kernel of their own
+that reads and writes that one table under the same canonical keys.
+Negation has a dedicated two-way cache, and renaming is one bottom-up pass
+that composes through ``ite`` only the nodes whose new level would not lie
+above their children (none, for the solver's primed/unprimed vector
+renames).  :meth:`BDDManager.statistics` exposes the node-table and cache
+counters the benchmarks report.
 
 The :class:`BDD` wrapper pairs a node id with its manager and provides
 operator overloading (``&``, ``|``, ``~``, ...) so client code reads like the
@@ -32,6 +35,11 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
+#: How a quantification treats each level (see ``BDDManager._quantification``):
+#: kept, quantified, or below every quantified level, where nothing is left
+#: to quantify.
+_FREE, _QUANTIFIED, _BELOW = 0, 1, 2
+
 
 @dataclass
 class BDDStatistics:
@@ -40,12 +48,15 @@ class BDDStatistics:
     * ``var_count`` / ``node_count`` — declared variables and internal nodes
       (terminals excluded); ``peak_node_count`` is the largest the table has
       ever been, which is ``node_count`` itself because the table only grows.
-    * ``ite_calls`` / ``ite_cache_hits`` — top-level *and* recursive ternary
-      operations, and how many were answered from the computed table.
+    * ``ite_calls`` / ``ite_cache_hits`` — top-level *and* recursive frames
+      of the ternary ITE and of the binary ``∧``/``∨`` kernel (one frame of
+      ``a ∧ b`` counts as the ``ite(a, b, 0)`` frame it stands for), and
+      how many were answered from the computed table.
     * ``neg_calls`` / ``neg_cache_hits`` — negations and negation-cache hits
       (the cache stores both directions, so ``¬¬f`` is always a hit).
-    * ``rename_fast_paths`` — renamings that took the linear structural path
-      because the mapping preserved the variable order.
+    * ``rename_fast_paths`` — renamings that composed nothing through
+      ``ite``: every node was relabelled in place, as under a mapping that
+      preserves the variable order.
     * ``cache_entries`` — total entries across every operation cache.
     """
 
@@ -76,8 +87,10 @@ class BDDManager:
         self._unique: dict[tuple[int, int, int], int] = {}
         self._ite_cache: dict[tuple[int, int, int], int] = {}
         self._neg_cache: dict[int, int] = {}
-        self._quant_cache: dict[tuple, int] = {}
-        self._rename_cache: dict[tuple, int] = {}
+        # Per quantified level set: the level modes and the shared ∃ memo.
+        self._quant_cache: dict[frozenset[int], tuple[list[int], dict[int, int]]] = {}
+        # Per mapping: renamed node ids.
+        self._rename_cache: dict[tuple, dict[int, int]] = {}
         self._restrict_cache: dict[tuple, int] = {}
         self._var_names: list[str] = []
         self._var_levels: dict[str, int] = {}
@@ -102,6 +115,8 @@ class BDDManager:
         level = len(self._var_names)
         self._var_names.append(name)
         self._var_levels[name] = level
+        # The level modes of a quantification cover the declared levels only.
+        self._quant_cache.clear()
         return level
 
     @property
@@ -137,8 +152,8 @@ class BDDManager:
             cache_entries=(
                 len(self._ite_cache)
                 + len(self._neg_cache)
-                + len(self._quant_cache)
-                + len(self._rename_cache)
+                + sum(len(memo) for _mode, memo in self._quant_cache.values())
+                + sum(len(memo) for memo in self._rename_cache.values())
                 + len(self._restrict_cache)
             ),
         )
@@ -146,9 +161,11 @@ class BDDManager:
     def set_governor(self, governor: object | None) -> None:
         """Attach (or detach, with ``None``) a cooperative resource governor.
 
-        While attached, every ``ite``/``exists``/``and_exists`` kernel frame
+        While attached, every *expanded* kernel frame — a computed-table or
+        memo miss of ``ite``, ``∧``/``∨``, ``exists`` or ``and_exists`` —
         calls ``governor.tick()`` (see :class:`repro.solver.governor.
-        ResourceGovernor`), which may raise ``BudgetExceeded``.  A raise
+        ResourceGovernor`), which may raise ``BudgetExceeded``.  Terminal and
+        memoised frames do no work and are not counted.  A raise
         mid-operation leaves the node table and caches consistent (partial
         results are hash-consed nodes like any other, and every id already
         returned stays valid), so the manager stays usable afterwards.
@@ -202,10 +219,12 @@ class BDDManager:
     def _ite_key(cond: int, then: int, other: int) -> tuple[int, int, int]:
         """Canonical computed-table key for a non-terminal ITE triple.
 
-        The two commutative shapes are normalised so the smaller operand id
-        comes first: ``ite(f, 1, h) = f ∨ h = ite(h, 1, f)`` and
-        ``ite(f, g, 0) = f ∧ g = ite(g, f, 0)``.  Conjunction and disjunction
-        issued with swapped operands therefore share one cache entry.
+        The two commutative shapes are normalised so the larger operand id
+        comes first: ``ite(f, 1, h) = f ∨ h = ite(h, 1, f)`` is keyed
+        ``(max, 1, min)`` and ``ite(f, g, 0) = f ∧ g = ite(g, f, 0)`` is keyed
+        ``(max, min, 0)``.  Conjunction and disjunction issued with swapped
+        operands therefore share one cache entry, and :meth:`_apply` reads
+        and writes the same keys.
         """
         if then == BDDManager.TRUE and other > cond:
             return (other, BDDManager.TRUE, cond)
@@ -233,8 +252,6 @@ class BDDManager:
             if task[0] == CALL:
                 _tag, f, g, h = task
                 self._ite_calls += 1
-                if governor is not None:
-                    governor.tick()
                 # Redundant-argument simplifications: ite(f, f, h) = ite(f, 1, h)
                 # and ite(f, g, f) = ite(f, g, 0).
                 if g == f:
@@ -251,6 +268,8 @@ class BDDManager:
                     self._ite_hits += 1
                     values.append(cached)
                     continue
+                if governor is not None:
+                    governor.tick()
                 f, g, h = key
                 f_level = nodes[f][0] if f > 1 else terminal_level
                 g_level = nodes[g][0] if g > 1 else terminal_level
@@ -318,10 +337,87 @@ class BDDManager:
         return cache[node]
 
     def conj(self, a: int, b: int) -> int:
-        return self.ite(a, b, self.FALSE)
+        return self._apply(a, b, True)
 
     def disj(self, a: int, b: int) -> int:
-        return self.ite(a, self.TRUE, b)
+        return self._apply(a, b, False)
+
+    def _apply(self, f: int, g: int, conjunction: bool) -> int:
+        """``f ∧ g`` (``conjunction``) or ``f ∨ g``: the binary AND/OR kernel.
+
+        Frame for frame this is ``ite(f, g, 0)`` or ``ite(f, 1, g)``: the
+        same terminal cases, the same canonical keys in the one computed
+        table (``(max, min, 0)`` for ∧, ``(max, 1, min)`` for ∨), the same
+        low-then-high expansion and so the same nodes in the same order, and
+        each frame counts as one ITE call.  Only the ternary dispatch is
+        gone.  An operand pair is settled (terminal case or table hit) as
+        soon as it arises, and the explicit stack holds only expanded
+        frames, so deep operands never meet the Python recursion limit.
+        """
+        absorbing = self.FALSE if conjunction else self.TRUE
+        identity = absorbing ^ 1
+        nodes = self._nodes
+        unique = self._unique
+        table = self._ite_cache
+        governor = self._governor
+        # Expanded frames ``[key, level, f_high, g_high, low]``; ``low`` is
+        # -1 until the low cofactor is known.
+        pending: list[list] = []
+        calls = hits = 0
+        try:
+            while True:
+                calls += 1
+                if f > 1 and g > 1 and f != g:
+                    if f < g:
+                        f, g = g, f
+                    key = (f, g, 0) if conjunction else (f, 1, g)
+                    value = table.get(key)
+                    if value is None:
+                        if governor is not None:
+                            governor.tick()
+                        f_level, f_low, f_high = nodes[f]
+                        g_level, g_low, g_high = nodes[g]
+                        if f_level < g_level:
+                            level = f_level
+                            g_low = g_high = g
+                        elif g_level < f_level:
+                            level = g_level
+                            f_low = f_high = f
+                        else:
+                            level = f_level
+                        pending.append([key, level, f_high, g_high, -1])
+                        f, g = f_low, g_low
+                        continue
+                    hits += 1
+                elif f == g or g == identity:
+                    value = f
+                elif f == identity:
+                    value = g
+                else:
+                    value = absorbing
+                # ``value`` answers the innermost open cofactor.
+                while pending:
+                    frame = pending[-1]
+                    if frame[4] < 0:
+                        frame[4] = value
+                        f, g = frame[2], frame[3]
+                        break
+                    pending.pop()
+                    key, level, _f_high, _g_high, low = frame
+                    if low != value:
+                        triple = (level, low, value)
+                        node = unique.get(triple)
+                        if node is None:
+                            node = len(nodes)
+                            nodes.append(triple)
+                            unique[triple] = node
+                        value = node
+                    table[key] = value
+                else:
+                    return value
+        finally:
+            self._ite_calls += calls
+            self._ite_hits += hits
 
     def xor(self, a: int, b: int) -> int:
         return self.ite(a, self.neg(b), b)
@@ -352,33 +448,60 @@ class BDDManager:
 
     def exists(self, node: int, names: Iterable[str]) -> int:
         """Existential quantification over the given variables."""
+        quantification = self._quantification(names)
+        if quantification is None:
+            return node
+        return self._exists(node, *quantification)
+
+    def _quantification(
+        self, names: Iterable[str]
+    ) -> tuple[list[int], dict[int, int]] | None:
+        """``(mode, memo)`` for quantifying ``names``; ``None`` if there are none.
+
+        ``mode[level]`` is ``_QUANTIFIED``, ``_FREE``, or ``_BELOW`` for a
+        level under every quantified one.  ``memo`` is the ``∃`` memo that
+        every ``exists`` and ``and_exists`` over the same levels shares.
+        Both are built once per set of levels.
+        """
         levels = frozenset(self._var_levels[name] for name in names)
         if not levels:
-            return node
-        return self._exists(node, levels, cache_tag=("exists", levels))
+            return None
+        entry = self._quant_cache.get(levels)
+        if entry is None:
+            last = max(levels)
+            mode = [_FREE] * last + [_BELOW] * (len(self._var_names) - last)
+            for level in levels:
+                mode[level] = _QUANTIFIED
+            entry = self._quant_cache[levels] = (mode, {})
+        return entry
 
-    def _exists(self, node: int, levels: frozenset[int], cache_tag: tuple) -> int:
+    def _exists(self, node: int, mode: list[int], memo: dict[int, int]) -> int:
+        """``∃`` over the levels ``mode`` quantifies, memoised in ``memo``.
+
+        Each frame descends one level, so the recursion depth is bounded by
+        the variable count.
+        """
         if node <= 1:
             return node
+        level, low, high = self._nodes[node]
+        kind = mode[level]
+        if kind == _BELOW:
+            return node
+        result = memo.get(node)
+        if result is not None:
+            return result
         if self._governor is not None:
             self._governor.tick()
-        level, low, high = self._nodes[node]
-        if level > max(levels):
-            return node
-        key = (cache_tag, node)
-        cached = self._quant_cache.get(key)
-        if cached is not None:
-            return cached
-        low_result = self._exists(low, levels, cache_tag)
-        if level in levels:
+        low = self._exists(low, mode, memo)
+        if kind == _QUANTIFIED:
             # ∃v . f = f|v=0 ∨ f|v=1 — already ⊤ once either cofactor is.
-            if low_result == self.TRUE:
+            if low == self.TRUE:
                 result = self.TRUE
             else:
-                result = self.disj(low_result, self._exists(high, levels, cache_tag))
+                result = self._apply(low, self._exists(high, mode, memo), False)
         else:
-            result = self._mk(level, low_result, self._exists(high, levels, cache_tag))
-        self._quant_cache[key] = result
+            result = self._mk(level, low, self._exists(high, mode, memo))
+        memo[node] = result
         return result
 
     def forall(self, node: int, names: Iterable[str]) -> int:
@@ -406,38 +529,43 @@ class BDDManager:
         later products recurse into subproblems earlier products already
         solved.
         """
-        levels = frozenset(self._var_levels[name] for name in names)
-        if not levels:
+        quantification = self._quantification(names)
+        if quantification is None:
             return self.conj(a, b)
-        return self._and_exists(a, b, levels, cache if cache is not None else {})
+        mode, exists_memo = quantification
+        if a == self.FALSE or b == self.FALSE:
+            return self.FALSE
+        if a == self.TRUE:
+            return self._exists(b, mode, exists_memo)
+        if b == self.TRUE:
+            return self._exists(a, mode, exists_memo)
+        memo = cache if cache is not None else {}
+        key = (a, b) if a < b else (b, a)
+        result = memo.get(key)
+        if result is None:
+            result = self._and_exists(key, mode, memo, exists_memo)
+        return result
 
     def _and_exists(
-        self, a: int, b: int, levels: frozenset[int], cache: dict[tuple[int, int], int]
+        self,
+        key: tuple[int, int],
+        mode: list[int],
+        memo: dict[tuple[int, int], int],
+        exists_memo: dict[int, int],
     ) -> int:
-        """Recursive core of :meth:`and_exists`.
+        """Expand the memo miss ``key = (a, b)``, two internal nodes ``a <= b``.
 
-        Recursion depth is bounded by the variable count (once per level), so
-        the C stack is safe; an algebraic short-circuit prunes whole
-        branches: when the split level is quantified, ``∃v . f = f|₀ ∨ f|₁``
-        is already ``⊤`` once the low branch is — the high branch is never
-        computed.
+        Each cofactor pair is settled before any recursion: a ``⊥`` operand
+        answers ``⊥``, a ``⊤`` operand hands the other to :meth:`_exists`,
+        and a memoised pair answers from ``memo``; only a miss recurses, one
+        level down, so the depth is bounded by the variable count.  When the
+        split level is quantified, ``∃v . f = f|₀ ∨ f|₁`` is already ``⊤``
+        once the low branch is, and the high branch is never computed.
         """
-        FALSE, TRUE = self.FALSE, self.TRUE
-        if a == FALSE or b == FALSE:
-            return FALSE
-        if a == TRUE and b == TRUE:
-            return TRUE
         if self._governor is not None:
             self._governor.tick()
-        if a == TRUE or b == TRUE:
-            node = b if a == TRUE else a
-            return self._exists(node, levels, cache_tag=("exists", levels))
-        if a > b:
-            a, b = b, a
-        key = (a, b)
-        cached = cache.get(key)
-        if cached is not None:
-            return cached
+        # The terminals are the node ids 0 (⊥) and 1 (⊤).
+        a, b = key
         nodes = self._nodes
         a_level, a_low, a_high = nodes[a]
         b_level, b_low, b_high = nodes[b]
@@ -449,113 +577,100 @@ class BDDManager:
             a_low = a_high = a
         else:
             level = a_level
-        quantified = level in levels
-        low = self._and_exists(a_low, b_low, levels, cache)
-        if quantified and low == TRUE:
-            result = TRUE
+        if a_low > 1 and b_low > 1:
+            pair = (a_low, b_low) if a_low < b_low else (b_low, a_low)
+            low = memo.get(pair)
+            if low is None:
+                low = self._and_exists(pair, mode, memo, exists_memo)
+        elif a_low == 0 or b_low == 0:
+            low = 0
         else:
-            high = self._and_exists(a_high, b_high, levels, cache)
+            other = b_low if a_low == 1 else a_low
+            low = self._exists(other, mode, exists_memo)
+        quantified = mode[level] == _QUANTIFIED
+        if quantified and low == 1:
+            result = 1
+        else:
+            if a_high > 1 and b_high > 1:
+                pair = (a_high, b_high) if a_high < b_high else (b_high, a_high)
+                high = memo.get(pair)
+                if high is None:
+                    high = self._and_exists(pair, mode, memo, exists_memo)
+            elif a_high == 0 or b_high == 0:
+                high = 0
+            else:
+                other = b_high if a_high == 1 else a_high
+                high = self._exists(other, mode, exists_memo)
             if quantified:
-                result = self.disj(low, high)
+                result = self._apply(low, high, False)
             elif low == high:
                 result = low
             else:
-                result = self._mk(level, low, high)
-        cache[key] = result
+                triple = (level, low, high)
+                result = self._unique.get(triple)
+                if result is None:
+                    result = len(nodes)
+                    nodes.append(triple)
+                    self._unique[triple] = result
+        memo[key] = result
         return result
-
-    def _cofactors(self, node: int, level: int) -> tuple[int, int]:
-        if node <= 1 or self._nodes[node][0] != level:
-            return node, node
-        _lvl, low, high = self._nodes[node]
-        return low, high
 
     # -- substitution / renaming ----------------------------------------------
 
     def rename(self, node: int, mapping: Mapping[str, str]) -> int:
         """Rename variables according to ``mapping`` (old name -> new name).
 
-        When the mapping preserves the relative order of the variables that
-        actually occur in ``node`` (as the solver's x-to-y vector renames
-        do), the result is built by a linear structural pass.  Otherwise the
-        general (and much slower) composition with fresh literals through
-        ``ite`` is used, which is correct for any mapping.  Results are
-        memoised per ``(node, mapping)``.
+        One iterative bottom-up pass rebuilds the function.  A node whose new
+        level lies strictly above the top levels of both renamed children is
+        relabelled in place; any other is composed with its new literal
+        through ``ite``.  That is correct for every mapping, needs no support
+        walk first, and composes nothing when the mapping keeps the order of
+        the variables on every path, as the solver's x-to-y vector renames
+        do (``rename_fast_paths`` counts those renames).  Renamed nodes are
+        memoised per mapping, so a function that shares nodes with one
+        renamed before (the fixpoint's growing sets) walks only its new part.
         """
         if node <= 1 or not mapping:
             return node
         items = tuple(sorted(mapping.items()))
-        memo_key = (node, items)
-        memoised = self._rename_cache.get(memo_key)
-        if memoised is not None:
-            return memoised
+        renamed = self._rename_cache.get(items)
+        if renamed is None:
+            renamed = {self.FALSE: self.FALSE, self.TRUE: self.TRUE}
+            self._rename_cache[items] = renamed
+        result = renamed.get(node)
+        if result is not None:
+            return result
         level_map = {
             self._var_levels[old]: self._var_levels[new] for old, new in mapping.items()
         }
-        support = self._support_levels(node)
-        images = [level_map.get(level, level) for level in sorted(support)]
-        monotone = all(a < b for a, b in zip(images, images[1:]))
-        if monotone:
-            self._rename_fast += 1
-            result = self._rename_structural(node, level_map)
-        else:
-            result = self._rename_general(node, level_map)
-        self._rename_cache[memo_key] = result
-        return result
-
-    def _support_levels(self, node: int) -> set[int]:
-        seen: set[int] = set()
-        levels: set[int] = set()
-        stack = [node]
-        while stack:
-            current = stack.pop()
-            if current <= 1 or current in seen:
-                continue
-            seen.add(current)
-            level, low, high = self._nodes[current]
-            levels.add(level)
-            stack.append(low)
-            stack.append(high)
-        return levels
-
-    def _rename_structural(self, node: int, level_map: Mapping[int, int]) -> int:
-        """Order-preserving rename: rebuild bottom-up, relabelling levels."""
-        cache: dict[int, int] = {}
         nodes = self._nodes
+        terminal_level = len(self._var_names)
+        composed = False
         stack = [node]
         while stack:
             current = stack[-1]
-            if current <= 1 or current in cache:
-                stack.pop()
-                continue
             level, low, high = nodes[current]
-            missing = [c for c in (high, low) if c > 1 and c not in cache]
-            if missing:
-                stack.extend(missing)
+            new_low = renamed.get(low)
+            if new_low is None:
+                stack.append(low)
+                continue
+            new_high = renamed.get(high)
+            if new_high is None:
+                stack.append(high)
                 continue
             stack.pop()
-            new_low = low if low <= 1 else cache[low]
-            new_high = high if high <= 1 else cache[high]
-            cache[current] = self._mk(level_map.get(level, level), new_low, new_high)
-        return node if node <= 1 else cache[node]
-
-    def _rename_general(self, node: int, level_map: Mapping[int, int]) -> int:
-        cache: dict[int, int] = {}
-
-        def go(current: int) -> int:
-            if current <= 1:
-                return current
-            cached = cache.get(current)
-            if cached is not None:
-                return cached
-            level, low, high = self._nodes[current]
             new_level = level_map.get(level, level)
-            literal = self._mk(new_level, self.FALSE, self.TRUE)
-            result = self.ite(literal, go(high), go(low))
-            cache[current] = result
-            return result
-
-        return go(node)
+            if new_level < (nodes[new_low][0] if new_low > 1 else terminal_level) and (
+                new_level < (nodes[new_high][0] if new_high > 1 else terminal_level)
+            ):
+                renamed[current] = self._mk(new_level, new_low, new_high)
+            else:
+                composed = True
+                literal = self._mk(new_level, self.FALSE, self.TRUE)
+                renamed[current] = self.ite(literal, new_high, new_low)
+        if not composed:
+            self._rename_fast += 1
+        return renamed[node]
 
     def restrict(self, node: int, assignment: Mapping[str, bool]) -> int:
         """Cofactor with respect to a partial assignment.
@@ -609,7 +724,20 @@ class BDDManager:
 
     def support(self, node: int) -> set[str]:
         """Names of the variables the function actually depends on."""
-        return {self._var_names[level] for level in self._support_levels(node)}
+        nodes = self._nodes
+        levels: set[int] = set()
+        seen = {node}
+        stack = [node] if node > 1 else []
+        while stack:
+            level, low, high = nodes[stack.pop()]
+            levels.add(level)
+            if low > 1 and low not in seen:
+                seen.add(low)
+                stack.append(low)
+            if high > 1 and high not in seen:
+                seen.add(high)
+                stack.append(high)
+        return {self._var_names[level] for level in levels}
 
     def dag_size(self, node: int, limit: int | None = None) -> int:
         """Number of internal nodes reachable from ``node``.

@@ -41,6 +41,7 @@ from pathlib import Path
 
 from repro.analysis.problems import Rooted
 from repro.api import KINDS, Query
+from repro.core.errors import ParseError
 from repro.xmltypes.dtd import DTD, parse_dtd
 
 
@@ -79,9 +80,18 @@ def resolve_wire_type(value: object, dtd_cache: DTDCache | None = None) -> objec
             return _wire_rooted(resolve_wire_type(value["rooted"], dtd_cache), value)
         if "dtd" not in value:
             raise WireError(f"inline type object needs a 'dtd' key: {value!r}")
-        return _parse_cached(
-            value["dtd"], value.get("root"), value.get("name", "inline"), dtd_cache
-        )
+        source = value["dtd"]
+        root = value.get("root")
+        name = value.get("name", "inline")
+        if not isinstance(source, str) or not isinstance(name, str):
+            raise WireError(
+                f"'dtd' and 'name' of a type object must be strings: {value!r}"
+            )
+        if root is not None and not isinstance(root, str):
+            raise WireError(
+                f"'root' of a type object must be a string or null: {value!r}"
+            )
+        return _parse_cached(source, root, name, dtd_cache)
     raise WireError(f"unsupported type constraint in request: {value!r}")
 
 
@@ -97,7 +107,10 @@ def _parse_cached(
     key = (source, root, name)
     if dtd_cache is not None and key in dtd_cache:
         return dtd_cache[key]
-    dtd = parse_dtd(source, root=root, name=name)
+    try:
+        dtd = parse_dtd(source, root=root, name=name)
+    except ParseError as exc:
+        raise WireError(f"invalid DTD {name!r}: {exc}") from None
     if dtd_cache is not None:
         dtd_cache[key] = dtd
     return dtd

@@ -12,9 +12,11 @@ solver and the BDD manager poll:
 * :class:`ResourceGovernor` — the per-solve enforcement state.  Enforcement
   is *cooperative*: the fixpoint loop of :class:`repro.solver.symbolic.
   SymbolicSolver` calls :meth:`~ResourceGovernor.poll` once per iteration,
-  and the BDD manager calls :meth:`~ResourceGovernor.tick` once per kernel
-  frame (``ite``/``exists``/``and_exists`` recursion step), which polls the
-  clock every :data:`~ResourceGovernor.POLL_STRIDE` frames.  A single fixpoint
+  and the BDD manager calls :meth:`~ResourceGovernor.tick` once per
+  *expanded* kernel frame (a computed-table or memo miss of ``ite``,
+  ``∧``/``∨``, ``exists`` or ``and_exists``; terminal and memoised frames do
+  no work and are not counted), which polls the clock every
+  :data:`~ResourceGovernor.POLL_STRIDE` frames.  A single fixpoint
   iteration can conjoin astronomically large BDDs, so iteration-level checks
   alone would not bound latency — the kernel ticks are what make the deadline
   bite *inside* an iteration, within milliseconds of expiry.
@@ -22,8 +24,8 @@ solver and the BDD manager poll:
 Exhaustion raises :class:`repro.core.errors.BudgetExceeded` with a structured
 ``reason`` (``"deadline"``, ``"steps"``, ``"iterations"``, ``"lean"``); the
 API façade converts it into an ``unknown`` outcome (see
-:class:`repro.api.AnalysisOutcome`).  A step is one kernel frame, so
-``max_steps`` trips deterministically: the same formula under the same
+:class:`repro.api.AnalysisOutcome`).  A step is one expanded kernel frame,
+so ``max_steps`` trips deterministically: the same formula under the same
 budget reports the same reason on every run.
 """
 
@@ -75,13 +77,15 @@ def checked_limit(name: str, value: object) -> float | int:
 class Budget:
     """Declarative resource limits for one solve (``None`` = unlimited).
 
-    ``deadline_seconds`` bounds wall-clock time, ``max_steps`` bounds BDD
-    kernel frames (a machine-independent work measure), ``max_iterations``
-    bounds fixpoint iterations, and ``max_lean`` refuses formulas whose Lean
-    exceeds the bound before any BDD is built.  Every set field must pass
-    :func:`checked_limit`, whichever way the budget was built (Python, the
-    wire, the CLI flags).  A budget is plain data and pickles across process
-    boundaries, so batch workers enforce the same limits as the parent.
+    ``deadline_seconds`` bounds wall-clock time, ``max_steps`` bounds
+    expanded BDD kernel frames (a machine-independent, deterministic work
+    measure; see :meth:`repro.bdd.manager.BDDManager.set_governor`),
+    ``max_iterations`` bounds fixpoint iterations, and ``max_lean`` refuses
+    formulas whose Lean exceeds the bound before any BDD is built.  Every
+    set field must pass :func:`checked_limit`, whichever way the budget was
+    built (Python, the wire, the CLI flags).  A budget is plain data and
+    pickles across process boundaries, so batch workers enforce the same
+    limits as the parent.
     """
 
     deadline_seconds: float | None = None
@@ -150,7 +154,7 @@ class ResourceGovernor:
     — the deadline covers everything between :meth:`start` and the verdict).
     The two entry points trade precision for overhead:
 
-    * :meth:`tick` — one BDD kernel frame.  Counts a step; every
+    * :meth:`tick` — one expanded BDD kernel frame.  Counts a step; every
       :data:`POLL_STRIDE` steps it falls through to :meth:`poll`.  This is
       the hot path and must stay a counter bump almost always.
     * :meth:`poll` — a full checkpoint (step cap, wall clock, injected
@@ -158,8 +162,8 @@ class ResourceGovernor:
       the fixpoint loop once per iteration.
     """
 
-    #: Kernel frames between wall-clock polls.  At the BDD manager's
-    #: ~10⁶ frames/second this bounds checkpoint latency well under a
+    #: Expanded kernel frames between wall-clock polls.  At the BDD
+    #: manager's ~10⁶ frames/second this bounds checkpoint latency well under a
     #: millisecond while keeping the per-frame cost to one increment and
     #: one masked comparison.
     POLL_STRIDE = 1024
@@ -188,7 +192,7 @@ class ResourceGovernor:
         return time.monotonic() - self._started
 
     def tick(self) -> None:
-        """Account one kernel frame; poll the budget on stride boundaries."""
+        """Account one expanded kernel frame; poll on stride boundaries."""
         self.steps += 1
         if not self.steps & (self.POLL_STRIDE - 1):
             self.poll()

@@ -222,7 +222,6 @@ class _Component:
     """
 
     steps: frozenset[int]
-    variables: frozenset[str]
     vacuous: bool | None = field(default=None, compare=False)
 
 
@@ -346,26 +345,21 @@ class TransitionRelation:
                 self._step_supports[seed],
             )
             remaining -= members
-            variables = frozenset().union(
-                *(self._step_supports[index] for index in members)
-            )
-            components.append(_Component(frozenset(members), variables))
+            components.append(_Component(frozenset(members)))
         return components
 
     def _component_vacuous(self, component: _Component) -> bool:
-        """Whether ``∃ component.variables . ∧ blocks`` is ``⊤``.
+        """Whether ``∃ (the component's variables) . ∧ blocks`` is ``⊤``.
 
         Computed once per component, with the same early-quantification walk
-        a relational product uses (the component's variables are disjoint
-        from every other step, so each step's eliminable set stays valid).
+        a relational product uses.  The component's variables are disjoint
+        from every other step's, so each of them is eliminable at the last
+        step of the component that mentions it, and none is left over.
         """
         current = self.encoding.manager.true()
         for index in sorted(component.steps):
             step = self._schedule[index]
             current = current.and_exists(step.block, step.eliminable)
-        leftover = component.variables & set(current.support())
-        if leftover:
-            current = current.exists(leftover)
         return current.is_true
 
     def _skippable_steps(self, frontier_support: set[str]) -> frozenset[int]:
@@ -393,26 +387,27 @@ class TransitionRelation:
     # -- relational products -----------------------------------------------------------
 
     def _product(self, frontier_y: BDD) -> BDD:
-        """``∃ y . frontier(y) ∧ ∆ₐ(x, y)`` with early quantification."""
-        all_primed = set(self.encoding.y_names)
+        """``∃ y . frontier(y) ∧ ∆ₐ(x, y)`` with early quantification.
+
+        No primed variable is left over: one only the frontier mentions is
+        quantified first, one of a conjoined block lies in the eliminable set
+        of the last step that mentions it (and that step runs, since it
+        shares the block's component), and a skipped component's variables
+        never enter the product.
+        """
         current = frontier_y
-        frontier_support = set(current.support()) & all_primed
+        frontier_support = set(current.support()) & set(self.encoding.y_names)
         # Variables only the frontier mentions can go immediately: no
         # partition constrains them.
         frontier_only = frontier_support - self._partition_primed
         if frontier_only:
             current = current.exists(frontier_only)
-        quantified: set[str] = set(frontier_only)
         skipped = self._skippable_steps(frontier_support)
         for index, step in enumerate(self._schedule):
             if index in skipped:
                 self.partitions_skipped += step.partition_count
                 continue
             current = current.and_exists(step.block, step.eliminable, step.cache)
-            quantified |= step.eliminable
-        leftover = (all_primed - quantified) & set(current.support())
-        if leftover:
-            current = current.exists(leftover)
         return current
 
     def _frontier(self, target_x: BDD) -> BDD:

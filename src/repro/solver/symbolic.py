@@ -57,15 +57,12 @@ class SolverStatistics:
       the cone-of-influence check proved they could not affect a product
       (vacuous components disjoint from the product's target, and every
       partition of a product against the empty set).
-    * ``peak_set_nodes`` — largest combined BDD size (in nodes) of the two
-      proved-type sets ``U``/``M`` across iterations: the memory high-water
-      mark of the fixpoint computation.
     * ``product_calls`` — relational products computed by the two
       :class:`repro.solver.relations.TransitionRelation` objects.
     * ``bdd_node_count`` / ``bdd_peak_node_count`` — live and peak nodes of
       the solver's BDD manager at the end of the run.
-    * ``bdd_ite_calls`` / ``bdd_ite_cache_hits`` — ternary operations issued
-      to the manager and computed-table hits among them.
+    * ``bdd_ite_calls`` / ``bdd_ite_cache_hits`` — ITE and ``∧``/``∨``
+      kernel frames the manager ran and computed-table hits among them.
     * ``translation_seconds`` — time to build the Lean encoding, the ``∆ₐ``
       partitions with their elimination schedule, and the root filter.
     * ``solve_seconds`` — time spent in the fixpoint loop itself (the "time"
@@ -76,7 +73,6 @@ class SolverStatistics:
     iterations: int = 0
     relation_partitions: int = 0
     partitions_skipped: int = 0
-    peak_set_nodes: int = 0
     product_calls: int = 0
     bdd_node_count: int = 0
     bdd_peak_node_count: int = 0
@@ -91,7 +87,6 @@ class SolverStatistics:
             "iterations": self.iterations,
             "relation_partitions": self.relation_partitions,
             "partitions_skipped": self.partitions_skipped,
-            "peak_set_nodes": self.peak_set_nodes,
             "product_calls": self.product_calls,
             "bdd_node_count": self.bdd_node_count,
             "bdd_peak_node_count": self.bdd_peak_node_count,
@@ -145,7 +140,8 @@ class SymbolicSolver:
     the run (wall-clock deadline, BDD kernel steps, fixpoint iterations, Lean
     size).  Exhaustion raises :class:`repro.core.errors.BudgetExceeded` with
     a structured reason; the governor is polled once per fixpoint iteration
-    and — via the BDD manager's kernel ticks — every ~1024 kernel frames, so
+    and — via the BDD manager's kernel ticks — every ~1024 expanded kernel
+    frames, so
     a deadline bites within milliseconds even inside one enormous iteration.
     The budget is the only bound on the number of iterations: without one
     the loop runs until the sets are stable, which always happens (they grow
@@ -252,9 +248,6 @@ class SymbolicSolver:
             changed = new_unmarked != unmarked or new_marked != marked
             unmarked, marked = new_unmarked, new_marked
             snapshots.append((unmarked, marked))
-            statistics.peak_set_nodes = max(
-                statistics.peak_set_nodes, unmarked.dag_size() + marked.dag_size()
-            )
 
             success = marked & final_filter
             if not success.is_false:

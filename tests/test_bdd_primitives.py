@@ -1,5 +1,7 @@
 """Tests for the BDD engine's caches and statistics."""
 
+import itertools
+
 import pytest
 
 from repro.bdd.manager import BDDManager
@@ -155,3 +157,130 @@ def test_rename_general_path_for_order_swapping_maps():
         for vx1 in (False, True):
             # The renamed function is x1 ∨ ¬x0.
             assert manager.evaluate(swapped, {"x0": vx0, "x1": vx1}) == (vx1 or not vx0)
+
+
+def _alternating_chain(manager, names):
+    """``n0 ∧ ¬n1 ∧ n2 ∧ ¬n3 ∧ …``, built bottom-up in O(1) per level."""
+    chain = manager.TRUE
+    for i in reversed(range(len(names))):
+        node = manager.var_node(names[i])
+        if i % 2 == 0:
+            chain = manager.ite(node, chain, manager.FALSE)
+        else:
+            chain = manager.ite(node, manager.FALSE, chain)
+    return chain
+
+
+def test_disjunction_handles_deep_chains_iteratively():
+    depth = 3000
+    names = [f"v{i}" for i in range(depth)]
+    deep = BDDManager(names)
+    evens = deep.conj_all(deep.var_node(name) for name in reversed(names[0::2]))
+    odds = deep.conj_all(deep.var_node(name) for name in reversed(names[1::2]))
+    result = deep.disj(evens, odds)
+    everything = {name: True for name in names}
+    assert deep.evaluate(result, everything)
+    assert not deep.evaluate(result, {})
+    assert deep.evaluate(result, {name: True for name in names[0::2]})
+    assert deep.evaluate(result, {name: True for name in names[1::2]})
+    assert not deep.evaluate(result, {**everything, "v4": False, "v2999": False})
+
+
+def test_rename_swapping_adjacent_levels_of_a_deep_chain_is_iterative():
+    depth = 3000
+    names = [f"v{i}" for i in range(depth)]
+    deep = BDDManager(names)
+    chain = _alternating_chain(deep, names)
+    swap = {}
+    for i in range(0, depth, 2):
+        swap[names[i]], swap[names[i + 1]] = names[i + 1], names[i]
+    renamed = deep.rename(chain, swap)
+    # The chain wanted n_{2k} and ¬n_{2k+1}; the renamed one the opposite.
+    odd_only = {name: i % 2 == 1 for i, name in enumerate(names)}
+    even_only = {name: i % 2 == 0 for i, name in enumerate(names)}
+    assert deep.evaluate(renamed, odd_only)
+    assert not deep.evaluate(renamed, even_only)
+    assert not deep.evaluate(renamed, {**odd_only, "v1501": False})
+    assert not deep.evaluate(renamed, {**odd_only, "v1500": True})
+    assert deep.evaluate(chain, even_only)
+    assert deep.rename(renamed, swap) == chain
+
+
+def test_rename_of_disjoint_paths_is_built_without_ite():
+    # ite(v0, v1, v2) with v1 <-> v2 is not order-preserving over the
+    # support, but v1 and v2 never share a path, so every node is relabelled
+    # in place.
+    manager = BDDManager(["v0", "v1", "v2"])
+    v0, v1, v2 = (manager.var_node(name) for name in ("v0", "v1", "v2"))
+    function = manager.ite(v0, v1, v2)
+    before = manager.statistics()
+    renamed = manager.rename(function, {"v1": "v2", "v2": "v1"})
+    after = manager.statistics()
+    assert after.rename_fast_paths == before.rename_fast_paths + 1
+    assert after.ite_calls == before.ite_calls
+    for b0, b1, b2 in itertools.product((False, True), repeat=3):
+        assignment = {"v0": b0, "v1": b1, "v2": b2}
+        assert manager.evaluate(renamed, assignment) == (b2 if b0 else b1)
+
+
+def test_conjunction_and_ite_share_one_computed_table(manager):
+    a = manager.var_node("a")
+    b = manager.var_node("b")
+    conjunction = manager.conj(a, b)
+    before = manager.statistics().ite_cache_hits
+    assert manager.ite(a, b, manager.FALSE) == conjunction
+    assert manager.statistics().ite_cache_hits == before + 1
+    c = manager.var_node("c")
+    disjunction = manager.ite(c, manager.TRUE, b)
+    before = manager.statistics().ite_cache_hits
+    assert manager.disj(b, c) == disjunction
+    assert manager.statistics().ite_cache_hits == before + 1
+
+
+class _CountingGovernor:
+    def __init__(self):
+        self.ticks = 0
+
+    def tick(self):
+        self.ticks += 1
+
+
+def test_governor_ticks_only_on_expanded_frames(manager):
+    a, b, c = (manager.var_node(name) for name in ("a", "b", "c"))
+    governor = _CountingGovernor()
+    manager.set_governor(governor)
+    function = manager.disj(manager.conj(a, b), c)
+    assert governor.ticks > 0
+    for operation in (
+        lambda: manager.disj(manager.conj(a, b), c),
+        lambda: manager.conj(function, manager.TRUE),
+    ):
+        governor.ticks = 0
+        operation()
+        assert governor.ticks == 0  # table hits and terminal cases only
+    not_c = manager.neg(c)
+    memo: dict = {}
+    manager.and_exists(function, not_c, ["a"], memo)
+    expanded = governor.ticks
+    assert expanded > 0
+    manager.and_exists(function, not_c, ["a"], memo)
+    assert governor.ticks == expanded  # the step memo answers at once
+    manager.exists(function, ["b"])
+    expanded = governor.ticks
+    manager.exists(function, ["b"])
+    assert governor.ticks == expanded  # so does the ∃ memo
+
+
+def test_quantification_after_adding_a_variable():
+    # The per-level modes of a quantified level set cover the levels declared
+    # when it was first used; a variable added later must not fall outside.
+    manager = BDDManager(["a", "b"])
+    a, b = manager.var_node("a"), manager.var_node("b")
+    assert manager.exists(manager.conj(a, b), ["a"]) == b
+    manager.add_variable("c")
+    c = manager.var_node("c")
+    function = manager.disj(manager.conj(a, c), manager.conj(manager.neg(a), b))
+    assert manager.exists(function, ["a"]) == manager.disj(b, c)
+    assert manager.and_exists(function, manager.neg(b), ["a"]) == manager.conj(
+        manager.neg(b), c
+    )

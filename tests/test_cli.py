@@ -152,6 +152,36 @@ def test_inline_dtd_objects_are_parsed_and_cached():
     assert first.types[0] is second.types[0]  # identity preserved for caching
 
 
+#: Type entries that used to escape the wire layer: a DTD the parser
+#: rejects, a non-string DTD, and a non-string root.
+MALFORMED_TYPES = (
+    {"dtd": "<!ELEMENT a (b"},
+    {"dtd": 5},
+    {"dtd": "<!ELEMENT a (b)>", "root": 5},
+)
+
+
+@pytest.mark.parametrize(
+    "entry", MALFORMED_TYPES + ({"dtd": "<!ELEMENT a EMPTY>", "name": 7},)
+)
+def test_malformed_type_objects_are_wire_errors(entry):
+    payload = {"kind": "satisfiability", "exprs": ["a"], "types": [entry]}
+    with pytest.raises(wire.WireError):
+        wire.query_from_dict(payload, {})
+    with pytest.raises(wire.WireError):
+        wire.query_from_dict({**payload, "types": [{"rooted": entry}]}, {})
+
+
+def test_malformed_dtd_file_is_a_wire_error(tmp_path):
+    path = tmp_path / "broken.dtd"
+    path.write_text("<!ELEMENT a (b", encoding="utf-8")
+    for entry in (str(path), "rooted:" + str(path)):
+        with pytest.raises(wire.WireError, match="broken"):
+            wire.query_from_dict(
+                {"kind": "satisfiability", "exprs": ["a"], "types": [entry]}, {}
+            )
+
+
 def test_read_batch_json_and_jsonl(tmp_path):
     requests = [{"kind": "satisfiability", "exprs": ["a"]}]
     as_json = tmp_path / "batch.json"
@@ -220,6 +250,24 @@ def test_analyze_batch_mixes_verdicts_and_errors(tmp_path, capsys):
     assert payload["outcomes"][0]["holds"] is True  # good query still answered
 
 
+def test_analyze_batch_keeps_verdicts_past_a_malformed_type(tmp_path, capsys):
+    good = {"kind": "containment", "exprs": ["child::a[b]", "child::a"]}
+    lines = [good] + [
+        {"kind": "satisfiability", "exprs": ["a"], "types": [entry]}
+        for entry in MALFORMED_TYPES
+    ]
+    batch = tmp_path / "batch.jsonl"
+    batch.write_text("\n".join(json.dumps(line) for line in lines), encoding="utf-8")
+    code = main(["analyze", "--batch", str(batch), "--compact"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == EXIT_ANALYSIS_ERROR
+    assert payload["errors"] == len(MALFORMED_TYPES)
+    assert payload["outcomes"][0]["holds"] is True
+    assert [o["error"]["kind"] for o in payload["outcomes"][1:]] == [
+        "WireError"
+    ] * len(MALFORMED_TYPES)
+
+
 def test_analyze_missing_batch_file_exit_two(capsys):
     assert main(["analyze", "--batch", "/nonexistent.jsonl"]) == EXIT_USAGE
     assert "analyze" in capsys.readouterr().err
@@ -279,6 +327,20 @@ def test_serve_survives_malformed_lines_and_unknown_ops():
     assert responses[0]["error"]["kind"] == "JSONDecodeError"
     assert responses[2]["error"]["kind"] == "ProtocolError"
     assert responses[3]["outcome"]["holds"] is True
+
+
+def test_serve_answers_malformed_types_and_keeps_serving():
+    responses = _serve_lines(
+        [
+            {"id": index, "kind": "satisfiability", "exprs": ["a"], "types": [entry]}
+            for index, entry in enumerate(MALFORMED_TYPES)
+        ]
+        + [{"op": "ping"}]
+    )
+    assert [r["ok"] for r in responses] == [False] * len(MALFORMED_TYPES) + [True]
+    assert [r.get("id") for r in responses[:-1]] == list(range(len(MALFORMED_TYPES)))
+    assert all(r["error"]["kind"] == "WireError" for r in responses[:-1])
+    assert responses[-1]["op"] == "ping"
 
 
 def test_serve_analysis_errors_are_per_request():

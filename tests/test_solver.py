@@ -218,6 +218,33 @@ def test_partitions_skipped_counts_empty_set_products():
     assert result.statistics.partitions_skipped >= result.statistics.relation_partitions
 
 
+@pytest.mark.parametrize(
+    "formula",
+    [
+        sx.prop("a") & sx.dia(1, sx.prop("b") & sx.dia(2, sx.prop("c"))),
+        _containment_formula(2),
+    ],
+)
+def test_partitioned_product_equals_the_monolithic_one(formula):
+    """Early quantification leaves no primed variable behind: the scheduled
+    product equals ∃y over the frontier and every partition conjoined."""
+    from repro.solver.relations import LeanEncoding, TransitionRelation
+
+    encoding = LeanEncoding(SymbolicSolver(formula).lean)
+    types = encoding.types_constraint()
+    for program in (1, 2):
+        relation = TransitionRelation(encoding, program)
+        monolithic = encoding.manager.true()
+        for partition in relation.partitions:
+            monolithic = monolithic & partition.function
+        for target in (types, types & encoding.start(), types & ~encoding.start()):
+            frontier = encoding.to_primed(target) & encoding.ischild(program, primed=True)
+            expected = (frontier & monolithic).exists(encoding.y_names)
+            witness = relation.witness(target)
+            assert set(witness.support()) <= set(encoding.x_names)
+            assert witness == encoding.isparent(program).implies(expected)
+
+
 def test_solver_counters_are_deterministic_across_runs():
     """Byte-identical counters let CI guard performance without wall-clock."""
     formula = _containment_formula(3)
@@ -232,5 +259,5 @@ def test_solver_counters_are_deterministic_across_runs():
     second = counters()
     assert first == second
     for key in ("iterations", "product_calls", "partitions_skipped",
-                "bdd_ite_calls", "peak_set_nodes"):
+                "bdd_ite_calls"):
         assert first[key] == second[key], key
