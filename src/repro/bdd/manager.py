@@ -119,15 +119,8 @@ class BDDManager:
         self._quant_cache.clear()
         return level
 
-    @property
-    def variable_names(self) -> tuple[str, ...]:
-        return tuple(self._var_names)
-
     def level_of(self, name: str) -> int:
         return self._var_levels[name]
-
-    def name_of(self, level: int) -> str:
-        return self._var_names[level]
 
     def var_count(self) -> int:
         return len(self._var_names)
@@ -189,10 +182,6 @@ class BDDManager:
     def var_node(self, name: str) -> int:
         """Node id of the literal ``name``."""
         return self._mk(self._var_levels[name], self.FALSE, self.TRUE)
-
-    def nvar_node(self, name: str) -> int:
-        """Node id of the literal ``¬name``."""
-        return self._mk(self._var_levels[name], self.TRUE, self.FALSE)
 
     def _level(self, node: int) -> int:
         if node <= 1:
@@ -433,14 +422,6 @@ class BDDManager:
         for node in nodes:
             result = self.conj(result, node)
             if result == self.FALSE:
-                return result
-        return result
-
-    def disj_all(self, nodes: Iterable[int]) -> int:
-        result = self.FALSE
-        for node in nodes:
-            result = self.disj(result, node)
-            if result == self.TRUE:
                 return result
         return result
 

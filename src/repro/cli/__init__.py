@@ -10,8 +10,8 @@ without a Python import in sight:
   request/response loop over stdin/stdout, so one warm analyzer (and one
   persistent cache) serves a whole editing session or load test.
 * :mod:`repro.cli.schemas` — ``repro schemas``: the bundled DTD registry.
-* :mod:`repro.cli.bench` — ``repro bench``: re-emit the ``BENCH_*.json``
-  machine-readable benchmark reports.
+* :mod:`repro.cli.bench` — ``repro bench``: re-emit ``BENCH_scaling.json``,
+  the Lemma 6.7 scaling table with its deterministic counter guards.
 * :mod:`repro.cli.wire` — the JSON wire format shared by ``analyze --batch``
   and ``serve``.
 

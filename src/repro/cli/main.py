@@ -7,7 +7,7 @@ the user guide):
 * ``repro audit``   — static analysis of an XSLT stylesheet against a schema.
 * ``repro serve``   — streaming JSON-lines request/response loop.
 * ``repro schemas`` — list/inspect the bundled DTDs.
-* ``repro bench``   — re-emit the ``BENCH_*.json`` reports.
+* ``repro bench``   — re-emit ``BENCH_scaling.json`` with its counter guards.
 * ``repro fuzz``    — differential fuzzing against the explicit oracles.
 
 Every subcommand shares the exit-code contract of ``repro analyze``: 0 on
@@ -227,15 +227,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = subparsers.add_parser(
         "bench",
-        help="re-emit the BENCH_*.json benchmark reports",
-        description="Run the built-in benchmarks and write BENCH_<name>.json files.",
+        help="re-emit the BENCH_scaling.json benchmark report",
+        description="Run the Lemma 6.7 scaling study and write BENCH_scaling.json.",
     )
     bench.add_argument(
         "names",
         nargs="*",
         metavar="NAME",
-        help="benchmarks to run: api-batch, cli-cache, scaling, audit "
-        "(default: all)",
+        help="benchmarks to run: scaling (the default)",
     )
     bench.add_argument(
         "--quick",
@@ -248,15 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--output-dir",
         default=".",
         metavar="DIR",
-        help="where to write the BENCH_*.json files (default: current directory)",
-    )
-    bench.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for the multiprocess benchmark sections "
-        "(default: the benchmark's own setting)",
+        help="where to write BENCH_scaling.json (default: current directory)",
     )
 
     fuzz = subparsers.add_parser(

@@ -95,15 +95,6 @@ class FaultPoint:
         os.close(fd)
         return True
 
-    def as_dict(self) -> dict:
-        payload: dict = {"point": self.point}
-        if self.match:
-            payload["match"] = self.match
-        payload["times"] = self.times
-        if self.latch is not None:
-            payload["latch"] = self.latch
-        return payload
-
 
 class FaultPlan:
     """An ordered collection of :class:`FaultPoint` entries."""
@@ -116,10 +107,6 @@ class FaultPlan:
             if entry.point == point and entry.should_fire(detail):
                 return True
         return False
-
-    def to_env(self) -> str:
-        """The plan as a :data:`FAULTS_ENV` value (JSON)."""
-        return json.dumps([entry.as_dict() for entry in self.points])
 
     @classmethod
     def from_env(cls, value: str) -> "FaultPlan":

@@ -129,22 +129,6 @@ class Formula:
         """True for µ and ν nodes."""
         return self.kind in _FIXPOINT_KINDS
 
-    @property
-    def is_atom(self) -> bool:
-        """True for leaves: ⊤, ⊥, σ, ¬σ, @l, ¬@l, s, ¬s, X and ¬⟨a⟩⊤."""
-        return self.kind in (
-            KIND_TRUE,
-            KIND_FALSE,
-            KIND_PROP,
-            KIND_NPROP,
-            KIND_ATTR,
-            KIND_NATTR,
-            KIND_START,
-            KIND_NSTART,
-            KIND_VAR,
-            KIND_NDIA,
-        )
-
     # -- operator sugar (used pervasively by the translations) ----------------
 
     def __or__(self, other: "Formula") -> "Formula":

@@ -42,7 +42,6 @@ class LeanEncoding:
         self.manager = BDDManager(self.x_names + self.y_names)
         self._status_cache: dict[tuple[sx.Formula, bool], BDD] = {}
         self._x_to_y = dict(zip(self.x_names, self.y_names))
-        self._y_to_x = dict(zip(self.y_names, self.x_names))
 
     # -- literals ------------------------------------------------------------------
 
@@ -57,9 +56,6 @@ class LeanEncoding:
 
     def to_primed(self, function: BDD) -> BDD:
         return function.rename(self._x_to_y)
-
-    def to_unprimed(self, function: BDD) -> BDD:
-        return function.rename(self._y_to_x)
 
     # -- structural predicates (Section 7.1) ------------------------------------------
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 from repro.core.errors import SolverLimitError
 from repro.logic import syntax as sx
@@ -134,11 +134,6 @@ def _status(
         raise AssertionError(f"unknown formula kind {kind!r}")
     cache[formula] = result
     return result
-
-
-def status_function(formula: sx.Formula) -> Callable[[frozenset[sx.Formula]], bool]:
-    """A reusable ``t ↦ (formula ∈̇ t)`` function."""
-    return lambda members: status_on_set(formula, members)
 
 
 def psi_types(lean: Lean, limit: int = 500_000) -> Iterator[TypeAssignment]:

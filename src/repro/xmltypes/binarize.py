@@ -192,6 +192,7 @@ def _resolve_refs(grammar: BinaryTypeGrammar) -> None:
             resolved[name] = raw
             return raw
         out: list[Alternative] = []
+        seen: set[Alternative] = set()
         visited: set[str] = set()
 
         def expand(variable: str) -> None:
@@ -201,7 +202,8 @@ def _resolve_refs(grammar: BinaryTypeGrammar) -> None:
             for alternative in resolved.get(variable, grammar.variables[variable]):
                 if isinstance(alternative, _Ref):
                     expand(alternative.variable)
-                elif alternative not in out:
+                elif alternative not in seen:
+                    seen.add(alternative)
                     out.append(alternative)
 
         expand(name)

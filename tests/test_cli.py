@@ -30,7 +30,9 @@ def test_parser_accepts_every_subcommand():
     assert parser.parse_args(["serve"]).command == "serve"
     assert parser.parse_args(["schemas", "xhtml"]).name == "xhtml"
     assert parser.parse_args(["bench", "--output-dir", "/tmp"]).names == []
-    assert parser.parse_args(["bench", "--workers", "2"]).workers == 2
+    with pytest.raises(SystemExit) as excinfo:
+        parser.parse_args(["bench", "--workers", "2"])
+    assert excinfo.value.code == EXIT_USAGE
     fuzz = parser.parse_args(["fuzz", "--budget", "50", "--seed", "3", "--workers", "2"])
     assert fuzz.command == "fuzz" and fuzz.budget == 50
     assert fuzz.seed == 3 and fuzz.workers == 2
@@ -405,7 +407,7 @@ def test_schemas_alias_resolves(capsys):
 
 
 # ---------------------------------------------------------------------------
-# repro bench plumbing (the heavy two-process run lives in benchmarks/)
+# repro bench plumbing and the CLI workload
 # ---------------------------------------------------------------------------
 
 
@@ -414,10 +416,12 @@ def test_bench_rejects_unknown_names(capsys):
     assert "unknown benchmark" in capsys.readouterr().err
 
 
-def test_bench_has_no_backend_benchmark(capsys):
-    assert "backend" not in bench.BENCHMARKS
-    assert main(["bench", "backend"]) == EXIT_USAGE
-    assert "unknown benchmark(s) ['backend']" in capsys.readouterr().err
+@pytest.mark.parametrize("name", ["backend", "api-batch", "cli-cache", "audit"])
+def test_bench_has_no_backend_benchmark(name, capsys):
+    """``scaling`` is the only benchmark; wall clock is perfbench's job."""
+    assert bench.BENCHMARKS == ("scaling",)
+    assert main(["bench", name]) == EXIT_USAGE
+    assert f"unknown benchmark(s) ['{name}']" in capsys.readouterr().err
 
 
 #: The committed scaling table; its solver counters are deterministic, so a
@@ -484,6 +488,50 @@ def test_cli_cache_workload_is_fifty_valid_requests():
     assert len({json.dumps(q, sort_keys=True) for q in workload}) == 50  # distinct ids
     for payload in workload:
         wire.query_from_dict(payload)  # every request is wire-valid
+    # perfbench's serve-stream pool marks the same 10 problems, in order.
+    reference_path = (
+        Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "serve-stream.json"
+    )
+    reference = json.loads(reference_path.read_text(encoding="utf-8"))
+    marked = [entry["request"] for entry in reference["pool"] if entry.get("cli_workload")]
+    distinct = [
+        {key: value for key, value in request.items() if key != "id"}
+        for request in cli_cache_workload(repeats=1)
+    ]
+    assert distinct == marked
+
+
+def _serve_process(cache_dir, requests):
+    """Stream ``requests`` and a ``stats`` op through a fresh ``repro serve``."""
+    lines = [json.dumps(request) for request in requests]
+    lines.append(json.dumps({"op": "stats"}))
+    source_root = Path(repro.__file__).resolve().parents[1]
+    process = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "serve", "--cache-dir", str(cache_dir)],
+        input="\n".join(lines) + "\n",
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(source_root)},
+        check=True,
+        timeout=300,
+    )
+    *responses, stats = [json.loads(line) for line in process.stdout.splitlines()]
+    assert len(responses) == len(requests), process.stderr
+    assert all(response["ok"] for response in responses), responses
+    return {r["id"]: r["outcome"]["holds"] for r in responses}, stats["stats"]
+
+
+def test_second_serve_process_replays_the_cli_workload_from_disk(tmp_path):
+    """A cold process that shares the first one's cache directory answers
+    the 50-query workload without a single solver run."""
+    workload = cli_cache_workload()
+    first_holds, first = _serve_process(tmp_path, workload)
+    second_holds, second = _serve_process(tmp_path, workload)
+    assert first["solver_runs"] > 0
+    assert second["solver_runs"] == 0
+    assert second["disk_cache_hits"] == first["disk_cache_writes"] > 0
+    assert list(first_holds) == [request["id"] for request in workload]
+    assert second_holds == first_holds
 
 
 # ---------------------------------------------------------------------------

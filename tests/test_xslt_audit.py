@@ -425,3 +425,11 @@ def test_xhtml_acceptance_audit():
     # untyped add none.
     assert statistics["type_cache_entries"] <= 28
     assert report.exit_code("error") == 1
+
+    # A warm repeat through the same analyzer answers every query from the
+    # in-memory caches and reports the same findings.
+    warm = audit_stylesheet(stylesheet, "xhtml-strict", analyzer=analyzer)
+    assert warm.solver_runs == 0
+    assert [f.as_dict() for f in warm.findings] == [
+        f.as_dict() for f in report.findings
+    ]
