@@ -43,6 +43,6 @@ def write_bench_json(name: str, payload: dict) -> Path:
 
 
 #: The twelve benchmark XPath expressions of Figure 21; the corpus lives in
-#: :mod:`repro.cli.bench` (shared with ``repro bench``) and is re-exported
-#: here for the benchmark files.
-from repro.cli.bench import FIGURE_21  # noqa: E402  (needs the sys.path insert)
+#: :mod:`repro.analysis.problems` and is re-exported here for the benchmark
+#: files.
+from repro.analysis.problems import FIGURE_21  # noqa: E402  (needs the sys.path insert)

@@ -44,11 +44,27 @@ from repro.logic import syntax as sx
 from repro.logic.closure import OTHER_ATTRIBUTE
 from repro.logic.negation import negate
 from repro.trees.unranked import Tree, parse_tree, serialize_tree
-from repro.xmltypes.ast import BinaryTypeGrammar
 from repro.xmltypes.compile import compile_dtd
 from repro.xmltypes.dtd import DTD
 from repro.xpath import ast as xp
 from repro.xpath.parser import parse_xpath_cached
+
+#: The twelve benchmark XPath expressions of Figure 21 (``//`` is the paper's
+#: shorthand for ``/desc-or-self::*/``; e10 uses the parenthesised union).
+FIGURE_21 = {
+    "e1": "/a[.//b[c/*//d]/b[c//d]/b[c/d]]",
+    "e2": "/a[.//b[c/*//d]/b[c/d]]",
+    "e3": "a/b//c/foll-sibling::d/e",
+    "e4": "a/b//d[prec-sibling::c]/e",
+    "e5": "a/c/following::d/e",
+    "e6": "a/b[//c]/following::d/e ∩ a/d[preceding::c]/e",
+    "e7": "*//switch[ancestor::head]//seq//audio[prec-sibling::video]",
+    "e8": "descendant::a[ancestor::a]",
+    "e9": "/descendant::*",
+    "e10": "html/(head | body)",
+    "e11": "html/head/descendant::*",
+    "e12": "html/body/descendant::*",
+}
 
 
 @dataclass(frozen=True)
@@ -71,7 +87,7 @@ class Rooted:
     the document node).
     """
 
-    xml_type: "DTD | BinaryTypeGrammar | str | None"
+    xml_type: "DTD | str | None"
 
     def __post_init__(self) -> None:
         if isinstance(self.xml_type, (Rooted, sx.Formula)):
@@ -135,7 +151,7 @@ def relevant_labels(*exprs) -> tuple[str, ...]:
     return tuple(sorted(names))
 
 
-def label_projection(exprs, types, type_key=id) -> tuple[str, ...] | None:
+def label_projection(exprs, types) -> tuple[str, ...] | None:
     """The element alphabet to project type constraints onto, or ``None``.
 
     Cone-of-influence pruning collapses element names a problem's
@@ -148,16 +164,13 @@ def label_projection(exprs, types, type_key=id) -> tuple[str, ...] | None:
     must be skipped — this returns ``None``.
 
     Concretely, pruning applies when the problem involves at most one
-    distinct DTD/grammar constraint (possibly repeated, possibly mixed with
-    unconstrained ``None`` sides).  Raw-formula type constraints cannot be
-    projected, but their alphabet joins the kept labels so they stay sound
-    alongside a pruned schema.
-
-    ``type_key`` maps a (non-``None``, non-formula) type constraint to its
-    identity for the distinctness test.  The default — object identity —
-    suits direct callers holding parsed DTD/grammar objects;
-    :class:`repro.api.StaticAnalyzer` passes its cache key so two mentions
-    of the same built-in schema name count as one type.
+    distinct DTD (possibly repeated, possibly mixed with unconstrained
+    ``None`` sides).  Raw-formula type constraints cannot be projected, but
+    their alphabet joins the kept labels so they stay sound alongside a
+    pruned schema.  ``types`` are resolved type constraints (see
+    :meth:`repro.api.StaticAnalyzer._resolve_type`): a DTD is its own
+    identity, so a registry name, its aliases and its ``DTD`` object are one
+    schema.
     """
     distinct: set[object] = set()
     formula_labels: set[str] = set()
@@ -172,7 +185,7 @@ def label_projection(exprs, types, type_key=id) -> tuple[str, ...] | None:
         if isinstance(xml_type, sx.Formula):
             formula_labels |= sx.atomic_propositions(xml_type)
             continue
-        distinct.add(type_key(xml_type))
+        distinct.add(xml_type)
     if len(distinct) > 1:
         return None
     return tuple(sorted(set(relevant_labels(*exprs)) | formula_labels))
@@ -203,12 +216,17 @@ def type_inclusion_attributes(expr, input_type, output_type) -> tuple[str, ...]:
     that would invalidate the output; the comparison is per element — the
     output declaring the same name on a different element does not help).
 
-    When the input type is unconstrained (``None``, a raw formula, or a
-    grammar), documents may carry attribute names no finite alphabet can
+    Both types are resolved constraints; a :class:`Rooted` type contributes
+    its DTD's names.  When the input type is unconstrained (``None`` or a
+    raw formula), documents may carry attribute names no finite alphabet can
     enumerate; such attributes stay outside the model, i.e. inclusion is
     decided *modulo attributes the problem cannot name* (consistent with the
     projection semantics everywhere else).
     """
+    input_type, output_type = (
+        xml_type.xml_type if isinstance(xml_type, Rooted) else xml_type
+        for xml_type in (input_type, output_type)
+    )
     names = set(relevant_attributes(expr))
     names |= _required_attribute_names(input_type)
     names |= _required_attribute_names(output_type)
@@ -248,7 +266,7 @@ def rooted(xml_type: DTD, attributes: tuple[str, ...] = ()) -> sx.Formula:
     """
     return sx.big_and(
         (
-            compile_dtd(xml_type, attributes=attributes or None),
+            compile_dtd(xml_type, attributes=attributes),
             sx.no_dia(-1),
             sx.no_dia(-2),
             sx.no_dia(2),
@@ -262,7 +280,6 @@ def reduce_problem(
     types: Sequence,
     query_formula: Callable[..., sx.Formula],
     type_formula: Callable[..., sx.Formula],
-    type_key: Callable[[object], object],
     attributes: tuple[str, ...],
     labels: tuple[str, ...] | None,
 ) -> tuple[sx.Formula, bool]:
@@ -275,21 +292,22 @@ def reduce_problem(
     attributes=..., labels=...)`` are the translators; every side is
     translated over the problem's attribute alphabet ``attributes`` and
     element alphabet ``labels`` (``None``: no pruning), which the caller
-    derives from the problem's original types.
+    derives from the problem's types.  ``types`` are resolved (see
+    :meth:`repro.api.StaticAnalyzer._resolve_type`): equal types are one schema.
 
     **A shared type is conjoined once.**  Every XPath translation anchors at
     ``χ ∧ s`` and the solver's models carry exactly one start mark
     (Fig. 16), so once the first side has forced χ at the mark, ``χ ∧ s ≡ s``
     inside every later side over the same type.  A later side of
-    containment, overlap or coverage whose ``type_key`` equals the first
-    side's is therefore translated under ⊤: the models are the same, and the
+    containment, overlap or coverage whose type equals the first side's is
+    therefore translated under ⊤: the models are the same, and the
     Lean — which prices a solve at 2^O(|Lean|) (Lemma 6.7) — loses the
     negated copy of χ's closure.  Type inclusion keeps its negated output
     type, which holds at the selected node, not at the mark.
     """
 
     def later_side(expr, xml_type) -> sx.Formula:
-        if xml_type is not None and type_key(xml_type) == type_key(types[0]):
+        if xml_type is not None and xml_type == types[0]:
             xml_type = None
         return query_formula(expr, xml_type, attributes, labels)
 
@@ -370,8 +388,8 @@ class Analyzer:
 
         query = getattr(Query, kind)(*args)
         analyzer = StaticAnalyzer(prune_labels=self.prune_labels)
-        formula, positive = analyzer._reduce(query)
-        record, _ = analyzer._solve(formula, analyzer._lift_context(query))
+        formula, positive, lift_context = analyzer._reduce(query)
+        record, _ = analyzer._solve(formula, lift_context)
         witness = record.counterexample
         return AnalysisResult(
             problem=analyzer._problem_description(query),

@@ -47,7 +47,8 @@ Quickstart::
 
 XML types may be given as built-in schema names (``"smil"``, ``"xhtml"``,
 ``"xhtml-core"``, ``"wikipedia"``), parsed :class:`repro.xmltypes.dtd.DTD`
-objects, binary type grammars, raw Lµ formulas, or ``None`` for "any tree".
+objects, raw Lµ formulas, or ``None`` for "any tree"; a name, its aliases
+and its ``DTD`` object are one schema.
 
 Expressions may use attribute steps (``@href``, ``attribute::*``); DTD types
 then contribute their ``<!ATTLIST>`` constraints, projected onto the
@@ -89,8 +90,7 @@ from repro.logic import syntax as sx
 from repro.solver.governor import Budget
 from repro.solver.symbolic import SymbolicSolver
 from repro.trees.unranked import Tree, serialize_tree
-from repro.xmltypes.ast import BinaryTypeGrammar
-from repro.xmltypes.compile import compile_dtd, compile_grammar, project_grammar
+from repro.xmltypes.compile import compile_dtd
 from repro.xmltypes.dtd import DTD
 from repro.xmltypes.membership import lift_wildcards
 from repro.xmltypes.library import builtin_dtd
@@ -228,8 +228,6 @@ def _describe_type(xml_type: object) -> str | None:
         return xml_type
     if isinstance(xml_type, DTD):
         return xml_type.name
-    if isinstance(xml_type, BinaryTypeGrammar):
-        return "grammar"
     if isinstance(xml_type, sx.Formula):
         return "formula"
     return type(xml_type).__name__
@@ -377,6 +375,25 @@ class BatchReport:
 LiftContext = tuple[DTD, tuple[str, ...], bool]
 
 
+def _lift_context(types: Sequence, labels: tuple[str, ...] | None) -> LiftContext | None:
+    """The schema and kept alphabet to lift pruned witnesses against, from a
+    problem's resolved types and pruning alphabet.
+
+    ``None`` when no lifting applies (pruning off or skipped, or no DTD in
+    the problem).  The alphabet is passed to
+    :func:`repro.xmltypes.membership.lift_wildcards` as the *excluded*
+    names: a collapsed node stands for a label the queries never test.
+    """
+    if labels is None:
+        return None
+    for xml_type in types:
+        rooted = isinstance(xml_type, Rooted)
+        schema = xml_type.xml_type if rooted else xml_type
+        if isinstance(schema, DTD):
+            return schema, labels, rooted
+    return None
+
+
 def _lift_witness(document: Tree, lift_context: LiftContext) -> Tree:
     """The witness with concrete names for its collapsed labels, if any fit.
 
@@ -401,8 +418,8 @@ def _parallel_safe(query: Query) -> bool:
     Raw-formula type constraints are hash-consed (equality is identity), so
     pickling them across a process boundary would break their semantics;
     such queries are solved in the parent instead.  Everything else — names,
-    ``None``, DTDs, grammars, and :class:`Rooted` wrappers thereof —
-    round-trips through pickle safely.
+    ``None``, DTDs and :class:`Rooted` wrappers thereof — round-trips
+    through pickle safely (a DTD without its binarized grammar).
     """
     return all(
         not isinstance(
@@ -442,7 +459,9 @@ class StaticAnalyzer:
     All methods are pure with respect to the caches: a cached answer is
     always the answer the solver would produce — the solve cache is keyed by
     the (hash-consed) Lµ formula, the translation caches by the
-    expression/type pair they translate.  Every solve runs
+    expression/type pair they translate.  A type is resolved once per problem
+    (:meth:`_resolve_type`); the resolved value is its identity wherever
+    "same schema?" is asked.  Every solve runs
     :class:`repro.solver.symbolic.SymbolicSolver`, which has one
     configuration.
 
@@ -474,16 +493,12 @@ class StaticAnalyzer:
         #: a per-call budget can only tighten it (see :meth:`solve`).
         self.budget = budget
         self.disk_cache = None if cache_dir is None else DiskSolveCache(cache_dir)
-        # (type key, constrain_siblings) -> compiled type formula.
+        # (resolved type, constrain_siblings, attributes, labels) -> type formula.
         self._type_cache: dict[tuple, sx.Formula] = {}
-        # (expression text, type key) -> compiled query formula.
+        # (expression text, resolved type, attributes, labels) -> query formula.
         self._query_cache: dict[tuple, sx.Formula] = {}
         # Lµ formula (hash-consed, so identity == structure) -> SolveRecord.
         self._solve_cache: dict[sx.Formula, SolveRecord] = {}
-        # Strong references keeping id()-keyed type objects alive (one entry
-        # per distinct object, tracked via _pinned_ids).
-        self._type_refs: list[object] = []
-        self._pinned_ids: set[int] = set()
         self.solver_runs = 0
         self.solve_cache_hits = 0
         self.disk_cache_hits = 0
@@ -491,42 +506,38 @@ class StaticAnalyzer:
 
     # -- caching layers ----------------------------------------------------------
 
-    def _resolve_type(self, xml_type: object) -> object:
-        if isinstance(xml_type, Rooted):
-            return Rooted(self._resolve_type(xml_type.xml_type))
-        return builtin_dtd(xml_type) if isinstance(xml_type, str) else xml_type
+    @staticmethod
+    def _resolve_type(xml_type: object) -> object:
+        """The schema a type constraint denotes, which is also its identity.
 
-    def _type_key(self, xml_type: object) -> object:
-        if xml_type is None:
-            return None
-        if isinstance(xml_type, Rooted):
-            return ("rooted", self._type_key(xml_type.xml_type))
+        A registry name or alias becomes the registry's :class:`DTD` (one
+        object per schema), ``Rooted(T)`` becomes ``Rooted`` of the resolved
+        ``T``, and ``None``, a ``DTD`` or an Lµ formula stands for itself.
+        Idempotent; anything else raises :class:`UnsupportedTypeError`.
+        """
+        if xml_type is None or isinstance(xml_type, (DTD, sx.Formula)):
+            return xml_type
         if isinstance(xml_type, str):
-            return ("builtin", xml_type)
-        if isinstance(xml_type, sx.Formula):
-            return ("formula", xml_type)
-        # DTDs and grammars are mutable containers: key by identity and pin a
-        # reference so the id cannot be recycled while the cache lives.
-        if id(xml_type) not in self._pinned_ids:
-            self._pinned_ids.add(id(xml_type))
-            self._type_refs.append(xml_type)
-        return ("object", id(xml_type))
+            return builtin_dtd(xml_type)
+        if isinstance(xml_type, Rooted):
+            inner = StaticAnalyzer._resolve_type(xml_type.xml_type)
+            return xml_type if inner is xml_type.xml_type else Rooted(inner)
+        raise UnsupportedTypeError(f"unsupported type constraint {xml_type!r}")
 
     def _label_projection(
         self, exprs: Sequence[object], types: Sequence[object]
     ) -> tuple[str, ...] | None:
-        """The element alphabet to prune type constraints onto, or ``None``.
+        """The element alphabet to prune resolved type constraints onto, or
+        ``None``.
 
         Delegates to :func:`repro.analysis.problems.label_projection` (the
-        single home of the soundness rule), comparing types through this
-        analyzer's cache keys so two mentions of the same built-in schema
-        name count as one type.  Returns ``None`` — no pruning — when the
-        analyzer was built with ``prune_labels=False`` or the problem mixes
-        distinct schemas.
+        single home of the soundness rule).  Returns ``None`` — no pruning —
+        when the analyzer was built with ``prune_labels=False`` or the
+        problem mixes distinct schemas.
         """
         if not self.prune_labels:
             return None
-        return label_projection(exprs, types, type_key=self._type_key)
+        return label_projection(exprs, types)
 
     def type_formula(
         self,
@@ -538,50 +549,40 @@ class StaticAnalyzer:
         """The (cached) Lµ translation of a type constraint (⊤ for ``None``,
         which takes no cache entry).
 
-        ``attributes`` is the attribute alphabet of the surrounding problem:
-        DTD types project their ATTLIST constraints onto it (see
-        :mod:`repro.xmltypes.compile`).  ``labels`` is the problem's element
-        alphabet: when given, DTD/grammar element names outside it collapse
-        onto the "any other label" proposition (cone-of-influence Lean
-        pruning).  Both are part of the cache key.
+        The constraint is resolved first (:meth:`_resolve_type`) and cached
+        under its resolved value, so a registry name, its aliases and its
+        ``DTD`` share one entry.  ``attributes`` is the attribute alphabet of
+        the surrounding problem: DTD types project their ATTLIST constraints
+        onto it (see :mod:`repro.xmltypes.compile`).  ``labels`` is the
+        problem's element alphabet: when given, DTD element names outside it
+        collapse onto the "any other label" proposition (cone-of-influence
+        Lean pruning).  Both are part of the cache key.
         """
+        xml_type = self._resolve_type(xml_type)
         if xml_type is None:
             return sx.TRUE
-        key = (self._type_key(xml_type), constrain_siblings, attributes, labels)
+        key = (xml_type, constrain_siblings, attributes, labels)
         cached = self._type_cache.get(key)
         if cached is not None:
             return cached
-        resolved = self._resolve_type(xml_type)
-        if isinstance(resolved, Rooted):
-            # Recurse on the *unresolved* inner type so the inner translation
-            # is cached under its own key (shared with unwrapped uses).
-            inner_type = (
-                xml_type.xml_type if isinstance(xml_type, Rooted) else resolved.xml_type
-            )
+        if isinstance(xml_type, Rooted):
             formula = document_formula(
                 self.type_formula(
-                    inner_type,
+                    xml_type.xml_type,
                     constrain_siblings=True,
                     attributes=attributes,
                     labels=labels,
                 )
             )
-        elif isinstance(resolved, sx.Formula):
-            formula = resolved
-        elif isinstance(resolved, DTD):
+        elif isinstance(xml_type, DTD):
             formula = compile_dtd(
-                resolved,
+                xml_type,
                 constrain_siblings=constrain_siblings,
-                attributes=attributes or None,
+                attributes=attributes,
                 labels=labels,
             )
-        elif isinstance(resolved, BinaryTypeGrammar):
-            grammar = (
-                project_grammar(resolved, labels) if labels is not None else resolved
-            )
-            formula = compile_grammar(grammar, constrain_siblings=constrain_siblings)
-        else:
-            raise UnsupportedTypeError(f"unsupported type constraint {resolved!r}")
+        else:  # a raw Lµ formula
+            formula = xml_type
         self._type_cache[key] = formula
         return formula
 
@@ -596,19 +597,19 @@ class StaticAnalyzer:
 
         ``attributes`` is the problem's attribute alphabet (defaults to the
         names this expression mentions on its own); ``labels`` the problem's
-        element alphabet for type pruning (defaults to no pruning).
+        element alphabet for type pruning (defaults to no pruning).  The type
+        is resolved like :meth:`type_formula`'s.
         """
+        xml_type = self._resolve_type(xml_type)
+        if attributes is None:
+            attributes = relevant_attributes(expr)
         if not isinstance(expr, str):
             # Pre-parsed expressions are not cacheable by text; translate only.
-            if attributes is None:
-                attributes = relevant_attributes(expr)
             return compile_xpath(
                 expr,
                 self.type_formula(xml_type, attributes=attributes, labels=labels),
             )
-        if attributes is None:
-            attributes = relevant_attributes(expr)
-        key = (expr, self._type_key(xml_type), attributes, labels)
+        key = (expr, xml_type, attributes, labels)
         cached = self._query_cache.get(key)
         if cached is not None:
             return cached
@@ -675,8 +676,6 @@ class StaticAnalyzer:
         self._type_cache.clear()
         self._query_cache.clear()
         self._solve_cache.clear()
-        self._type_refs.clear()
-        self._pinned_ids.clear()
 
     def cache_statistics(self) -> dict[str, int]:
         return {
@@ -710,11 +709,10 @@ class StaticAnalyzer:
             return self._equivalence(query, budget)
         effective = self._effective_budget(budget)
         try:
-            formula, positive = self._reduce(query)
+            formula, positive, lift_context = self._reduce(query)
         except ANALYSIS_ERRORS as exc:
             return self._error_outcome(query, exc)
         problem = self._problem_description(query)
-        lift_context = self._lift_context(query)
         try:
             record, source = self._solve(formula, lift_context, effective)
         except BudgetExceeded as exc:
@@ -733,26 +731,6 @@ class StaticAnalyzer:
         if self.budget is None:
             return budget
         return self.budget.merged_with(budget)
-
-    def _lift_context(self, query: Query) -> LiftContext | None:
-        """The schema and kept alphabet to lift pruned witnesses against.
-
-        ``None`` when no lifting applies (pruning off or skipped, or no DTD
-        in the problem).  The alphabet is passed to
-        :func:`repro.xmltypes.membership.lift_wildcards` as the *excluded*
-        names: a collapsed node stands for a label the queries never test.
-        """
-        labels = self._label_projection(query.exprs, query.types)
-        if labels is None:
-            return None
-        for xml_type in query.types:
-            resolved = self._resolve_type(xml_type)
-            rooted = isinstance(resolved, Rooted)
-            if rooted:
-                resolved = resolved.xml_type
-            if isinstance(resolved, DTD):
-                return resolved, labels, rooted
-        return None
 
     def _error_outcome(self, query: Query, exc: Exception) -> AnalysisOutcome:
         return AnalysisOutcome(
@@ -820,39 +798,40 @@ class StaticAnalyzer:
             return f"equivalence {exprs[0]} ≡ {exprs[1]}"
         raise ValueError(f"unknown query kind {kind!r}")  # pragma: no cover
 
-    def _problem_attributes(self, query: Query) -> tuple[str, ...]:
+    def _problem_attributes(self, query: Query, types: Sequence) -> tuple[str, ...]:
         """The attribute alphabet a query's reduction is built over."""
         if query.kind == "type_inclusion":
             # The negated output type acts as a predicate on subtrees, so the
             # alphabet must also cover the DTDs' required/declared names (see
             # repro.analysis.problems.type_inclusion_attributes).
-            return type_inclusion_attributes(
-                query.exprs[0],
-                self._resolve_type(query.types[0]),
-                self._resolve_type(query.types[1]),
-            )
+            return type_inclusion_attributes(query.exprs[0], types[0], types[1])
         return relevant_attributes(*query.exprs)
 
-    def _reduce(self, query: Query) -> tuple[sx.Formula, bool]:
+    def _reduce(self, query: Query) -> tuple[sx.Formula, bool, LiftContext | None]:
         """Reduce a (non-equivalence) query to one satisfiability question.
 
-        Returns ``(formula, positive)`` from :func:`repro.analysis.problems.
-        reduce_problem`, fed with this analyzer's cached translators.  All
-        expressions of a problem share one attribute alphabet (and one
-        element alphabet for pruning) so type constraints agree across the
-        sub-formulas; type_inclusion derives a richer attribute alphabet of
-        its own (see :meth:`_problem_attributes`).
+        Resolves the query's types once (:meth:`_resolve_type`) and returns
+        ``(formula, positive, lift_context)``: the first two from
+        :func:`repro.analysis.problems.reduce_problem`, fed with this
+        analyzer's cached translators, and what :meth:`_solve` lifts a pruned
+        witness against (:func:`_lift_context`).  All expressions of a
+        problem share one attribute alphabet (and one element alphabet for
+        pruning) so type constraints agree across the sub-formulas;
+        type_inclusion derives a richer attribute alphabet of its own (see
+        :meth:`_problem_attributes`).
         """
-        return reduce_problem(
+        types = tuple(self._resolve_type(xml_type) for xml_type in query.types)
+        labels = self._label_projection(query.exprs, types)
+        formula, positive = reduce_problem(
             query.kind,
             query.exprs,
-            query.types,
+            types,
             self.query_formula,
             self.type_formula,
-            self._type_key,
-            attributes=self._problem_attributes(query),
-            labels=self._label_projection(query.exprs, query.types),
+            attributes=self._problem_attributes(query, types),
+            labels=labels,
         )
+        return formula, positive, _lift_context(types, labels)
 
     def _equivalence(
         self, query: Query, budget: Budget | None = None
@@ -1020,20 +999,22 @@ class StaticAnalyzer:
         )
 
     def _dedupe_key(self, query: Query) -> tuple:
-        """A hashable identity for batch deduplication (types via cache keys).
+        """A hashable identity for batch deduplication (over resolved types,
+        so aliases fold as the sequential solve cache folds them).
 
         Satisfiability and emptiness of the same expression reduce to the
         *same* formula (only the polarity of the answer differs), so they
         share one class — the sequential path answers the second from its
         solve cache, and the parallel path must fold them onto one worker
-        solve to keep :class:`BatchReport` counters in parity.
+        solve to keep :class:`BatchReport` counters in parity.  A query
+        whose types do not resolve, an error on both paths, leads its own.
         """
         kind = "satclass" if query.kind in ("satisfiability", "emptiness") else query.kind
-        return (
-            kind,
-            query.exprs,
-            tuple(self._type_key(xml_type) for xml_type in query.types),
-        )
+        try:
+            types = tuple(self._resolve_type(xml_type) for xml_type in query.types)
+        except ANALYSIS_ERRORS:
+            return (kind, query.exprs, id(query))
+        return (kind, query.exprs, types)
 
     # -- multiprocess batch solving ------------------------------------------------
 

@@ -21,24 +21,9 @@ import json
 import sys
 from pathlib import Path
 
-BENCHMARKS = ("scaling",)
+from repro.analysis.problems import FIGURE_21
 
-#: The twelve benchmark XPath expressions of Figure 21 — the single home of
-#: this corpus (benchmarks/conftest.py re-exports it for the pytest files).
-FIGURE_21 = {
-    "e1": "/a[.//b[c/*//d]/b[c//d]/b[c/d]]",
-    "e2": "/a[.//b[c/*//d]/b[c/d]]",
-    "e3": "a/b//c/foll-sibling::d/e",
-    "e4": "a/b//d[prec-sibling::c]/e",
-    "e5": "a/c/following::d/e",
-    "e6": "a/b[//c]/following::d/e ∩ a/d[preceding::c]/e",
-    "e7": "*//switch[ancestor::head]//seq//audio[prec-sibling::video]",
-    "e8": "descendant::a[ancestor::a]",
-    "e9": "/descendant::*",
-    "e10": "html/(head | body)",
-    "e11": "html/head/descendant::*",
-    "e12": "html/body/descendant::*",
-}
+BENCHMARKS = ("scaling",)
 
 #: The 10 distinct problems of the CLI workload, as ``(kind, exprs, types)``:
 #: the fast rows of Table 2 (the SMIL/XHTML rows are slow), then typed

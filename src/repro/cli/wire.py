@@ -49,9 +49,10 @@ class WireError(ValueError):
     """A request payload that does not follow the wire format."""
 
 
-#: Cache for inline/file DTDs, keyed by (source, root, name).  Re-parsing per
-#: request would hand the analyzer a *new* DTD object every time and defeat
-#: its identity-keyed type-translation cache.
+#: Cache for inline/file DTDs, keyed by (source, root, name).  A DTD object
+#: is its schema's identity to the analyzer (DTDs compare by identity), so
+#: re-parsing per request would make every request a new schema: new
+#: translation-cache entries and a new binarization each time.
 DTDCache = dict
 
 

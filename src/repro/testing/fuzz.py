@@ -164,7 +164,7 @@ def case_formula(case: FuzzCase, dtd: DTD | None, pruned: bool) -> sx.Formula:
     checks production's formula, restricted to single-rooted documents.
     """
     query = Query(case.kind, case.exprs, (dtd,) * len(case.exprs))
-    reduced, _positive = StaticAnalyzer(prune_labels=pruned)._reduce(query)
+    reduced = StaticAnalyzer(prune_labels=pruned)._reduce(query)[0]
     return sx.mk_and(reduced, single_root())
 
 

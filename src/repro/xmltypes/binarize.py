@@ -215,15 +215,16 @@ def _resolve_refs(grammar: BinaryTypeGrammar) -> None:
         grammar.variables[name] = resolve(name)
 
 
-def binarize_dtd(dtd: DTD, root: str | None = None) -> BinaryTypeGrammar:
+def binarize_dtd(dtd: DTD) -> BinaryTypeGrammar:
     """Convert a DTD to a binary regular tree type grammar.
 
-    The start variable describes a forest made of exactly one ``root`` element
-    (the document element) and nothing else, matching the encoding of
-    Figure 13 where ``$article -> article($1, $Epsilon)``.
+    The start variable describes a forest made of exactly one root element
+    (the DTD's document element) and nothing else, matching the encoding of
+    Figure 13 where ``$article -> article($1, $Epsilon)``.  A pure function:
+    :func:`repro.xmltypes.compile.compile_dtd` keeps its result on the DTD.
     """
     builder = _Builder(dtd)
-    root_element = root if root is not None else dtd.root
+    root_element = dtd.root
     if root_element is None or root_element not in dtd.elements:
         raise ValueError(f"unknown root element {root_element!r}")
     root_content = builder.content_of(root_element)

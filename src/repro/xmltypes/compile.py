@@ -244,16 +244,15 @@ def attribute_constraints(
 
 def compile_dtd(
     dtd: DTD,
-    root: str | None = None,
     constrain_siblings: bool = True,
-    attributes: Iterable[str] | None = None,
+    attributes: Iterable[str] = (),
     labels: Iterable[str] | None = None,
 ) -> sx.Formula:
     """Translate a DTD (with designated root element) into a closed Lµ formula.
 
     ``attributes`` is the attribute alphabet to project the DTD's ATTLIST
-    declarations onto (``None`` or empty: attributes are unconstrained, the
-    attribute-free behaviour of the paper).
+    declarations onto (empty: attributes are unconstrained, the attribute-free
+    behaviour of the paper).
 
     ``labels`` is the element alphabet of the surrounding problem: when
     given, element names outside it collapse onto the "any other label"
@@ -261,17 +260,18 @@ def compile_dtd(
     Lean proportionally.  Elements with a non-trivial attribute constraint
     under the ``attributes`` alphabet are never collapsed — the problem can
     still distinguish them through their attributes.
+
+    The DTD is binarized on its first compilation only, and the grammar is
+    kept on the DTD (see :class:`DTD`).
     """
-    grammar = binarize_dtd(dtd, root=root)
-    constraints = (
-        attribute_constraints(dtd, attributes) if attributes is not None else None
-    )
+    grammar = dtd._grammar
+    if grammar is None:
+        grammar = dtd._grammar = binarize_dtd(dtd)
+    constraints = attribute_constraints(dtd, attributes)
     if labels is not None:
-        grammar = project_grammar(
-            grammar, labels, protected=constraints.keys() if constraints else ()
-        )
+        grammar = project_grammar(grammar, labels, protected=constraints.keys())
     return compile_grammar(
         grammar,
         constrain_siblings=constrain_siblings,
-        attribute_constraints=constraints or None,
+        attribute_constraints=constraints,
     )

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 from repro.core.errors import ParseError
 from repro.xmltypes import content as cm
+from repro.xmltypes.ast import BinaryTypeGrammar
 
 
 @dataclass(frozen=True)
@@ -69,15 +70,27 @@ class AttributeDeclaration:
         return self.default == REQUIRED
 
 
-@dataclass
+@dataclass(eq=False)
 class DTD:
-    """A parsed DTD: element and attribute declarations plus a designated root."""
+    """A parsed DTD: element and attribute declarations plus a designated root.
+
+    A DTD is not mutated after :func:`parse_dtd` (or the constructor)
+    returns, so it compares and hashes by identity: the object is its
+    schema's identity.  :func:`repro.xmltypes.compile.compile_dtd` keeps the
+    binarized grammar on it, so each DTD is binarized once.
+    """
 
     elements: dict[str, ElementDeclaration] = field(default_factory=dict)
     root: str | None = None
     name: str = "dtd"
     #: Attribute declarations per element name, in declaration order.
     attlists: dict[str, tuple[AttributeDeclaration, ...]] = field(default_factory=dict)
+    #: The binarized grammar, filled by ``compile_dtd`` on first use.
+    _grammar: BinaryTypeGrammar | None = field(default=None, init=False, repr=False)
+
+    def __getstate__(self) -> dict:
+        # A worker process binarizes again rather than receive the grammar.
+        return {**self.__dict__, "_grammar": None}
 
     def element_names(self) -> tuple[str, ...]:
         """Declared element names, in declaration order."""

@@ -77,17 +77,14 @@ def dtd_accepts(dtd: DTD, document: Tree, root: str | None = None) -> bool:
 
 
 def lift_wildcards(
-    dtd: DTD,
-    document: Tree,
-    wildcard: str = "_",
-    root: str | None = None,
-    exclude: "Iterable[str]" = (),
+    dtd: DTD, document: Tree, exclude: Iterable[str] = ()
 ) -> Tree | None:
     """Reassign concrete element names to wildcard-labelled nodes.
 
     Counterexample models solved under a *label-projected* type constraint
     (cone-of-influence Lean pruning, :func:`repro.xmltypes.compile.
-    project_grammar`) carry the placeholder label for every element the
+    project_grammar`) carry the placeholder label
+    (:data:`repro.solver.models.FRESH_LABEL`) for every element the
     problem's expressions never test.  This is the lifting direction of the
     projection's correctness argument made concrete: search for an
     assignment of declared element names to the wildcard nodes under which
@@ -105,13 +102,15 @@ def lift_wildcards(
     derivatives, one nondeterministic choice per wildcard child); witness
     documents are small, so this is cheap.
     """
+    from repro.solver.models import FRESH_LABEL
+
     excluded = set(exclude)
     names = tuple(name for name in dtd.elements if name not in excluded)
     fit_cache: dict[tuple[int, str], Tree | None] = {}
 
     def fit(node: Tree, name: str) -> Tree | None:
         """The node relabelled as a valid ``name`` element, or ``None``."""
-        if node.label != wildcard and node.label != name:
+        if node.label != FRESH_LABEL and node.label != name:
             return None
         key = (id(node), name)
         if key in fit_cache:
@@ -140,7 +139,7 @@ def lift_wildcards(
                 yield []
             return
         child = children[index]
-        candidates = names if child.label == wildcard else (child.label,)
+        candidates = names if child.label == FRESH_LABEL else (child.label,)
         for name in candidates:
             derived = cm._derivative(model, name)
             if derived is None:
@@ -151,7 +150,7 @@ def lift_wildcards(
             for rest in assignments(derived, children, index + 1):
                 yield [lifted, *rest]
 
-    return fit(document, root if root is not None else dtd.root)
+    return fit(document, dtd.root)
 
 
 def dtd_attribute_violations(

@@ -1,6 +1,7 @@
 """Tests for the ``repro.api`` batch façade."""
 
 import json
+import pickle
 
 import pytest
 
@@ -9,9 +10,13 @@ from repro.api import KINDS, AnalysisOutcome, BatchReport, Query, StaticAnalyzer
 from repro.cache import formula_digest
 from repro.logic import syntax as sx
 from repro.logic.negation import negate
+from repro.solver.governor import Budget
 from repro.solver.symbolic import SymbolicSolver
 from repro.trees.unranked import serialize_tree
+from repro.xmltypes.ast import BinaryTypeGrammar
+from repro.xmltypes.compile import compile_dtd
 from repro.xmltypes.dtd import parse_dtd
+from repro.xmltypes.library import builtin_dtd
 
 #: The fast Table 2 decision problems (Figure 21 queries; the SMIL and XHTML
 #: rows are exercised by the slow integration suite instead).
@@ -140,6 +145,65 @@ def test_type_translation_cache_is_shared_across_queries():
     assert analyzer.cache_statistics()["solve_cache_entries"] == 0
 
 
+def test_aliases_and_dtd_objects_are_one_schema():
+    """A registry alias and the registry's DTD object are the schema the
+    name is: the same reduction, label projection and shared-type rule
+    included, so the same Lean (365 formulas when they counted as two)."""
+    analyzer = StaticAnalyzer()
+    named = Query.containment(".//img", ".//img[@alt]", "xhtml", "xhtml")
+    formula = analyzer._reduce(named)[0]
+    for types in (("xhtml", "xhtml-strict"), (builtin_dtd("xhtml"), "xhtml")):
+        query = Query.containment(".//img", ".//img[@alt]", *types)
+        assert analyzer._reduce(query)[0] is formula
+        outcome = StaticAnalyzer().solve(query, budget=Budget(max_lean=1))
+        assert outcome.budget_reason == "lean"
+        assert outcome.statistics["budget"]["observed"] == 141
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_alias_duplicates_share_one_solve(workers):
+    report = StaticAnalyzer().solve_many(
+        [
+            Query.satisfiability("child::head", "xhtml"),
+            Query.satisfiability("child::head", "xhtml-strict"),
+        ],
+        workers=workers,
+    )
+    assert (report.solver_runs, report.cache_hits) == (1, 1)
+    assert [outcome.holds for outcome in report.outcomes] == [True, True]
+
+
+def test_a_dtd_is_binarized_once_across_alphabets(monkeypatch):
+    from repro.xmltypes import compile as compile_module
+
+    binarized = []
+    binarize = compile_module.binarize_dtd
+
+    def counting_binarize(dtd):
+        binarized.append(dtd)
+        return binarize(dtd)
+
+    monkeypatch.setattr(compile_module, "binarize_dtd", counting_binarize)
+    dtd = parse_dtd(
+        "<!ELEMENT doc (sec+)><!ELEMENT sec (title, para*, sec*)>"
+        "<!ATTLIST sec id CDATA #IMPLIED><!ELEMENT title EMPTY><!ELEMENT para EMPTY>",
+        name="sections",
+    )
+    analyzer = StaticAnalyzer()
+    for query in (
+        Query.satisfiability(".//sec/title", dtd),
+        Query.containment(".//para", ".//sec/para", dtd, dtd),
+        Query.satisfiability(".//sec[@id]/para", dtd),
+    ):
+        assert analyzer.solve(query).definite
+    assert analyzer.cache_statistics()["type_cache_entries"] == 3
+    assert binarized == [dtd]
+    # The grammar stays behind when the DTD crosses to a worker process.
+    copy = pickle.loads(pickle.dumps(dtd))
+    assert copy._grammar is None
+    assert compile_dtd(copy) is compile_dtd(dtd)
+
+
 def test_untyped_sides_take_no_type_cache_entry():
     analyzer = StaticAnalyzer()
     analyzer.solve(Query.containment("a/b", "a//b"))
@@ -182,7 +246,7 @@ def _full_type_reduction(analyzer: StaticAnalyzer, query: Query):
     is translated under its own type."""
     exprs, types = query.exprs, query.types
     attributes = relevant_attributes(*exprs)
-    labels = label_projection(exprs, types, type_key=analyzer._type_key)
+    labels = label_projection(exprs, types)
     if query.kind == "overlap":
         return sx.mk_and(
             analyzer.query_formula(exprs[0], types[0], attributes, labels),
@@ -203,7 +267,7 @@ def _full_type_reduction(analyzer: StaticAnalyzer, query: Query):
 def test_shared_type_reduction_keeps_verdicts_and_witnesses(query):
     """Translating a repeated type once changes the formula, never its
     models: same verdict, and the same counterexample byte for byte."""
-    shared, _positive = StaticAnalyzer()._reduce(query)
+    shared = StaticAnalyzer()._reduce(query)[0]
     full = _full_type_reduction(StaticAnalyzer(), query)
     assert formula_digest(shared) != formula_digest(full)  # the rule applied
     got, want = SymbolicSolver(shared).solve(), SymbolicSolver(full).solve()
@@ -257,9 +321,22 @@ def test_unknown_schema_name_is_a_structured_error():
 
 
 def test_unsupported_type_object_is_a_structured_error():
-    outcome = StaticAnalyzer().solve(Query.satisfiability("child::a", object()))
-    assert not outcome.ok
-    assert outcome.error_kind == "UnsupportedTypeError"
+    # Unhashable objects and binary grammars are not type constraints either.
+    for xml_type in (object(), [], BinaryTypeGrammar()):
+        outcome = StaticAnalyzer().solve(Query.satisfiability("child::a", xml_type))
+        assert not outcome.ok
+        assert outcome.error_kind == "UnsupportedTypeError"
+        report = StaticAnalyzer().solve_many(
+            [
+                Query.satisfiability("child::a", xml_type),
+                Query.satisfiability("child::a", xml_type),
+                Query.satisfiability("child::a"),
+            ],
+            workers=2,
+        )
+        kinds = [outcome.error_kind for outcome in report.outcomes]
+        assert kinds == ["UnsupportedTypeError", "UnsupportedTypeError", None]
+        assert report.outcomes[2].holds is True
 
 
 def test_internal_bugs_are_not_masked_as_error_outcomes(monkeypatch):

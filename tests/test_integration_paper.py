@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis import Analyzer, check_containment, check_satisfiability
+from repro.analysis.problems import FIGURE_21
 from repro.logic.cyclefree import is_cycle_free
 from repro.logic.syntax import formula_size
 from repro.xmltypes.binarize import binarize_dtd
@@ -12,23 +13,6 @@ from repro.xpath.parser import parse_xpath
 from repro.xpath.semantics import select
 
 from conftest import assert_genuine_counterexample
-
-#: The benchmark queries of Figure 21 (``//`` is the paper's shorthand for
-#: ``/desc-or-self::*/``; e10 uses the parenthesised union).
-FIGURE_21 = {
-    1: "/a[.//b[c/*//d]/b[c//d]/b[c/d]]",
-    2: "/a[.//b[c/*//d]/b[c/d]]",
-    3: "a/b//c/foll-sibling::d/e",
-    4: "a/b//d[prec-sibling::c]/e",
-    5: "a/c/following::d/e",
-    6: "a/b[//c]/following::d/e ∩ a/d[preceding::c]/e",
-    7: "*//switch[ancestor::head]//seq//audio[prec-sibling::video]",
-    8: "descendant::a[ancestor::a]",
-    9: "/descendant::*",
-    10: "html/(head | body)",
-    11: "html/head/descendant::*",
-    12: "html/body/descendant::*",
-}
 
 
 def test_all_figure21_expressions_translate_linearly():
@@ -60,46 +44,46 @@ def test_figure18_containment_example():
 
 
 def test_table2_row1_e1_contains_e2_but_not_conversely():
-    assert check_containment(FIGURE_21[1], FIGURE_21[2]).holds
-    assert not check_containment(FIGURE_21[2], FIGURE_21[1]).holds
+    assert check_containment(FIGURE_21["e1"], FIGURE_21["e2"]).holds
+    assert not check_containment(FIGURE_21["e2"], FIGURE_21["e1"]).holds
 
 
 def test_table2_row2_e3_and_e4_are_equivalent():
-    assert check_containment(FIGURE_21[4], FIGURE_21[3]).holds
-    assert check_containment(FIGURE_21[3], FIGURE_21[4]).holds
+    assert check_containment(FIGURE_21["e4"], FIGURE_21["e3"]).holds
+    assert check_containment(FIGURE_21["e3"], FIGURE_21["e4"]).holds
 
 
 def test_table2_row3_e6_versus_e5():
     # With e5 exactly as printed in Figure 21 the containment fails and the
     # solver exhibits a counterexample (benchmarks/reports/
     # table2_decision_problems.txt records the row's measured verdicts).
-    as_printed = check_containment(FIGURE_21[6], FIGURE_21[5])
+    as_printed = check_containment(FIGURE_21["e6"], FIGURE_21["e5"])
     assert not as_printed.holds
     assert_genuine_counterexample(as_printed)
     # ``[//c]`` now follows XPath 1.0 and anchors at the *document root*, so
     # the printed e6 admits documents whose ``c`` lies outside the ``a``
     # subtree and is not contained in the descendant variant of e5 either.
-    assert not check_containment(FIGURE_21[6], "a//c/following::d/e").holds
+    assert not check_containment(FIGURE_21["e6"], "a//c/following::d/e").holds
     # Table 2's verdict corresponds to the relative reading of the qualifier,
     # which is written ``.//c`` in XPath: under it the containment holds.
     relative_reading = "a/b[.//c]/following::d/e ∩ a/d[preceding::c]/e"
     assert check_containment(relative_reading, "a//c/following::d/e").holds
     # The reverse containment does not hold in either reading (e5 ⊄ e6).
-    assert not check_containment("a//c/following::d/e", FIGURE_21[6]).holds
+    assert not check_containment("a//c/following::d/e", FIGURE_21["e6"]).holds
     assert not check_containment("a//c/following::d/e", relative_reading).holds
 
 
 @pytest.mark.slow
 def test_table2_row4_e7_satisfiable_under_smil():
-    result = check_satisfiability(FIGURE_21[7], smil_dtd())
+    result = check_satisfiability(FIGURE_21["e7"], smil_dtd())
     assert result.holds
-    assert_genuine_counterexample(result, smil_dtd(), exprs=(FIGURE_21[7],))
+    assert_genuine_counterexample(result, smil_dtd(), exprs=(FIGURE_21["e7"],))
 
 
 @pytest.mark.slow
 def test_table2_row5_e8_satisfiable_under_xhtml_core():
     # The official XHTML DTD does not syntactically prohibit nested anchors.
-    result = check_satisfiability(FIGURE_21[8], xhtml_core_dtd())
+    result = check_satisfiability(FIGURE_21["e8"], xhtml_core_dtd())
     assert result.holds
 
 

@@ -11,12 +11,13 @@ semantics against the small Wikipedia schema, the wire spellings
 import pytest
 
 import repro.logic.syntax as sx
-from repro.analysis.problems import Rooted, label_projection
+from repro.analysis.problems import Rooted, label_projection, type_inclusion_attributes
 from repro.api import Query, StaticAnalyzer, _describe_type, _parallel_safe
 from repro.cli import wire
 from repro.trees.unranked import parse_tree
+from repro.xmltypes.dtd import parse_dtd
 from repro.xmltypes.library import builtin_dtd
-from repro.xmltypes.membership import dtd_accepts
+from repro.xmltypes.membership import dtd_accepts, dtd_attribute_violations
 from repro.xpath.parser import parse_xpath_cached
 
 ROOTED = Rooted("wikipedia")
@@ -194,11 +195,55 @@ def test_rooted_queries_are_parallel_safe():
 
 def test_type_cache_key_distinguishes_rooted_from_bare():
     analyzer = StaticAnalyzer()
-    assert analyzer._type_key(Rooted("wikipedia")) != analyzer._type_key("wikipedia")
-    assert analyzer._type_key(Rooted("wikipedia")) == (
-        "rooted",
-        analyzer._type_key("wikipedia"),
+    bare = analyzer.type_formula("wikipedia")
+    assert analyzer.cache_statistics()["type_cache_entries"] == 1
+    rooted = analyzer.type_formula(Rooted("wikipedia"))
+    # The wrapper takes an entry of its own and reuses the bare translation.
+    assert rooted is not bare
+    assert analyzer.cache_statistics()["type_cache_entries"] == 2
+    assert analyzer.type_formula(Rooted(builtin_dtd("wikipedia"))) is rooted
+    assert analyzer.type_formula(builtin_dtd("wikipedia")) is bare
+    assert analyzer.cache_statistics()["type_cache_entries"] == 2
+
+
+def test_rooted_type_inclusion_names_the_inner_dtds_attributes():
+    """Type inclusion's attribute alphabet comes from the DTD inside a
+    Rooted type too; without it, both problems answered "holds"."""
+    # An attribute the input type admits and the output type does not declare.
+    doc = parse_dtd(
+        "<!ELEMENT a (b*)><!ELEMENT b EMPTY><!ATTLIST b foo CDATA #IMPLIED>", name="t1"
     )
+    bare_b = parse_dtd("<!ELEMENT b EMPTY>", name="t2")
+    assert type_inclusion_attributes("//b", Rooted(doc), bare_b) == ("foo",)
+    analyzer = StaticAnalyzer()
+    bare = analyzer.solve(Query.type_inclusion(".//b", doc, bare_b))
+    assert bare.definite and bare.holds is False
+    assert bare.counterexample == '<a!><b foo=""/></a>'
+    rooted = analyzer.solve(Query.type_inclusion("//b", Rooted(doc), bare_b))
+    assert rooted.definite and rooted.holds is False
+    (element,) = parse_tree(rooted.counterexample).children
+    assert dtd_accepts(doc, element)
+    assert element.children[0].attributes == ("foo",)
+    # An attribute the output type requires and the input type leaves optional.
+    optional = parse_dtd(
+        "<!ELEMENT p (img*)><!ELEMENT img EMPTY><!ATTLIST img alt CDATA #IMPLIED>"
+    )
+    required = parse_dtd(
+        "<!ELEMENT p (img*)><!ELEMENT img EMPTY><!ATTLIST img alt CDATA #REQUIRED>"
+    )
+    bare = analyzer.solve(Query.type_inclusion("self::*", optional, required))
+    assert bare.definite and bare.holds is False
+    assert bare.counterexample == "<p!><img/></p>"
+    rooted = analyzer.solve(
+        Query.type_inclusion("/self::*", Rooted(optional), Rooted(required))
+    )
+    assert rooted.definite and rooted.holds is False
+    (element,) = parse_tree(rooted.counterexample).children
+    assert dtd_accepts(optional, element) and dtd_accepts(required, element)
+    assert not dtd_attribute_violations(optional, element)
+    assert dtd_attribute_violations(required, element) == [
+        "<img> is missing required attribute 'alt'"
+    ]
 
 
 def test_worker_pool_agrees_with_in_process_verdicts(analyzer):

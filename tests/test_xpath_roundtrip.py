@@ -8,29 +8,14 @@ caught a real precedence bug — ``a[(b or c) and d]`` used to print as
 
 import pytest
 
+from repro.analysis.problems import FIGURE_21
 from repro.xpath import ast as xp
 from repro.xpath.parser import parse_xpath
-
-#: The benchmark queries of Figure 21 (same corpus as the integration tests).
-FIGURE_21 = [
-    "/a[.//b[c/*//d]/b[c//d]/b[c/d]]",
-    "/a[.//b[c/*//d]/b[c/d]]",
-    "a/b//c/foll-sibling::d/e",
-    "a/b//d[prec-sibling::c]/e",
-    "a/c/following::d/e",
-    "a/b[//c]/following::d/e ∩ a/d[preceding::c]/e",
-    "*//switch[ancestor::head]//seq//audio[prec-sibling::video]",
-    "descendant::a[ancestor::a]",
-    "/descendant::*",
-    "html/(head | body)",
-    "html/head/descendant::*",
-    "html/body/descendant::*",
-]
 
 #: The bench-query corpus: every Figure 21 query plus expressions exercising
 #: each printer production (qualifier precedence, attributes, absolute
 #: qualifier paths, unions, intersections, qualified names).
-CORPUS = FIGURE_21 + [
+CORPUS = list(FIGURE_21.values()) + [
     "a[(b or c) and d]",
     "a[b or (c and d)]",
     "a[(b or c) and (d or e)]",
