@@ -341,7 +341,8 @@ class BatchReport:
     cache_hits: int
     #: Verdicts answered from the persistent cache (0 without ``cache_dir``).
     disk_cache_hits: int = 0
-    #: Worker processes the batch fanned out to (1: solved in-process).
+    #: The ``workers`` the batch was answered with (1: solved in-process);
+    #: its pool runs at most this many processes.
     workers: int = 1
 
     @property
@@ -412,21 +413,25 @@ def _lift_witness(document: Tree, lift_context: LiftContext) -> Tree:
     return document if child is None else replace(document, children=(child,))
 
 
-def _parallel_safe(query: Query) -> bool:
-    """Whether a query can be shipped to a worker process.
+#: One solver run, as a worker process sends it back: ``(satisfiable,
+#: witness document or None, statistics, solve seconds)``.
+Run = tuple[bool, Tree | None, dict, float]
 
-    Raw-formula type constraints are hash-consed (equality is identity), so
-    pickling them across a process boundary would break their semantics;
-    such queries are solved in the parent instead.  Everything else — names,
-    ``None``, DTDs and :class:`Rooted` wrappers thereof — round-trips
-    through pickle safely (a DTD without its binarized grammar).
+
+def run_solver(formula: sx.Formula, budget: Budget | None = None) -> Run:
+    """Run :class:`SymbolicSolver` on one formula, in this process or in a
+    :class:`repro.workers.WorkerPool` worker.
+
+    The witness is the solver's own: lifting its collapsed labels needs the
+    query's schema, which the analyzer that asked holds.  A budget that runs
+    out raises :class:`BudgetExceeded`.
     """
-    return all(
-        not isinstance(
-            xml_type.xml_type if isinstance(xml_type, Rooted) else xml_type,
-            sx.Formula,
-        )
-        for xml_type in query.types
+    result = SymbolicSolver(formula, budget=budget).solve()
+    return (
+        result.satisfiable,
+        result.model_document(),
+        result.statistics.as_dict(),
+        result.statistics.solve_seconds,
     )
 
 
@@ -625,6 +630,7 @@ class StaticAnalyzer:
         formula: sx.Formula,
         lift_context: LiftContext | None = None,
         budget: Budget | None = None,
+        runs: dict | None = None,
     ) -> tuple[SolveRecord, str | None]:
         """Solve a formula, answering from a cache layer when possible.
 
@@ -639,6 +645,11 @@ class StaticAnalyzer:
         unknown is a statement about the budget, not about the formula, so
         it must never shadow a definite verdict (cached answers, being free,
         are immune to budgets by construction).
+
+        ``runs`` maps ``(formula, budget)`` to what a worker pool's
+        :func:`run_solver` returned, or to the exception it raised; such a
+        run stands in for running the solver here, so it is counted, lifted
+        and cached, or raised, exactly like one.
         """
         record = self._solve_cache.get(formula)
         if record is not None:
@@ -650,16 +661,20 @@ class StaticAnalyzer:
                 self.disk_cache_hits += 1
                 self._solve_cache[formula] = record
                 return record, "disk"
-        result = SymbolicSolver(formula, budget=budget).solve()
+        run = None if runs is None else runs.get((formula, budget))
+        if run is None:
+            run = run_solver(formula, budget)
+        elif isinstance(run, Exception):
+            raise run
+        satisfiable, document, statistics, solve_seconds = run
         self.solver_runs += 1
-        document = result.model_document()
         if document is not None and lift_context is not None:
             document = _lift_witness(document, lift_context)
         record = SolveRecord(
-            satisfiable=result.satisfiable,
+            satisfiable=satisfiable,
             counterexample=None if document is None else serialize_tree(document),
-            statistics=result.statistics.as_dict(),
-            solve_seconds=result.statistics.solve_seconds,
+            statistics=statistics,
+            solve_seconds=solve_seconds,
         )
         self._solve_cache[formula] = record
         if self.disk_cache is not None:
@@ -705,16 +720,25 @@ class StaticAnalyzer:
         "unknown"``, ``holds``/``satisfiable`` both ``None``,
         ``budget_reason`` naming the exhausted resource.
         """
+        return self._answer(query, self._effective_budget(budget))
+
+    def _answer(
+        self, query: Query, budget: Budget | None, runs: dict | None = None
+    ) -> AnalysisOutcome:
+        """:meth:`solve` under the effective ``budget``, with the solver
+        ``runs`` a worker pool made in hand (see :meth:`_solve`)."""
         if query.kind == "equivalence":
-            return self._equivalence(query, budget)
-        effective = self._effective_budget(budget)
+            forward, backward = (
+                self._answer(part, budget, runs) for part in _parts(query)
+            )
+            return self._assemble_equivalence(query, forward, backward)
         try:
             formula, positive, lift_context = self._reduce(query)
         except ANALYSIS_ERRORS as exc:
             return self._error_outcome(query, exc)
         problem = self._problem_description(query)
         try:
-            record, source = self._solve(formula, lift_context, effective)
+            record, source = self._solve(formula, lift_context, budget, runs)
         except BudgetExceeded as exc:
             # Must precede the ANALYSIS_ERRORS arm: BudgetExceeded is a
             # ReproError, and swallowing it there would misreport resource
@@ -769,18 +793,8 @@ class StaticAnalyzer:
             budget_reason=exc.reason,
         )
 
-    def _crash_outcome(self, query: Query) -> AnalysisOutcome:
-        """Unknown outcome for a query whose worker died twice (quarantined)."""
-        exc = BudgetExceeded(
-            "worker-crash",
-            "worker process died while solving this query "
-            "(on its worker and again on a fresh one)",
-        )
-        return self._unknown_outcome(query, f"{query.kind} (unknown)", exc)
-
     def _problem_description(self, query: Query) -> str:
-        """The human-readable problem string of a query (byte-stable: the
-        batch paths rebuild outcomes for folded duplicates with it)."""
+        """The human-readable problem string of a query."""
         kind, exprs = query.kind, query.exprs
         if kind == "satisfiability":
             return f"satisfiability of {exprs[0]}"
@@ -833,22 +847,30 @@ class StaticAnalyzer:
         )
         return formula, positive, _lift_context(types, labels)
 
-    def _equivalence(
-        self, query: Query, budget: Budget | None = None
-    ) -> AnalysisOutcome:
-        forward, backward = (self.solve(part, budget) for part in _parts(query))
-        return self._assemble_equivalence(query, forward, backward)
+    def _unanswered(self, query: Query) -> list[sx.Formula]:
+        """The distinct formulas of ``query``'s parts that no cache layer
+        answers yet: what a worker pool must run before :meth:`_answer` can
+        answer it.
+
+        The lookup counts nothing; a part that fails to reduce needs no run
+        (it is answered as an error outcome).
+        """
+        formulas = []
+        for part in _parts(query):
+            try:
+                formula = self._reduce(part)[0]
+            except ANALYSIS_ERRORS:
+                continue
+            if formula in self._solve_cache or formula in formulas:
+                continue
+            if self.disk_cache is None or self.disk_cache.get(formula) is None:
+                formulas.append(formula)
+        return formulas
 
     def _assemble_equivalence(
         self, query: Query, forward: AnalysisOutcome, backward: AnalysisOutcome
     ) -> AnalysisOutcome:
-        """Combine the two directed containment outcomes of an equivalence.
-
-        Shared by the sequential path (which solves the directions through
-        :meth:`solve`) and the multiprocess path (which solves the
-        :func:`_parts` of an equivalence as units of their own, so the
-        directions join batch deduplication like any other query).
-        """
+        """Combine the two directed containment outcomes of an equivalence."""
         expr1, expr2 = query.exprs
         if not forward.ok or not backward.ok:
             broken = forward if not forward.ok else backward
@@ -941,14 +963,6 @@ class StaticAnalyzer:
 
     # -- batch -------------------------------------------------------------------
 
-    def _options(self) -> dict:
-        """Constructor options replicating this analyzer in another process."""
-        return {
-            "cache_dir": None if self.disk_cache is None else str(self.disk_cache.directory),
-            "prune_labels": self.prune_labels,
-            "budget": self.budget,
-        }
-
     def solve_many(
         self,
         queries: Iterable[Query],
@@ -962,22 +976,20 @@ class StaticAnalyzer:
         an equivalence in the batch already checked) share one solver run.
         The returned :class:`BatchReport` records how much was shared.
 
-        With ``workers > 1``, independent queries fan out to a
-        :class:`repro.workers.WorkerPool`; result order always matches query
-        order.  Workers are fresh processes whose in-memory caches warm up
-        per worker — construct the analyzer with ``cache_dir=...`` to share
-        solver verdicts between them (the disk store is atomic-publish-safe
-        under concurrent writers, and its hits and writes are aggregated
-        into this analyzer's counters).  Queries whose type constraints
-        cannot cross a process boundary (raw Lµ formulas) are transparently
-        solved in the parent.  No worker outlives the call.
+        With ``workers > 1`` the batch is answered in two phases.  First this
+        analyzer reduces every query and collects the distinct formulas that
+        no cache layer answers; a :class:`repro.workers.WorkerPool` of at
+        most ``workers`` processes runs the solver on each of them once.
+        Then the queries are answered in order exactly as without workers,
+        with those runs in hand, so the outcomes, counters and caches are the
+        sequential ones.  No worker outlives the call.
 
-        ``budget`` applies per query (tightening the analyzer-wide budget),
-        and with ``workers > 1`` it doubles as the per-query wall-clock cap
-        inside each worker.  The batch survives worker crashes: a worker
-        holds one query at a time, so a query whose worker dies is retried
-        once on a fresh worker, and a second death quarantines it as
-        ``unknown("worker-crash")`` — no other query is interrupted.
+        ``budget`` applies per query (tightening the analyzer-wide budget)
+        and governs each solver run, in a worker too.  The batch survives
+        worker crashes: a worker holds one formula at a time, so a formula
+        whose worker dies is run again on a fresh worker, and a second death
+        answers every query that needs it ``unknown("worker-crash")`` — no
+        other query is interrupted.
         """
         queries = list(queries)
         runs_before = self.solver_runs
@@ -988,7 +1000,9 @@ class StaticAnalyzer:
             workers = 1
             outcomes = [self.solve(query, budget) for query in queries]
         else:
-            outcomes = self._solve_many_parallel(queries, workers, budget)
+            effective = self._effective_budget(budget)
+            runs = self._pool_runs(queries, effective, workers)
+            outcomes = [self._answer(query, effective, runs) for query in queries]
         return BatchReport(
             outcomes=outcomes,
             total_seconds=time.perf_counter() - started,
@@ -998,97 +1012,27 @@ class StaticAnalyzer:
             workers=workers,
         )
 
-    def _dedupe_key(self, query: Query) -> tuple:
-        """A hashable identity for batch deduplication (over resolved types,
-        so aliases fold as the sequential solve cache folds them).
+    def _pool_runs(
+        self, queries: list[Query], budget: Budget | None, workers: int
+    ) -> dict:
+        """Run the solver, in a worker pool, once on every distinct formula
+        the ``queries`` need; the runs are keyed as :meth:`_solve` reads them.
 
-        Satisfiability and emptiness of the same expression reduce to the
-        *same* formula (only the polarity of the answer differs), so they
-        share one class — the sequential path answers the second from its
-        solve cache, and the parallel path must fold them onto one worker
-        solve to keep :class:`BatchReport` counters in parity.  A query
-        whose types do not resolve, an error on both paths, leads its own.
+        Each formula goes with the text of the first query that needs it,
+        which the ``worker-crash`` fault point matches.
         """
-        kind = "satclass" if query.kind in ("satisfiability", "emptiness") else query.kind
-        try:
-            types = tuple(self._resolve_type(xml_type) for xml_type in query.types)
-        except ANALYSIS_ERRORS:
-            return (kind, query.exprs, id(query))
-        return (kind, query.exprs, types)
-
-    # -- multiprocess batch solving ------------------------------------------------
-
-    def _replicate_outcome(
-        self, leader: AnalysisOutcome, query: Query
-    ) -> AnalysisOutcome:
-        """A duplicate item's outcome, derived from its dedupe-class leader.
-
-        Mirrors what the sequential path produces when the duplicate answers
-        from the in-memory solve cache: the polarity and problem description
-        are the duplicate's *own* (a satisfiability and an emptiness share a
-        leader but disagree on ``holds``); only the verdict is shared.
-        """
-        if leader.verdict_status == "error":
-            return replace(leader, query=query, problem=f"{query.kind} (failed)")
-        problem = self._problem_description(query)
-        if not leader.definite:
-            return replace(leader, query=query, problem=problem)
-        record = SolveRecord(
-            satisfiable=leader.satisfiable,
-            counterexample=leader.counterexample,
-            statistics=dict(leader.statistics),
-            solve_seconds=leader.solve_seconds,
-        )
-        positive = query.kind in ("satisfiability", "overlap")
-        return self._outcome(query, problem, record, "memory", positive)
-
-    def _solve_many_parallel(
-        self, queries: list[Query], workers: int, budget: Budget | None
-    ) -> list[AnalysisOutcome]:
         from repro.workers import WorkerPool
 
-        # Solve *units*, not queries: an equivalence is its two containments,
-        # so a standalone containment elsewhere in the batch shares a solve
-        # with it, exactly as the sequential path's solve cache would.  The
-        # first unit of each dedupe class leads it and is the only one
-        # solved; without that, every worker re-solves the duplicates the
-        # sequential path answers from its solve cache.
-        units = [
-            [(self._dedupe_key(part), part) for part in _parts(query)]
-            for query in queries
-        ]
-        leaders: dict[tuple, Query] = {}
-        for parts in units:
-            for key, part in parts:
-                leaders.setdefault(key, part)
-        solved: dict[tuple, AnalysisOutcome] = {}
-        with WorkerPool(self, workers) as pool:
-            for key, leader in leaders.items():
-                if _parallel_safe(leader):
-                    pool.submit(key, leader, budget)
-            # Queries that cannot be shipped (raw-formula types) run in the
-            # parent while the workers chew on theirs.
-            for key, leader in leaders.items():
-                if not _parallel_safe(leader):
-                    solved[key] = self.solve(leader, budget)
-            while pool.pending():
-                key, outcome = pool.next()
-                solved[key] = outcome
-        outcomes = []
-        for query, parts in zip(queries, units):
-            answers = []
-            for key, part in parts:
-                if part is leaders[key]:
-                    answers.append(solved[key])
-                    continue
-                answers.append(self._replicate_outcome(solved[key], part))
-                if solved[key].definite:
-                    self.solve_cache_hits += 1
-            outcomes.append(
-                answers[0] if len(answers) == 1
-                else self._assemble_equivalence(query, *answers)
-            )
-        return outcomes
+        jobs: dict[sx.Formula, str] = {}
+        for query in queries:
+            for formula in self._unanswered(query):
+                jobs.setdefault(formula, " ".join(query.exprs))
+        if not jobs:
+            return {}
+        with WorkerPool(min(workers, len(jobs))) as pool:
+            for formula, text in jobs.items():
+                pool.submit(formula, budget, text)
+            return dict(pool.next() for _ in jobs)
 
 
 def solve_many(queries: Iterable[Query], workers: int = 1, **options) -> BatchReport:

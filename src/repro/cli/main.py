@@ -194,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="fan the decision-problem batch out to N worker processes "
+        help="run the batch's solver runs in N worker processes "
         "(default: 1, in-process)",
     )
     _add_cache_dir_option(audit)
@@ -211,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="fan queries out to N worker processes (responses stay in request "
+        help="run solver runs in N worker processes (responses stay in request "
         "order; default: 1, in-process)",
     )
     _add_cache_dir_option(serve)

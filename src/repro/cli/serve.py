@@ -6,11 +6,10 @@ share one :class:`repro.api.StaticAnalyzer`, so an editor or load generator
 can stream thousands of queries at a single set of warm caches; with
 ``--cache-dir`` the verdicts also persist across restarts.
 
-With ``--workers N`` the service fans query requests out to a
-:class:`repro.workers.WorkerPool`; responses still arrive strictly in
-request order (see :func:`_serve_parallel`).  The parent decodes every line
-with :func:`parse_line`, so workers only ever see well-formed
-:class:`repro.api.Query` objects.
+With ``--workers N`` the solver runs that requests need go to a
+:class:`repro.workers.WorkerPool`, while the parent keeps decoding,
+reducing and answering every request through its one analyzer; responses
+still arrive strictly in request order (see :func:`_serve_parallel`).
 
 Requests are either query objects in the wire format of
 :mod:`repro.cli.wire`, or control operations:
@@ -43,6 +42,8 @@ from __future__ import annotations
 
 import json
 import sys
+from collections import deque
+from dataclasses import dataclass
 from typing import IO, TYPE_CHECKING
 
 from repro.api import Query, StaticAnalyzer
@@ -135,8 +136,8 @@ def serve(
 ) -> int:
     """Run the request/response loop until end-of-input; returns exit code 0.
 
-    With ``workers > 1`` queries are dispatched to a worker pool while the
-    loop keeps reading; responses are written strictly in request order.
+    With ``workers > 1`` solver runs are dispatched to a worker pool while
+    the loop keeps reading; responses are written strictly in request order.
     ``budget`` bounds every solve; a per-request ``budget`` object can only
     tighten it.
     """
@@ -177,6 +178,19 @@ def _read_lines(input_stream: IO[str], feed: Connection) -> None:
         feed.close()
 
 
+@dataclass
+class _Request:
+    """A request in the window of :func:`_serve_parallel`: its response and,
+    for a query, its effective budget and the ``(formula, budget)`` runs it
+    waits for (see ``StaticAnalyzer._solve``)."""
+
+    response: dict
+    query: Query | None = None
+    budget: Budget | None = None
+    keys: tuple = ()
+    answered: bool = False
+
+
 def _serve_parallel(
     input_stream: IO[str],
     output_stream: IO[str],
@@ -185,31 +199,49 @@ def _serve_parallel(
 ) -> int:
     """The pipelined loop behind ``serve(..., workers=N)``.
 
-    A window of at most ``4 * workers`` unanswered requests keeps the
-    :class:`repro.workers.WorkerPool` busy without unbounded buffering.  The
-    loop waits on input and workers together, so each response is written
-    as soon as it and every earlier one are ready — a client that waits for
-    each reply gets it.  A control operation waits for every earlier
-    response, so e.g. ``stats`` observes every request before it.
+    The parent reduces each request on arrival and submits to the
+    :class:`repro.workers.WorkerPool` each of its formulas that no cache
+    layer answers and no run in flight or held under the same budget
+    covers.  Requests are answered in order through ``analyzer`` with those
+    runs in hand, so outcomes, caches and counters are the sequential
+    loop's.  A run is dropped once no unanswered request waits on it, so an
+    unknown never shadows a later retry.
+
+    A window of at most ``4 * workers`` unanswered requests keeps the pool
+    busy without unbounded buffering.  The loop waits on input and workers
+    together, so each response is written as soon as it and every earlier
+    one are ready — a client that waits for each reply gets it.  A control
+    operation waits for every earlier response, so e.g. ``stats`` observes
+    every request before it.
     """
     import threading
-    from collections import deque
     from multiprocessing import Pipe
 
     from repro.workers import WorkerPool
 
     dtd_cache: wire.DTDCache = {}
-    # [response, waiting] in request order.  A query's entry is its pool
-    # ticket, and ``waiting`` turns False when its outcome arrives.
-    window: deque[list] = deque()
+    window: deque[_Request] = deque()
+    # The runs unanswered requests wait on, by key (``None`` in flight).
+    runs: dict[tuple, object] = {}
 
-    def answer(entry: list, outcome) -> None:
-        entry[0].update(ok=outcome.ok, outcome=outcome.as_dict())
-        entry[1] = False
+    def answer_ready() -> None:
+        """Answer, in request order, every request whose runs have arrived,
+        and drop the runs no unanswered request waits on."""
+        for request in window:
+            if request.answered:
+                continue
+            if any(runs[key] is None for key in request.keys):
+                return
+            outcome = analyzer._answer(request.query, request.budget, runs)
+            request.response.update(ok=outcome.ok, outcome=outcome.as_dict())
+            request.answered = True
+            for key in request.keys:
+                if not any(key in other.keys for other in window if not other.answered):
+                    del runs[key]
 
     def flush() -> None:
-        while window and not window[0][1]:
-            response = window.popleft()[0]
+        while window and window[0].answered:
+            response = window.popleft().response
             output_stream.write(json.dumps(response, ensure_ascii=False) + "\n")
             output_stream.flush()
 
@@ -218,19 +250,31 @@ def _serve_parallel(
         if parsed is None:
             return
         response, op, query, budget = parsed
-        entry = [response, query is not None]
+        request = _Request(response, query, answered=query is None)
         if op is not None:
             while pool.pending():
-                answer(*pool.next())
+                arrived(*pool.next())
                 flush()
             response.update(handle_op(op, analyzer))
         elif query is not None:
-            pool.submit(entry, query, budget)
-        window.append(entry)
+            request.budget = analyzer._effective_budget(budget)
+            request.keys = tuple(
+                (formula, request.budget) for formula in analyzer._unanswered(query)
+            )
+            for key in request.keys:
+                if key not in runs:
+                    runs[key] = None
+                    pool.submit(*key, " ".join(query.exprs))
+        window.append(request)
+        answer_ready()
+
+    def arrived(key: tuple, run) -> None:
+        runs[key] = run
+        answer_ready()
 
     # Start the workers before the reader thread, so that only replacements
     # for dead workers fork while it runs.
-    with WorkerPool(analyzer, workers) as pool:
+    with WorkerPool(workers) as pool:
         lines, feed = Pipe(duplex=False)
         threading.Thread(
             target=_read_lines, args=(input_stream, feed), daemon=True
@@ -248,7 +292,7 @@ def _serve_parallel(
             elif pool.pending():
                 finished = pool.next(lines if room else None)
                 if finished is not None:
-                    answer(*finished)
+                    arrived(*finished)
         lines.close()
     return 0
 

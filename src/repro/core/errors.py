@@ -85,6 +85,11 @@ class BudgetExceeded(ReproError):
         self.limit = limit
         self.observed = observed
 
+    def __reduce__(self) -> tuple:
+        # The default rebuilds from ``args`` (the message alone), which
+        # __init__ rejects; a worker process sends these back to its pool.
+        return type(self), (self.reason, str(self)), self.__dict__
+
     def as_dict(self) -> dict:
         return {
             "reason": self.reason,

@@ -32,7 +32,8 @@ processes inherit — that is how a fault can reach the workers of a
 Known points (the ``point`` names production sites use):
 
 * ``worker-crash`` — a pool worker ``os._exit``\\ s mid-solve
-  (:func:`repro.workers._work`); ``match`` selects the query by substring.
+  (:func:`repro.workers._work`); ``match`` selects the formula by a
+  substring of the text of the first query that needs it.
 * ``cache-torn-write`` — :meth:`repro.cache.DiskSolveCache.put` writes a
   truncated entry straight to the final path, simulating a torn write that
   the atomic-publish protocol normally makes impossible.

@@ -117,6 +117,13 @@ class Formula:
     def __ne__(self, other: object) -> bool:
         return self is not other
 
+    def __reduce__(self) -> tuple:
+        # Unpickling interns the node again (children first), so another
+        # process receives its one node of this structure.
+        return _intern, (
+            self.kind, self.label, self.prog, self.left, self.right, self.defs, self.body
+        )
+
     def __repr__(self) -> str:
         from repro.logic.printer import format_formula
 

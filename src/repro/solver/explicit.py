@@ -86,15 +86,6 @@ class ExplicitSolver:
     def lean(self) -> Lean:
         return self._lean
 
-    def estimated_types(self) -> int:
-        """Upper bound on the ψ-types :meth:`solve` would enumerate.
-
-        Cheap (no enumeration): callers use it to decline instances whose
-        eager ψ-type table would be too large — the fuzzer's explicit oracle
-        and the API façade's graceful-degradation fallback both gate on it.
-        """
-        return estimate_psi_types(self)
-
     def solve(self) -> ExplicitResult:
         """Run the algorithm; returns satisfiability, a model, and statistics."""
         lean = self._lean

@@ -386,12 +386,6 @@ def _semantic_mismatch(
 # ---------------------------------------------------------------------------
 
 
-# ``estimate_psi_types`` moved next to the solver it estimates
-# (:func:`repro.solver.explicit.estimate_psi_types`) so the API façade's
-# graceful-degradation fallback can gate on it too; re-imported above for
-# backwards compatibility.
-
-
 def explicit_verdict(
     formula: sx.Formula, bounds: Bounds = Bounds()
 ) -> tuple[bool | None, int]:

@@ -1,12 +1,19 @@
 """The worker pool behind ``solve_many(workers=N)`` and ``repro serve --workers N``.
 
+A worker runs the solver on one Lµ formula and nothing else: the analyzer in
+the parent process reduces each query, consults its caches, and answers it
+with the run a worker sent back (see :meth:`repro.api.StaticAnalyzer._solve`).
+So every cache and counter has one owner, and the pool's unit of work is the
+formula, the unit the solve cache is keyed by.
+
 Each worker is one process with its own pipe, and it holds at most one
-query, so when a worker dies (an OOM kill, a segfault, an injected
-``worker-crash`` fault) the pool knows exactly which query it held.  That
-query is retried once on a fresh worker, and a second death answers it
-``unknown`` with ``budget_reason == "worker-crash"``; no other query is
-interrupted.  A worker that dies at start-up is blamed on the query it was
-handed, so even a crash loop stops after two worker starts per query.
+formula, so when a worker dies (an OOM kill, a segfault, an injected
+``worker-crash`` fault) the pool knows exactly which formula it held.  That
+formula is run again on a fresh worker, and a second death makes its run a
+:class:`repro.core.errors.BudgetExceeded` with reason ``"worker-crash"``; no
+other formula is interrupted.  A worker that dies at start-up is blamed on
+the formula it was handed, so even a crash loop stops after two worker
+starts per formula.
 """
 
 from __future__ import annotations
@@ -19,55 +26,47 @@ from dataclasses import dataclass
 from multiprocessing.connection import Connection, wait
 from multiprocessing.process import BaseProcess
 
-from repro.api import AnalysisOutcome, Query, StaticAnalyzer
+from repro.api import Run, run_solver
 from repro.core import faults
+from repro.core.errors import BudgetExceeded
+from repro.logic import syntax as sx
 from repro.solver.governor import Budget
 
-#: The analyzer counters a worker reports back as per-query deltas.
-COUNTERS = ("solver_runs", "solve_cache_hits", "disk_cache_hits", "disk_cache_writes")
 
-
-def _work(conn: Connection, options: dict) -> None:
-    """A worker process: answer ``(query, budget)`` jobs until ``None``."""
-    analyzer = StaticAnalyzer(**options)
+def _work(conn: Connection) -> None:
+    """A worker process: run ``(formula, budget, label)`` jobs until ``None``."""
     while (job := conn.recv()) is not None:
-        query, budget = job
-        if faults.should_fire("worker-crash", " ".join(query.exprs)):
+        formula, budget, label = job
+        if faults.should_fire("worker-crash", label):
             os._exit(137)  # simulate an OOM kill: no cleanup, no reply
-        before = [getattr(analyzer, name) for name in COUNTERS]
         try:
-            outcome = analyzer.solve(query, budget)
-        except Exception as exc:  # a bug, not a verdict: the parent re-raises it
+            run = run_solver(formula, budget)
+        except Exception as exc:  # the parent raises it where the solver would
             exc.add_note(traceback.format_exc())
-            outcome = exc
-        deltas = [getattr(analyzer, name) - old for name, old in zip(COUNTERS, before)]
-        conn.send((outcome, deltas))
+            run = exc
+        conn.send(run)
 
 
 @dataclass
 class _Worker:
     process: BaseProcess
     conn: Connection
-    #: The ``(ticket, query, budget, died_before)`` the worker holds, or
+    #: The ``(formula, budget, label, died_before)`` the worker holds, or
     #: ``None`` while it is idle.
     job: tuple | None = None
 
 
 class WorkerPool:
-    """``workers`` processes answering queries for ``analyzer`` (a context
-    manager, so no worker outlives the block).
+    """``workers`` processes running the solver on submitted formulas (a
+    context manager, so no worker outlives the block).
 
     The workers come from the platform's default :mod:`multiprocessing`
     context (where that is fork, a pool starts about ten times faster than
     under spawn, whose workers re-import the package) and all start here,
     so later forks only replace dead workers.
-    Each builds its own analyzer from ``analyzer._options()``; the pool adds
-    their counter deltas to ``analyzer``'s counters.
     """
 
-    def __init__(self, analyzer: StaticAnalyzer, workers: int):
-        self._analyzer = analyzer
-        self._options = analyzer._options()
+    def __init__(self, workers: int):
         self._context = multiprocessing.get_context()
         self._size = workers
         self._workers: list[_Worker] = []
@@ -81,25 +80,25 @@ class WorkerPool:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def submit(
-        self, ticket: object, query: Query, budget: Budget | None = None
-    ) -> None:
-        """Queue ``query``; :meth:`next` returns its outcome with ``ticket``,
-        which stays in this process."""
-        self._queue.append((ticket, query, budget, False))
+    def submit(self, formula: sx.Formula, budget: Budget | None, label: str) -> None:
+        """Queue a solver run of ``formula`` under ``budget``; ``label`` is
+        what the ``worker-crash`` fault point matches."""
+        self._queue.append((formula, budget, label, False))
         self._dispatch()
 
     def pending(self) -> int:
-        """The number of queries submitted but not yet returned by :meth:`next`."""
+        """The number of runs submitted but not yet returned by :meth:`next`."""
         return len(self._queue) + sum(1 for w in self._workers if w.job is not None)
 
     def next(
         self, wake: Connection | None = None
-    ) -> tuple[object, AnalysisOutcome] | None:
-        """Block until a query finishes and return ``(ticket, outcome)``, or
-        ``None`` as soon as the connection ``wake`` has data.
+    ) -> tuple[tuple[sx.Formula, Budget | None], Run | Exception] | None:
+        """Block until a run finishes and return ``((formula, budget), run)``,
+        or ``None`` as soon as the connection ``wake`` has data.
 
-        An exception a worker raised is re-raised here.
+        ``run`` is what :func:`repro.api.run_solver` returned, or the
+        exception it raised (a :class:`BudgetExceeded`, or a bug carrying the
+        worker's traceback as a note).
         """
         while True:
             busy = [worker for worker in self._workers if worker.job is not None]
@@ -133,9 +132,7 @@ class WorkerPool:
 
     def _start(self) -> _Worker:
         conn, child = self._context.Pipe()
-        process = self._context.Process(
-            target=_work, args=(child, self._options), daemon=True
-        )
+        process = self._context.Process(target=_work, args=(child,), daemon=True)
         process.start()
         child.close()
         worker = _Worker(process, conn)
@@ -143,7 +140,7 @@ class WorkerPool:
         return worker
 
     def _dispatch(self) -> None:
-        """Hand queued queries to idle workers, replacing dead ones as needed."""
+        """Hand queued runs to idle workers, replacing dead ones as needed."""
         while self._queue:
             worker = next((w for w in self._workers if w.job is None), None)
             if worker is None:
@@ -151,18 +148,18 @@ class WorkerPool:
                     return
                 worker = self._start()
             worker.job = self._queue.popleft()
-            _ticket, query, budget, _died_before = worker.job
+            formula, budget, label, _died_before = worker.job
             try:
-                worker.conn.send((query, budget))
+                worker.conn.send((formula, budget, label))
             except OSError:
-                # The worker died before taking the query; next() sees its
-                # sentinel and blames the query like any other death.
+                # The worker died before taking the formula; next() sees its
+                # sentinel and blames the formula like any other death.
                 pass
 
-    def _collect(self, worker: _Worker) -> tuple[object, AnalysisOutcome] | None:
-        """The busy ``worker``'s finished query, or ``None`` when the worker
-        died and its query went back to the front of the queue."""
-        ticket, query, budget, died_before = worker.job
+    def _collect(self, worker: _Worker) -> tuple | None:
+        """The busy ``worker``'s finished run, or ``None`` when the worker
+        died and its formula went back to the front of the queue."""
+        formula, budget, label, died_before = worker.job
         try:
             reply = worker.conn.recv() if worker.conn.poll() else None
         except (EOFError, OSError):
@@ -173,18 +170,15 @@ class WorkerPool:
             worker.process.join()
             worker.conn.close()
             if not died_before:
-                self._queue.appendleft((ticket, query, budget, True))
+                self._queue.appendleft((formula, budget, label, True))
                 self._dispatch()
                 return None
-            outcome = self._analyzer._crash_outcome(query)
+            reply = BudgetExceeded(
+                "worker-crash",
+                "worker process died while solving this query "
+                "(on its worker and again on a fresh one)",
+            )
         else:
             worker.job = None
-            outcome, deltas = reply
-            if isinstance(outcome, Exception):
-                raise outcome
-            for name, delta in zip(COUNTERS, deltas):
-                setattr(self._analyzer, name, getattr(self._analyzer, name) + delta)
-            # The worker's query is a pickled copy: hand back the caller's.
-            outcome.query = query
         self._dispatch()
-        return ticket, outcome
+        return (formula, budget), reply

@@ -88,10 +88,6 @@ class DTD:
     #: The binarized grammar, filled by ``compile_dtd`` on first use.
     _grammar: BinaryTypeGrammar | None = field(default=None, init=False, repr=False)
 
-    def __getstate__(self) -> dict:
-        # A worker process binarizes again rather than receive the grammar.
-        return {**self.__dict__, "_grammar": None}
-
     def element_names(self) -> tuple[str, ...]:
         """Declared element names, in declaration order."""
         return tuple(self.elements)

@@ -1,7 +1,6 @@
 """Tests for the ``repro.api`` batch façade."""
 
 import json
-import pickle
 
 import pytest
 
@@ -14,7 +13,6 @@ from repro.solver.governor import Budget
 from repro.solver.symbolic import SymbolicSolver
 from repro.trees.unranked import serialize_tree
 from repro.xmltypes.ast import BinaryTypeGrammar
-from repro.xmltypes.compile import compile_dtd
 from repro.xmltypes.dtd import parse_dtd
 from repro.xmltypes.library import builtin_dtd
 
@@ -198,10 +196,6 @@ def test_a_dtd_is_binarized_once_across_alphabets(monkeypatch):
         assert analyzer.solve(query).definite
     assert analyzer.cache_statistics()["type_cache_entries"] == 3
     assert binarized == [dtd]
-    # The grammar stays behind when the DTD crosses to a worker process.
-    copy = pickle.loads(pickle.dumps(dtd))
-    assert copy._grammar is None
-    assert compile_dtd(copy) is compile_dtd(dtd)
 
 
 def test_untyped_sides_take_no_type_cache_entry():
@@ -387,24 +381,8 @@ def test_equivalence_with_bad_side_is_a_structured_error():
 # ---------------------------------------------------------------------------
 
 
-def test_worker_options_rebuild_an_equivalent_analyzer(tmp_path):
-    """Worker processes are built from ``_options()``: every option must
-    survive the round trip."""
-    from repro.solver.governor import Budget
-
-    analyzer = StaticAnalyzer(
-        cache_dir=str(tmp_path),
-        prune_labels=False,
-        budget=Budget(max_steps=10**6, max_lean=64),
-    )
-    options = analyzer._options()
-    assert options["budget"] == Budget(max_steps=10**6, max_lean=64)
-    assert StaticAnalyzer(**options)._options() == options
-
-
 def test_analyzer_has_no_engine_option():
     """The dict BDD manager is the only engine: there is nothing to choose."""
-    assert "backend" not in StaticAnalyzer()._options()
     with pytest.raises(TypeError, match="backend"):
         StaticAnalyzer(backend="dict")
 
@@ -416,7 +394,6 @@ def test_analyzer_has_no_engine_option():
 def test_analyzer_has_no_solver_ablation_knobs(knob):
     """No analyzer option selects a solver configuration: the solver has
     exactly one (with ``track_marks=False`` it used to be unsound)."""
-    assert knob not in StaticAnalyzer()._options()
     with pytest.raises(TypeError, match=knob):
         StaticAnalyzer(**{knob: False})
 
@@ -457,14 +434,45 @@ def test_removed_configuration_keywords_raise_type_error(build, keyword):
         constructors[build](**{keyword: 1})
 
 
-def test_solve_many_workers_matches_sequential_order_and_verdicts():
-    queries = [
-        Query.containment("child::a[b]", "child::a"),
-        Query.satisfiability("child::a"),
-        Query.containment("child::a[b]", "child::a"),  # duplicate
-        Query.overlap("a//b", "a/b"),
-        Query.emptiness("child::title/child::meta", "wikipedia"),
-    ]
+#: Batches of different queries that reduce to one formula: a later side
+#: repeating the first side's type is translated under ⊤, and a coverage by
+#: one expression is that containment.
+DUPLICATE_FORMULA_BATCHES = [
+    pytest.param(
+        [
+            Query.containment("a/b", "a//b", "wikipedia", "wikipedia"),
+            Query.containment("a/b", "a//b", "wikipedia", None),
+        ],
+        id="typed-and-untyped-second-side",
+    ),
+    pytest.param(
+        [Query.containment("a/b", "a//b"), Query.coverage("a/b", ["a//b"])],
+        id="containment-and-coverage",
+    ),
+]
+
+
+def _cache_flags(report: BatchReport) -> list[tuple]:
+    return [(outcome.cache, outcome.from_cache) for outcome in report.outcomes]
+
+
+@pytest.mark.parametrize(
+    "queries",
+    [
+        pytest.param(
+            [
+                Query.containment("child::a[b]", "child::a"),
+                Query.satisfiability("child::a"),
+                Query.containment("child::a[b]", "child::a"),  # duplicate
+                Query.overlap("a//b", "a/b"),
+                Query.emptiness("child::title/child::meta", "wikipedia"),
+            ],
+            id="mixed",
+        ),
+        *DUPLICATE_FORMULA_BATCHES,
+    ],
+)
+def test_solve_many_workers_matches_sequential_order_and_verdicts(queries):
     sequential = StaticAnalyzer().solve_many(queries, workers=1)
     parallel = StaticAnalyzer().solve_many(queries, workers=2)
     assert [o.holds for o in parallel.outcomes] == [o.holds for o in sequential.outcomes]
@@ -472,16 +480,20 @@ def test_solve_many_workers_matches_sequential_order_and_verdicts():
     assert parallel.workers == 2
     # Callers get back the exact query objects they submitted.
     assert all(o.query is q for o, q in zip(parallel.outcomes, queries))
-    # The duplicate was answered once and replicated, like the solve cache.
-    assert parallel.solver_runs == sequential.solver_runs
-    assert parallel.outcomes[2].from_cache
+    # Every batch repeats a formula, which the solve cache answers once.
+    assert parallel.cache_hits >= 1
+    assert (parallel.solver_runs, parallel.cache_hits) == (
+        sequential.solver_runs,
+        sequential.cache_hits,
+    )
+    assert _cache_flags(parallel) == _cache_flags(sequential)
 
 
-def test_solve_many_workers_keeps_raw_formula_queries_in_parent():
+def test_solve_many_workers_ship_raw_formula_queries():
     from repro.logic import syntax as sx
 
     queries = [
-        Query.satisfiability("child::a", sx.prop("a")),  # not picklable safely
+        Query.satisfiability("child::a", sx.prop("a")),  # crosses the pool
         Query.satisfiability("child::b"),
     ]
     report = StaticAnalyzer().solve_many(queries, workers=2)
@@ -511,8 +523,8 @@ def test_solve_many_workers_share_the_disk_cache(tmp_path):
     ]
     report = first.solve_many(queries, workers=2)
     assert report.solver_runs == 2
-    assert first.disk_cache_writes == 2  # aggregated from the workers
-    # A second analyzer (fresh workers) answers everything from disk.
+    assert first.disk_cache_writes == 2  # the parent writes the workers' runs
+    # A second analyzer answers everything from disk, starting no pool.
     second = StaticAnalyzer(cache_dir=cache_dir)
     replay = second.solve_many(queries, workers=2)
     assert replay.solver_runs == 0
@@ -520,18 +532,27 @@ def test_solve_many_workers_share_the_disk_cache(tmp_path):
     assert [o.holds for o in replay.outcomes] == [o.holds for o in report.outcomes]
 
 
-def test_parallel_batch_counters_equal_sequential(tmp_path):
-    """``_solve_many_parallel`` must report the *same* ``solver_runs``/
-    ``cache_hits``/``disk_cache_hits`` as a sequential pass over the
-    identical batch — including the satisfiability/emptiness satclass fold
-    and the equivalence decomposition."""
-    queries = [
-        Query.satisfiability("child::a[b]"),
-        Query.emptiness("child::a[b]"),  # same satclass: no second solve
-        Query.containment("a/b", "a//b"),
-        Query.equivalence("a//b", "a//b[c] | a//b[not(c)]"),
-        Query.containment("a/b", "a//b"),  # duplicate
-    ]
+@pytest.mark.parametrize(
+    "queries",
+    [
+        pytest.param(
+            [
+                Query.satisfiability("child::a[b]"),
+                Query.emptiness("child::a[b]"),  # same formula: no second solve
+                Query.containment("a/b", "a//b"),
+                Query.equivalence("a//b", "a//b[c] | a//b[not(c)]"),
+                Query.containment("a/b", "a//b"),  # duplicate
+            ],
+            id="mixed",
+        ),
+        *DUPLICATE_FORMULA_BATCHES,
+    ],
+)
+def test_parallel_batch_counters_equal_sequential(queries, tmp_path):
+    """A ``workers=2`` batch must report the *same* ``solver_runs``/
+    ``cache_hits``/``disk_cache_hits`` and cache flags as a sequential pass
+    over the identical batch — including a satisfiability and an emptiness
+    of one expression, and the equivalence decomposition."""
     cache_dir = str(tmp_path / "solve-cache")
     StaticAnalyzer(cache_dir=cache_dir).solve_many(queries, workers=1)
 
@@ -557,3 +578,4 @@ def test_parallel_batch_counters_equal_sequential(tmp_path):
     assert parallel.solver_runs == sequential.solver_runs
     assert parallel.cache_hits == sequential.cache_hits
     assert parallel.disk_cache_hits == sequential.disk_cache_hits
+    assert _cache_flags(parallel) == _cache_flags(sequential)

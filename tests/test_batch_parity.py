@@ -12,13 +12,18 @@ replay of batch solves, and a small stylesheet audit.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import textwrap
 from pathlib import Path
+
+import pytest
 
 from repro.api import Query, StaticAnalyzer
 from repro.solver.governor import Budget
 from repro.testing.corpus import load_corpus
 from repro.xmltypes.dtd import parse_dtd
+from repro.xmltypes.library import builtin_dtd
 from repro.xslt import audit_stylesheet
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
@@ -202,10 +207,9 @@ def test_batch_solves_replay_from_disk_as_single_queries(tmp_path):
         assert _observed(replay) == _observed(expected)
 
 
-def test_audit_findings_do_not_depend_on_workers(tmp_path):
-    """A tiny stylesheet with a dead template and a coverage gap, audited
-    with the sequential and the multiprocess batch path."""
-    stylesheet = tmp_path / "tiny.xsl"
+def _tiny_stylesheet(directory: Path) -> Path:
+    """A stylesheet with a dead template and a coverage gap."""
+    stylesheet = directory / "tiny.xsl"
     stylesheet.write_text(
         textwrap.dedent(
             """\
@@ -217,6 +221,13 @@ def test_audit_findings_do_not_depend_on_workers(tmp_path):
             """
         )
     )
+    return stylesheet
+
+
+def test_audit_findings_do_not_depend_on_workers(tmp_path):
+    """A tiny stylesheet with a dead template and a coverage gap, audited
+    with the sequential and the multiprocess batch path."""
+    stylesheet = _tiny_stylesheet(tmp_path)
     sequential = audit_stylesheet(stylesheet, "wikipedia")
     parallel = audit_stylesheet(stylesheet, "wikipedia", workers=2)
     assert [f.as_dict() for f in parallel.findings] == [
@@ -224,3 +235,29 @@ def test_audit_findings_do_not_depend_on_workers(tmp_path):
     ]
     assert any(f.rule == "dead-template" for f in sequential.findings)
     assert parallel.solver_runs == sequential.solver_runs
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_context().get_start_method() != "fork",
+    reason="only forked workers inherit the counting wrapper",
+)
+def test_pool_audit_binarizes_the_schema_once(tmp_path, monkeypatch):
+    """The parent translates every query and a worker only runs the solver,
+    so a ``workers=2`` audit binarizes its schema once across all processes.
+    Each call appends a line to a file, which every process can reach."""
+    from repro.xmltypes import compile as compile_module
+
+    log = tmp_path / "binarize.log"
+    binarize = compile_module.binarize_dtd
+
+    def logging_binarize(dtd):
+        with log.open("a") as handle:
+            handle.write(f"{os.getpid()}\n")
+        return binarize(dtd)
+
+    monkeypatch.setattr(compile_module, "binarize_dtd", logging_binarize)
+    wikipedia = builtin_dtd("wikipedia")
+    schema = wikipedia.with_root(wikipedia.root)  # not binarized yet
+    report = audit_stylesheet(_tiny_stylesheet(tmp_path), schema, workers=2)
+    assert report.solver_runs > 1
+    assert log.read_text().splitlines() == [str(os.getpid())]

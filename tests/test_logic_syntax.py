@@ -1,5 +1,6 @@
 """Unit tests for the Lµ syntax: hash-consing, constructors, substitution, expansion."""
 
+import pickle
 from pathlib import Path
 
 import pytest
@@ -115,6 +116,17 @@ def test_operator_overloading_matches_constructors():
     a, b = sx.prop("a"), sx.prop("b")
     assert (a | b) is sx.mk_or(a, b)
     assert (a & b) is sx.mk_and(a, b)
+
+
+def test_unpickling_interns_the_same_node():
+    """A pickled formula comes back as this process's one node of its
+    structure, fixpoint definitions and free-variable sets included."""
+    fix = sx.mu1(lambda x: sx.dia(1, x) | sx.attr("href") | sx.prop("a"))
+    formula = sx.mk_and(fix, sx.NSTART) | sx.no_dia(-2)
+    assert pickle.loads(pickle.dumps(formula)) is formula
+    body = pickle.loads(pickle.dumps(fix.defs[0][1]))
+    assert body is fix.defs[0][1]
+    assert sx.free_variables(body) == {fix.defs[0][0]}
 
 
 # -- substitution and capture ---------------------------------------------------------

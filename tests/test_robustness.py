@@ -26,6 +26,7 @@ import io
 import json
 import multiprocessing
 import os
+import pickle
 import select
 import subprocess
 import sys
@@ -179,6 +180,14 @@ def test_budget_exceeded_validates_reason():
     assert "worker-crash" in BUDGET_REASONS
 
 
+def test_budget_exceeded_pickles_with_its_fields():
+    """A worker sends a budget trip back to its pool as the exception."""
+    exc = BudgetExceeded("deadline", "ran out", limit=2.0, observed=2.5)
+    copy = pickle.loads(pickle.dumps(exc))
+    assert type(copy) is BudgetExceeded
+    assert copy.as_dict() == exc.as_dict()
+
+
 # ---------------------------------------------------------------------------
 # Unknown outcomes through the API façade
 # ---------------------------------------------------------------------------
@@ -268,12 +277,6 @@ def test_pathological_query_trips_deadline():
     assert elapsed < 10.0, f"deadline trip took {elapsed:.1f}s"
 
 
-def test_crash_outcome_is_a_worker_crash_unknown():
-    outcome = StaticAnalyzer()._crash_outcome(Query.satisfiability("a"))
-    assert outcome.unknown and outcome.budget_reason == "worker-crash"
-    assert outcome.holds is None and outcome.counterexample is None
-
-
 # ---------------------------------------------------------------------------
 # Crash-tolerant batches
 # ---------------------------------------------------------------------------
@@ -339,6 +342,10 @@ def test_batch_workers_enforce_budgets(monkeypatch):
     queries = [Query.satisfiability("a"), Query.containment("a/b", "a//b")]
     report = StaticAnalyzer().solve_many(queries, workers=2, budget=Budget(max_steps=1))
     assert all(o.unknown and o.budget_reason == "steps" for o in report.outcomes)
+    sequential = StaticAnalyzer().solve_many(queries, budget=Budget(max_steps=1))
+    assert [o.statistics["budget"] for o in report.outcomes] == [
+        o.statistics["budget"] for o in sequential.outcomes
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -644,6 +651,41 @@ def test_no_worker_outlives_the_call(path):
     assert multiprocessing.active_children() == []
 
 
+def _untimed(value):
+    """``value`` without its ``*_seconds`` entries, at any depth."""
+    if isinstance(value, dict):
+        return {
+            key: _untimed(item)
+            for key, item in value.items()
+            if not key.endswith("_seconds")
+        }
+    if isinstance(value, list):
+        return [_untimed(item) for item in value]
+    return value
+
+
+def test_serve_workers_has_one_cache_and_one_count():
+    """The parent of ``serve --workers`` owns the caches and the counters:
+    an immediate repeat is a solve-cache hit, and every response, the final
+    ``stats`` included, equals the sequential service's."""
+    requests = [
+        {"id": 1, "kind": "containment", "exprs": ["child::a[b]", "child::a"]},
+        {"id": 2, "kind": "containment", "exprs": ["child::a[b]", "child::a"]},
+        {"id": 3, "kind": "satisfiability", "exprs": ["meta/title"], "types": ["wikipedia"]},
+        {"id": 4, "kind": "equivalence", "exprs": ["a//b", "a/b"]},
+        {"id": 5, "op": "stats"},
+    ]
+    sequential = _serve_lines(requests, workers=1)
+    parallel = _serve_lines(requests, workers=2)
+    assert _untimed(parallel) == _untimed(sequential)
+    stats = parallel[-1]["stats"]
+    assert (stats["solver_runs"], stats["solve_cache_hits"]) == (4, 1)
+    assert parallel[1]["outcome"]["cache"] == "memory"
+    assert min(
+        stats[f"{layer}_cache_entries"] for layer in ("type", "query", "solve")
+    ) > 0
+
+
 @pytest.mark.skipif(
     multiprocessing.get_context().get_start_method() != "fork",
     reason="only forked workers inherit the patched solve",
@@ -651,11 +693,12 @@ def test_no_worker_outlives_the_call(path):
 def test_worker_exception_is_reraised_in_the_parent(monkeypatch):
     """A bug inside a worker is not a crash to quarantine: like a sequential
     solve, the batch raises it, with the worker's traceback attached."""
+    from repro.solver.symbolic import SymbolicSolver
 
-    def broken_solve(self, query, budget=None):
-        raise RuntimeError(f"bug while solving {query.exprs[0]}")
+    def broken_solve(self):
+        raise RuntimeError(f"bug while solving {self.formula}")
 
-    monkeypatch.setattr(StaticAnalyzer, "solve", broken_solve)
+    monkeypatch.setattr(SymbolicSolver, "solve", broken_solve)
     with pytest.raises(RuntimeError, match="bug while solving") as info:
         StaticAnalyzer().solve_many(CRASH_BATCH, workers=2)
     assert "broken_solve" in "".join(info.value.__notes__)
@@ -664,14 +707,18 @@ def test_worker_exception_is_reraised_in_the_parent(monkeypatch):
 
 SPAWN_SCRIPT = """
 import io, json, multiprocessing
+from repro.analysis.problems import Rooted
 from repro.api import Query, StaticAnalyzer
 from repro.cli.serve import serve
+from repro.logic import syntax as sx
 
 multiprocessing.set_start_method("spawn")
 queries = [
     Query.satisfiability("a/b"),
     Query.containment("a/b", "a//b"),
     Query.emptiness("c[d]"),
+    Query.satisfiability("child::a", sx.prop("a")),
+    Query.emptiness("/article/meta", Rooted("wikipedia")),
 ]
 report = StaticAnalyzer().solve_many(queries, workers=2)
 output = io.StringIO()
@@ -697,7 +744,13 @@ def test_pool_answers_under_the_spawn_start_method():
         check=True,
     )
     report = json.loads(result.stdout)
-    assert report["batch"] == [["definite", True], ["definite", True], ["definite", False]]
+    assert report["batch"] == [
+        ["definite", True],
+        ["definite", True],
+        ["definite", False],
+        ["definite", True],
+        ["definite", False],
+    ]
     assert report["serve"] is False
 
 

@@ -12,7 +12,7 @@ import pytest
 
 import repro.logic.syntax as sx
 from repro.analysis.problems import Rooted, label_projection, type_inclusion_attributes
-from repro.api import Query, StaticAnalyzer, _describe_type, _parallel_safe
+from repro.api import Query, StaticAnalyzer, _describe_type
 from repro.cli import wire
 from repro.trees.unranked import parse_tree
 from repro.xmltypes.dtd import parse_dtd
@@ -184,13 +184,6 @@ def test_label_projection_unwraps_rooted():
     labels = label_projection(exprs, [Rooted(dtd), dtd])
     assert labels is not None
     assert set(labels) >= {"history", "edit"}
-
-
-def test_rooted_queries_are_parallel_safe():
-    assert _parallel_safe(Query.satisfiability("/article", ROOTED))
-    assert _parallel_safe(
-        Query.satisfiability("/article", Rooted(builtin_dtd("wikipedia")))
-    )
 
 
 def test_type_cache_key_distinguishes_rooted_from_bare():
