@@ -7,7 +7,9 @@ relative cost ordering (untyped containment ≪ SMIL-constrained satisfiability
 ≪ XHTML-constrained problems).  The XHTML rows use the reduced "core" DTD by
 default so a full benchmark run stays within minutes; set the environment
 variable ``REPRO_XHTML=strict`` to use the full 77-element DTD as in the paper
-(expect a long run).  The recorded numbers land in
+(expect a long run).  Each problem is answered by a fresh
+``StaticAnalyzer``, so every row times full solver runs, never a cache hit.
+The recorded numbers land in
 ``benchmarks/reports/table2_decision_problems.txt``; the reading of the
 e6 ⊆ e5 row is pinned by ``tests/test_integration_paper.py::
 test_table2_row3_e6_versus_e5``.
@@ -18,7 +20,7 @@ import os
 import pytest
 
 from conftest import FIGURE_21, write_report
-from repro.analysis import Analyzer
+from repro.api import Query, StaticAnalyzer
 from repro.xmltypes.library import smil_dtd, xhtml_core_dtd, xhtml_strict_dtd
 
 _XHTML = xhtml_strict_dtd if os.environ.get("REPRO_XHTML") == "strict" else xhtml_core_dtd
@@ -33,6 +35,13 @@ PAPER_ROWS = {
 }
 
 _RESULTS: dict[str, str] = {}
+
+
+def _solve(query: Query):
+    """Answer one problem on a fresh analyzer (a full solver run)."""
+    outcome = StaticAnalyzer().solve(query)
+    assert outcome.definite, outcome.error
+    return outcome
 
 
 def _record(key: str, verdicts: list[str], milliseconds: float) -> None:
@@ -50,11 +59,9 @@ def _record(key: str, verdicts: list[str], milliseconds: float) -> None:
 
 
 def test_row1_e1_e2_containment(benchmark):
-    analyzer = Analyzer()
-
     def run():
-        forward = analyzer.containment(FIGURE_21["e1"], FIGURE_21["e2"])
-        backward = analyzer.containment(FIGURE_21["e2"], FIGURE_21["e1"])
+        forward = _solve(Query.containment(FIGURE_21["e1"], FIGURE_21["e2"]))
+        backward = _solve(Query.containment(FIGURE_21["e2"], FIGURE_21["e1"]))
         return forward, backward
 
     forward, backward = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -67,10 +74,8 @@ def test_row1_e1_e2_containment(benchmark):
 
 
 def test_row2_e4_e3_equivalence(benchmark):
-    analyzer = Analyzer()
-
     def run():
-        return analyzer.equivalence(FIGURE_21["e4"], FIGURE_21["e3"])
+        return _solve(Query.equivalence(FIGURE_21["e4"], FIGURE_21["e3"])).parts
 
     forward, backward = benchmark.pedantic(run, rounds=1, iterations=1)
     assert forward.holds and backward.holds
@@ -90,12 +95,10 @@ E5_DESCENDANT = "a//c/following::d/e"
 
 
 def test_row3_e6_e5_containment(benchmark):
-    analyzer = Analyzer()
-
     def run():
-        as_printed = analyzer.containment(FIGURE_21["e6"], FIGURE_21["e5"])
-        relative = analyzer.containment(E6_RELATIVE, E5_DESCENDANT)
-        reverse = analyzer.containment(E5_DESCENDANT, E6_RELATIVE)
+        as_printed = _solve(Query.containment(FIGURE_21["e6"], FIGURE_21["e5"]))
+        relative = _solve(Query.containment(E6_RELATIVE, E5_DESCENDANT))
+        reverse = _solve(Query.containment(E5_DESCENDANT, E6_RELATIVE))
         return as_printed, relative, reverse
 
     as_printed, relative, reverse = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -112,9 +115,8 @@ def test_row3_e6_e5_containment(benchmark):
 
 
 def test_row4_e7_satisfiable_under_smil(benchmark):
-    analyzer = Analyzer()
     result = benchmark.pedantic(
-        lambda: analyzer.satisfiability(FIGURE_21["e7"], smil_dtd()),
+        lambda: _solve(Query.satisfiability(FIGURE_21["e7"], smil_dtd())),
         rounds=1,
         iterations=1,
     )
@@ -123,10 +125,9 @@ def test_row4_e7_satisfiable_under_smil(benchmark):
 
 
 def test_row5_e8_satisfiable_under_xhtml(benchmark):
-    analyzer = Analyzer()
     dtd = _XHTML()
     result = benchmark.pedantic(
-        lambda: analyzer.satisfiability(FIGURE_21["e8"], dtd), rounds=1, iterations=1
+        lambda: _solve(Query.satisfiability(FIGURE_21["e8"], dtd)), rounds=1, iterations=1
     )
     assert result.holds
     _record(
@@ -137,15 +138,16 @@ def test_row5_e8_satisfiable_under_xhtml(benchmark):
 
 
 def test_row6_e9_coverage_under_xhtml(benchmark):
-    analyzer = Analyzer()
     dtd = _XHTML()
 
     def run():
-        return analyzer.coverage(
-            FIGURE_21["e9"],
-            [FIGURE_21["e10"], FIGURE_21["e11"], FIGURE_21["e12"]],
-            xml_type=dtd,
-            covering_types=[dtd, dtd, dtd],
+        return _solve(
+            Query.coverage(
+                FIGURE_21["e9"],
+                [FIGURE_21["e10"], FIGURE_21["e11"], FIGURE_21["e12"]],
+                dtd,
+                [dtd, dtd, dtd],
+            )
         )
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -10,12 +10,20 @@ Run with::
     python examples/containment_counterexample.py
 """
 
-from repro import check_containment, parse_xpath, select, serialize_tree
+from repro import Query, StaticAnalyzer, parse_tree, parse_xpath, select, serialize_tree
 from repro.logic.printer import format_formula
 from repro.xpath.compile import compile_xpath
 
 QUERY_1 = "child::c/preceding-sibling::a[child::b]"
 QUERY_2 = "child::c[child::b]"
+
+
+def verdict(outcome) -> str:
+    """One line per answer: the problem, its verdict, the solver time and the
+    witness document, if any."""
+    status = "holds" if outcome.holds else "does not hold"
+    witness = "" if outcome.counterexample is None else f"; witness: {outcome.counterexample}"
+    return f"{outcome.problem}: {status} ({outcome.time_ms:.1f} ms){witness}"
 
 
 def main() -> None:
@@ -26,12 +34,13 @@ def main() -> None:
     print("translation of query 2:", format_formula(compile_xpath(QUERY_2)))
     print()
 
-    result = check_containment(QUERY_1, QUERY_2)
-    print(result.describe())
-    stats = result.statistics
+    analyzer = StaticAnalyzer()
+    outcome = analyzer.solve(Query.containment(QUERY_1, QUERY_2))
+    print(verdict(outcome))
+    stats = outcome.statistics
     print(f"lean size: {stats['lean_size']}, fixpoint iterations: {stats['iterations']}")
 
-    document = result.counterexample
+    document = parse_tree(outcome.counterexample)
     print("counterexample document:", serialize_tree(document))
     print("pretty-printed:")
     print(serialize_tree(document, indent=2))
@@ -44,7 +53,7 @@ def main() -> None:
     print("selected by query 2:", sorted(f.name for f in selected_2))
 
     # The reverse containment does not hold either.
-    print(check_containment(QUERY_2, QUERY_1).describe())
+    print(verdict(analyzer.solve(Query.containment(QUERY_2, QUERY_1))))
 
 
 if __name__ == "__main__":

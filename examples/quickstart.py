@@ -4,24 +4,28 @@ Run with::
 
     PYTHONPATH=src python examples/quickstart.py
 
-The first half uses the one-shot helpers of :mod:`repro.analysis`; the second
-half shows the recommended entry point for real workloads, the caching batch
-façade of :mod:`repro.api`.
+Every decision problem is a :class:`repro.api.Query` answered by a
+:class:`repro.api.StaticAnalyzer`, one at a time with ``solve`` or as a batch
+with ``solve_many``.
 """
 
 from repro import (
     Query,
     StaticAnalyzer,
-    check_containment,
-    check_emptiness,
-    check_overlap,
     compile_xpath,
     format_formula,
     parse_xpath,
     select,
     parse_tree,
-    serialize_tree,
 )
+
+
+def verdict(outcome) -> str:
+    """One line per answer: the problem, its verdict, the solver time and the
+    witness document, if any."""
+    status = "holds" if outcome.holds else "does not hold"
+    witness = "" if outcome.counterexample is None else f"; witness: {outcome.counterexample}"
+    return f"{outcome.problem}: {status} ({outcome.time_ms:.1f} ms){witness}"
 
 
 def main() -> None:
@@ -35,21 +39,22 @@ def main() -> None:
     print("compiled formula:", format_formula(compile_xpath("child::book[title]")))
 
     # 3. Decide containment between two queries (no schema needed).
-    result = check_containment("child::book[title]", "child::book")
-    print(result.describe())
+    analyzer = StaticAnalyzer()
+    outcome = analyzer.solve(Query.containment("child::book[title]", "child::book"))
+    print(verdict(outcome))
 
-    # 4. A containment that does not hold comes with a counterexample document.
-    result = check_containment("child::book", "child::book[title]")
-    print(result.describe())
-    print("counterexample document:", serialize_tree(result.counterexample))
+    # 4. A containment that does not hold comes with a counterexample document
+    #    (serialized; parse_tree reads it back as a tree).
+    outcome = analyzer.solve(Query.containment("child::book", "child::book[title]"))
+    print(verdict(outcome))
+    print("counterexample document:", outcome.counterexample)
 
     # 5. Emptiness and overlap.
-    print(check_emptiness("self::a ∩ self::b").describe())
-    print(check_overlap("descendant::title", "book/title").describe())
+    print(verdict(analyzer.solve(Query.emptiness("self::a ∩ self::b"))))
+    print(verdict(analyzer.solve(Query.overlap("descendant::title", "book/title"))))
 
     # 6. Batches: one StaticAnalyzer shares type translations, query
     #    translations and solver verdicts across all queries it answers.
-    analyzer = StaticAnalyzer()
     report = analyzer.solve_many(
         [
             Query.satisfiability("child::meta/child::title", "wikipedia"),

@@ -21,7 +21,15 @@ Run with::
     python examples/xhtml_anchor_nesting.py
 """
 
-from repro import Analyzer, builtin_dtd, dtd_accepts, parse_dtd, serialize_tree
+from repro import (
+    Query,
+    StaticAnalyzer,
+    builtin_dtd,
+    dtd_accepts,
+    parse_dtd,
+    parse_tree,
+    serialize_tree,
+)
 from repro.analysis.problems import rooted
 
 QUERY = "descendant::a[ancestor::a]"
@@ -36,23 +44,31 @@ STRICT_ANCHORS = """
 """
 
 
+def verdict(outcome) -> str:
+    """One line per answer: the problem, its verdict, the solver time and the
+    witness document, if any."""
+    status = "holds" if outcome.holds else "does not hold"
+    witness = "" if outcome.counterexample is None else f"; witness: {outcome.counterexample}"
+    return f"{outcome.problem}: {status} ({outcome.time_ms:.1f} ms){witness}"
+
+
 def main() -> None:
-    analyzer = Analyzer()
+    analyzer = StaticAnalyzer()
 
     # Use the reduced structural subset of XHTML Strict by default; switch to
     # builtin_dtd("xhtml") for the full 77-element DTD (much slower).
     xhtml = builtin_dtd("xhtml-core")
     print(f"query: {QUERY}")
 
-    unanchored = analyzer.satisfiability(QUERY, xhtml)
+    unanchored = analyzer.solve(Query.satisfiability(QUERY, xhtml))
     print("type constraint as in §5.2 (context unconstrained):")
-    print(" ", unanchored.describe())
+    print(" ", verdict(unanchored))
 
-    anchored = analyzer.satisfiability(QUERY, rooted(xhtml))
+    anchored = analyzer.solve(Query.satisfiability(QUERY, rooted(xhtml)))
     print("type constraint anchored at the document root:")
-    print(" ", anchored.describe())
-    witness = anchored.counterexample
-    if witness is not None:
+    print(" ", verdict(anchored))
+    if anchored.counterexample is not None:
+        witness = parse_tree(anchored.counterexample)
         print("witness document (anchors nested through an intermediate inline element):")
         print(serialize_tree(witness, indent=2))
         print("witness validates against the DTD:", dtd_accepts(xhtml, witness.unmark_all()))
@@ -61,7 +77,7 @@ def main() -> None:
     # The same query under a root-anchored schema with no loophole is unsatisfiable.
     repaired = parse_dtd(STRICT_ANCHORS, root="html", name="no-nesting")
     print("under the repaired, root-anchored schema:")
-    print(" ", analyzer.satisfiability(QUERY, rooted(repaired)).describe())
+    print(" ", verdict(analyzer.solve(Query.satisfiability(QUERY, rooted(repaired)))))
 
 
 if __name__ == "__main__":

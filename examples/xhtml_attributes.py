@@ -19,12 +19,20 @@ Run with::
     python examples/xhtml_attributes.py
 """
 
-from repro import Analyzer, builtin_dtd, serialize_tree
+from repro import Query, StaticAnalyzer, builtin_dtd, parse_tree, serialize_tree
 from repro.analysis.problems import relevant_attributes, rooted
 
 
+def verdict(outcome) -> str:
+    """One line per answer: the problem, its verdict, the solver time and the
+    witness document, if any."""
+    status = "holds" if outcome.holds else "does not hold"
+    witness = "" if outcome.counterexample is None else f"; witness: {outcome.counterexample}"
+    return f"{outcome.problem}: {status} ({outcome.time_ms:.1f} ms){witness}"
+
+
 def main() -> None:
-    analyzer = Analyzer()
+    analyzer = StaticAnalyzer()
     # The reduced structural subset of XHTML Strict; switch to
     # builtin_dtd("xhtml") for the full 77-element DTD (much slower).
     xhtml = builtin_dtd("xhtml-core")
@@ -32,28 +40,29 @@ def main() -> None:
     print("1. every img carries a required alt attribute:")
     alphabet = relevant_attributes("//img", "//img[@alt]")
     constrained = rooted(xhtml, alphabet)
-    result = analyzer.containment(
-        "//img", "//img[@alt]", type1=constrained, type2=constrained
+    outcome = analyzer.solve(
+        Query.containment("//img", "//img[@alt]", constrained, constrained)
     )
-    print("  ", result.describe())
+    print("  ", verdict(outcome))
 
     print("2. anchors may lack href (counterexample shown):")
     alphabet = relevant_attributes("//a", "//a[@href]")
     constrained = rooted(xhtml, alphabet)
-    result = analyzer.containment(
-        "//a", "//a[@href]", type1=constrained, type2=constrained
+    outcome = analyzer.solve(
+        Query.containment("//a", "//a[@href]", constrained, constrained)
     )
-    print("  ", result.describe())
+    print("  ", verdict(outcome))
 
     print("3. an a[@href] nested inside another a[@href] is still possible:")
-    result = analyzer.satisfiability(
-        "descendant::a[@href][ancestor::a[@href]]", rooted(xhtml, ("href",))
+    outcome = analyzer.solve(
+        Query.satisfiability(
+            "descendant::a[@href][ancestor::a[@href]]", rooted(xhtml, ("href",))
+        )
     )
-    print("  ", result.describe())
-    witness = result.counterexample
-    if witness is not None:
+    print("  ", verdict(outcome))
+    if outcome.counterexample is not None:
         print("   witness document:")
-        print(serialize_tree(witness, indent=2))
+        print(serialize_tree(parse_tree(outcome.counterexample), indent=2))
 
 
 if __name__ == "__main__":

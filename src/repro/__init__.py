@@ -14,18 +14,20 @@ with a BDD-based fixpoint algorithm.
 
 Quick start::
 
-    from repro import check_containment
-    result = check_containment("child::a[b]", "child::a")
-    assert result.holds                       # every a[b] child is an a child
-
-    from repro import check_satisfiability, builtin_dtd
-    result = check_satisfiability("descendant::a[ancestor::a]", builtin_dtd("xhtml"))
-    print(result.holds, result.counterexample)
-
-For batches of queries, prefer the caching façade of :mod:`repro.api`::
-
     from repro import Query, StaticAnalyzer
-    report = StaticAnalyzer().solve_many([
+    analyzer = StaticAnalyzer()
+    outcome = analyzer.solve(Query.containment("child::a[b]", "child::a"))
+    assert outcome.holds                      # every a[b] child is an a child
+
+    outcome = analyzer.solve(
+        Query.satisfiability("descendant::a[ancestor::a]", "xhtml")
+    )
+    print(outcome.holds, outcome.counterexample)
+
+One analyzer shares type translations, query translations and solver
+verdicts across every query it answers; ``solve_many`` answers a batch::
+
+    report = analyzer.solve_many([
         Query.containment("child::a[b]", "child::a"),
         Query.emptiness("child::title/child::meta", "wikipedia"),
     ])
@@ -36,18 +38,6 @@ from repro.api import (
     BatchReport,
     Query,
     StaticAnalyzer,
-    solve_many,
-)
-from repro.analysis import (
-    AnalysisResult,
-    Analyzer,
-    check_containment,
-    check_coverage,
-    check_emptiness,
-    check_equivalence,
-    check_overlap,
-    check_satisfiability,
-    check_type_inclusion,
 )
 from repro.logic.negation import negate
 from repro.logic.parser import parse_formula
@@ -70,16 +60,6 @@ __all__ = [
     "BatchReport",
     "Query",
     "StaticAnalyzer",
-    "solve_many",
-    "AnalysisResult",
-    "Analyzer",
-    "check_containment",
-    "check_coverage",
-    "check_emptiness",
-    "check_equivalence",
-    "check_overlap",
-    "check_satisfiability",
-    "check_type_inclusion",
     "negate",
     "parse_formula",
     "format_formula",

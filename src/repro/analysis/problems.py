@@ -23,8 +23,7 @@ annotated with the start mark, which is returned to the caller.
 :func:`reduce_problem` is the reduction :class:`repro.api.StaticAnalyzer`
 runs and the fuzzer checks; it translates a later side's type under ⊤ when
 it repeats the first side's (same models, a much smaller Lean — see there).
-:class:`Analyzer` and the ``check_*`` helpers are thin wrappers that answer
-each problem through a fresh ``StaticAnalyzer``.
+Every problem is asked through ``StaticAnalyzer().solve(Query.<kind>(...))``.
 
 **Attributes.**  When an expression of a problem mentions attribute steps
 (``@href``, ``attribute::*``), every DTD involved in the problem is compiled
@@ -43,7 +42,6 @@ from dataclasses import dataclass
 from repro.logic import syntax as sx
 from repro.logic.closure import OTHER_ATTRIBUTE
 from repro.logic.negation import negate
-from repro.trees.unranked import Tree, parse_tree, serialize_tree
 from repro.xmltypes.compile import compile_dtd
 from repro.xmltypes.dtd import DTD
 from repro.xpath import ast as xp
@@ -329,133 +327,3 @@ def reduce_problem(
         )
         return sx.mk_and(first, negate(output)), False
     raise ValueError(f"unknown query kind {kind!r}")
-
-
-@dataclass
-class AnalysisResult:
-    """Outcome of a decision problem.
-
-    ``holds`` answers the question asked ("is e₁ contained in e₂?", "do they
-    overlap?", ...); ``counterexample`` is a witness document when the
-    property fails (for containment-like problems) or an example document when
-    it holds (for satisfiability-like problems).  ``statistics`` is the
-    :meth:`repro.solver.symbolic.SolverStatistics.as_dict` of the solver run.
-    """
-
-    problem: str
-    holds: bool
-    statistics: dict
-    counterexample: Tree | None = None
-
-    @property
-    def time_ms(self) -> float:
-        """Solver running time in milliseconds (as reported in Table 2)."""
-        return 1000.0 * self.statistics["solve_seconds"]
-
-    def describe(self) -> str:
-        status = "holds" if self.holds else "does not hold"
-        witness = ""
-        if self.counterexample is not None:
-            witness = f"; witness: {serialize_tree(self.counterexample)}"
-        return f"{self.problem}: {status} ({self.time_ms:.1f} ms){witness}"
-
-
-@dataclass
-class Analyzer:
-    """One-shot decision problems, answered by :class:`repro.api.StaticAnalyzer`.
-
-    Each method builds the matching :class:`repro.api.Query` and runs the
-    analyzer's own reduction, witness lifting and solve on a fresh
-    ``StaticAnalyzer``, so every call times a full solver run, never a cache
-    hit.  Unlike :meth:`repro.api.StaticAnalyzer.solve`, input errors
-    (``ParseError``, ``UnsupportedTypeError``, ...) raise.
-
-    ``prune_labels`` enables cone-of-influence Lean pruning: type constraints
-    are projected onto the element names the problem's expressions actually
-    test (see :func:`label_projection`), which shrinks the Lean — and with it
-    every BDD — proportionally for queries touching a small corner of a
-    large schema.  The projection is semantics-preserving and is therefore on
-    by default; switch it off to reproduce the unpruned alphabets of the
-    paper's figures.
-    """
-
-    prune_labels: bool = True
-
-    def _run(self, kind: str, *args) -> AnalysisResult:
-        """Answer ``Query.<kind>(*args)`` on a fresh analyzer."""
-        # Imported here: repro.api imports this module.
-        from repro.api import Query, StaticAnalyzer
-
-        query = getattr(Query, kind)(*args)
-        analyzer = StaticAnalyzer(prune_labels=self.prune_labels)
-        formula, positive, lift_context = analyzer._reduce(query)
-        record, _ = analyzer._solve(formula, lift_context)
-        witness = record.counterexample
-        return AnalysisResult(
-            problem=analyzer._problem_description(query),
-            holds=record.satisfiable if positive else not record.satisfiable,
-            statistics=record.statistics,
-            counterexample=None if witness is None else parse_tree(witness),
-        )
-
-    def satisfiability(self, expr, xml_type=None) -> AnalysisResult:
-        """Can the expression select at least one node (under the type)?"""
-        return self._run("satisfiability", expr, xml_type)
-
-    def emptiness(self, expr, xml_type=None) -> AnalysisResult:
-        """Is the expression always empty (under the type)?"""
-        return self._run("emptiness", expr, xml_type)
-
-    def containment(self, expr1, expr2, type1=None, type2=None) -> AnalysisResult:
-        """Is every node selected by ``expr1`` also selected by ``expr2``?"""
-        return self._run("containment", expr1, expr2, type1, type2)
-
-    def equivalence(self, expr1, expr2, type1=None, type2=None) -> tuple[AnalysisResult, AnalysisResult]:
-        """Containment in both directions (XPath equivalence under constraints)."""
-        forward = self.containment(expr1, expr2, type1, type2)
-        backward = self.containment(expr2, expr1, type2, type1)
-        return forward, backward
-
-    def overlap(self, expr1, expr2, type1=None, type2=None) -> AnalysisResult:
-        """Can the two expressions select a common node?"""
-        return self._run("overlap", expr1, expr2, type1, type2)
-
-    def coverage(self, expr, covering, xml_type=None, covering_types=None) -> AnalysisResult:
-        """Is every node selected by ``expr`` selected by one of ``covering``?"""
-        return self._run("coverage", expr, covering, xml_type, covering_types)
-
-    def type_inclusion(self, expr, input_type, output_type) -> AnalysisResult:
-        """Static type checking of an annotated query: is every node selected by
-        ``expr`` under ``input_type`` the root of a subtree of ``output_type``?"""
-        return self._run("type_inclusion", expr, input_type, output_type)
-
-
-# -- module-level conveniences -------------------------------------------------------
-
-
-def check_satisfiability(expr, xml_type=None, **options) -> AnalysisResult:
-    return Analyzer(**options).satisfiability(expr, xml_type)
-
-
-def check_emptiness(expr, xml_type=None, **options) -> AnalysisResult:
-    return Analyzer(**options).emptiness(expr, xml_type)
-
-
-def check_containment(expr1, expr2, type1=None, type2=None, **options) -> AnalysisResult:
-    return Analyzer(**options).containment(expr1, expr2, type1, type2)
-
-
-def check_equivalence(expr1, expr2, type1=None, type2=None, **options):
-    return Analyzer(**options).equivalence(expr1, expr2, type1, type2)
-
-
-def check_overlap(expr1, expr2, type1=None, type2=None, **options) -> AnalysisResult:
-    return Analyzer(**options).overlap(expr1, expr2, type1, type2)
-
-
-def check_coverage(expr, covering, xml_type=None, covering_types=None, **options) -> AnalysisResult:
-    return Analyzer(**options).coverage(expr, covering, xml_type, covering_types)
-
-
-def check_type_inclusion(expr, input_type, output_type, **options) -> AnalysisResult:
-    return Analyzer(**options).type_inclusion(expr, input_type, output_type)

@@ -1,8 +1,10 @@
-"""Stable batch façade over the static analyzer: ``repro.api``.
+"""The one entry point to every analysis: ``repro.api``.
 
-This module is the recommended entry point for programs that issue *many*
-decision problems — a schema-aware editor validating every XPath expression in
-a stylesheet, a query optimiser probing containment between rewrite
+Every decision problem is a :class:`Query` answered by a
+:class:`StaticAnalyzer` — ``StaticAnalyzer().solve(Query.<kind>(...))`` for
+one question.  The analyzer is built for programs that issue *many*
+decision problems — a schema-aware editor validating every XPath expression
+in a stylesheet, a query optimiser probing containment between rewrite
 candidates, a service answering analysis requests over the same few schemas.
 It wraps the problem reductions of :mod:`repro.analysis` behind three layers
 of memoisation so that work is shared across an entire workload instead of
@@ -94,7 +96,6 @@ from repro.xmltypes.compile import compile_dtd
 from repro.xmltypes.dtd import DTD
 from repro.xmltypes.membership import lift_wildcards
 from repro.xmltypes.library import builtin_dtd
-from repro.xpath import ast as xp
 from repro.xpath.compile import compile_xpath
 from repro.xpath.parser import parse_xpath_cached
 
@@ -152,6 +153,12 @@ class Query:
                 f"{self.kind} takes {arity[0]} expression(s) and {arity[1]} "
                 f"type(s); got {len(self.exprs)} and {len(self.types)}"
             )
+        for expr in self.exprs:
+            if not isinstance(expr, str):
+                raise ValueError(
+                    f"{self.kind} takes XPath expressions as text; got a "
+                    f"{type(expr).__name__}"
+                )
 
     # -- factories ---------------------------------------------------------------
 
@@ -593,7 +600,7 @@ class StaticAnalyzer:
 
     def query_formula(
         self,
-        expr: str | xp.Expr,
+        expr: str,
         xml_type: object = None,
         attributes: tuple[str, ...] | None = None,
         labels: tuple[str, ...] | None = None,
@@ -608,12 +615,6 @@ class StaticAnalyzer:
         xml_type = self._resolve_type(xml_type)
         if attributes is None:
             attributes = relevant_attributes(expr)
-        if not isinstance(expr, str):
-            # Pre-parsed expressions are not cacheable by text; translate only.
-            return compile_xpath(
-                expr,
-                self.type_formula(xml_type, attributes=attributes, labels=labels),
-            )
         key = (expr, xml_type, attributes, labels)
         cached = self._query_cache.get(key)
         if cached is not None:
@@ -853,7 +854,9 @@ class StaticAnalyzer:
         answer it.
 
         The lookup counts nothing; a part that fails to reduce needs no run
-        (it is answered as an error outcome).
+        (it is answered as an error outcome).  A disk entry is only checked
+        for presence, never read: :meth:`_solve` reads it once when it
+        answers, and runs the solver itself if the entry turns out corrupt.
         """
         formulas = []
         for part in _parts(query):
@@ -863,7 +866,7 @@ class StaticAnalyzer:
                 continue
             if formula in self._solve_cache or formula in formulas:
                 continue
-            if self.disk_cache is None or self.disk_cache.get(formula) is None:
+            if self.disk_cache is None or formula not in self.disk_cache:
                 formulas.append(formula)
         return formulas
 
@@ -1034,7 +1037,3 @@ class StaticAnalyzer:
                 pool.submit(formula, budget, text)
             return dict(pool.next() for _ in jobs)
 
-
-def solve_many(queries: Iterable[Query], workers: int = 1, **options) -> BatchReport:
-    """One-shot batch entry point (a fresh :class:`StaticAnalyzer` per call)."""
-    return StaticAnalyzer(**options).solve_many(queries, workers=workers)

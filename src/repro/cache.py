@@ -276,6 +276,11 @@ class DiskSolveCache:
 
     # -- read / write ------------------------------------------------------------
 
+    def __contains__(self, formula: sx.Formula) -> bool:
+        """Whether an entry file exists for a formula (nothing is decoded, so
+        a corrupt entry counts as present until :meth:`get` reads it)."""
+        return self.path_for_key(self.key_for(formula)).is_file()
+
     def get(self, formula: sx.Formula) -> SolveRecord | None:
         """The stored verdict for a formula, or ``None`` on miss/corruption.
 

@@ -44,7 +44,7 @@ from repro.logic.syntax import (
 )
 from repro.logic.printer import format_formula
 from repro.logic.parser import parse_formula
-from repro.logic.negation import negate, implies_formula
+from repro.logic.negation import negate
 from repro.logic.cyclefree import is_cycle_free, assert_cycle_free
 from repro.logic.closure import fisher_ladner_closure, lean, Lean
 from repro.logic.semantics import interpret, satisfies
@@ -74,7 +74,6 @@ __all__ = [
     "format_formula",
     "parse_formula",
     "negate",
-    "implies_formula",
     "is_cycle_free",
     "assert_cycle_free",
     "fisher_ladner_closure",

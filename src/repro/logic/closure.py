@@ -17,8 +17,9 @@ implementation of Section 7 both work directly on the Lean.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from collections import deque
+from collections.abc import Iterable
+from dataclasses import dataclass, field
 
 from repro.core.errors import SolverLimitError
 from repro.logic import syntax as sx
@@ -35,20 +36,18 @@ OTHER_LABEL = "#other"
 OTHER_ATTRIBUTE = "#otherattr"
 
 
-def fisher_ladner_closure(formula: sx.Formula, max_size: int = 200_000) -> set[sx.Formula]:
-    """Compute the Fisher–Ladner closure ``cl(ψ)``.
-
-    ``max_size`` bounds the number of closure elements as a safety net: the
-    closure of a cycle-free formula is finite, but a buggy or adversarial
-    non-cycle-free input could otherwise loop forever.
-    """
-    closure: set[sx.Formula] = set()
+def _closure_in_order(
+    formula: sx.Formula, max_size: int = 200_000
+) -> dict[sx.Formula, None]:
+    """``cl(ψ)`` in breadth-first order of first appearance from ψ, as the
+    keys of a dict (an insertion-ordered set)."""
+    closure: dict[sx.Formula, None] = {}
     queue: deque[sx.Formula] = deque([formula])
     while queue:
         current = queue.popleft()
         if current in closure:
             continue
-        closure.add(current)
+        closure[current] = None
         if len(closure) > max_size:
             raise SolverLimitError(
                 f"Fisher-Ladner closure exceeded {max_size} formulas; "
@@ -63,6 +62,16 @@ def fisher_ladner_closure(formula: sx.Formula, max_size: int = 200_000) -> set[s
         elif current.is_fixpoint:
             queue.append(sx.expand_fixpoint(current))
     return closure
+
+
+def fisher_ladner_closure(formula: sx.Formula, max_size: int = 200_000) -> set[sx.Formula]:
+    """Compute the Fisher–Ladner closure ``cl(ψ)``.
+
+    ``max_size`` bounds the number of closure elements as a safety net: the
+    closure of a cycle-free formula is finite, but a buggy or adversarial
+    non-cycle-free input could otherwise loop forever.
+    """
+    return set(_closure_in_order(formula, max_size))
 
 
 @dataclass(frozen=True)
@@ -139,7 +148,7 @@ class Lean:
         )
 
 
-def closure_alphabet(closure: set[sx.Formula]) -> tuple[set[str], set[str]]:
+def closure_alphabet(closure: Iterable[sx.Formula]) -> tuple[set[str], set[str]]:
     """The atomic propositions and attribute names of a set of formulas.
 
     Collecting ``Σ(ψ)`` from the *closure* instead of the raw syntax tree is
@@ -160,23 +169,22 @@ def closure_alphabet(closure: set[sx.Formula]) -> tuple[set[str], set[str]]:
     return labels, attributes
 
 
-def lean(formula: sx.Formula, extra_labels: tuple[str, ...] = ()) -> Lean:
+def lean(formula: sx.Formula) -> Lean:
     """Compute ``Lean(ψ)`` together with its bit-vector ordering.
 
-    ``extra_labels`` adds atomic propositions that must be representable even
-    though they do not occur in the formula (useful when a model must mention
-    labels from a surrounding problem).  One attribute bit is allocated per
-    attribute name occurring in ψ, plus the :data:`OTHER_ATTRIBUTE` bit;
-    formulas without attribute propositions pay nothing.
+    One attribute bit is allocated per attribute name occurring in ψ, plus
+    the :data:`OTHER_ATTRIBUTE` bit; formulas without attribute propositions
+    pay nothing.
 
     The alphabet is read off the Fisher–Ladner closure (the formulas ψ-types
     are actually built from), not the raw syntax tree — see
-    :func:`closure_alphabet`.
+    :func:`closure_alphabet`.  The closure is walked once: its breadth-first
+    order from ψ is also the order of the existential formulas.
     """
-    closure = fisher_ladner_closure(formula)
+    closure = _closure_in_order(formula)
     closure_labels, closure_attributes = closure_alphabet(closure)
 
-    labels = sorted(closure_labels | set(extra_labels))
+    labels = sorted(closure_labels)
     if OTHER_LABEL not in labels:
         labels.append(OTHER_LABEL)
 
@@ -188,46 +196,17 @@ def lean(formula: sx.Formula, extra_labels: tuple[str, ...] = ()) -> Lean:
     if attribute_names or closure_attributes:
         attribute_names.append(OTHER_ATTRIBUTE)
 
-    items: list[sx.Formula] = []
-    seen: set[sx.Formula] = set()
-
-    def add(item: sx.Formula) -> None:
-        if item not in seen:
-            seen.add(item)
-            items.append(item)
-
-    for program in MODALITIES:
-        add(sx.dia(program, sx.TRUE))
-    add(sx.START)
-    for label in labels:
-        add(sx.prop(label))
-    for name in attribute_names:
-        add(sx.attr(name))
-
+    items: list[sx.Formula] = [sx.dia(program, sx.TRUE) for program in MODALITIES]
+    items.append(sx.START)
+    items.extend(sx.prop(label) for label in labels)
+    items.extend(sx.attr(name) for name in attribute_names)
     # Existential formulas of the closure, in breadth-first order of first
-    # appearance starting from the root formula.
-    queue: deque[sx.Formula] = deque([formula])
-    visited: set[sx.Formula] = set()
-    while queue:
-        current = queue.popleft()
-        if current in visited:
-            continue
-        visited.add(current)
-        if current.kind == sx.KIND_DIA:
-            add(current)
-            queue.append(current.left)
-        elif current.kind in (sx.KIND_AND, sx.KIND_OR):
-            queue.append(current.left)
-            queue.append(current.right)
-        elif current.is_fixpoint:
-            queue.append(sx.expand_fixpoint(current))
-
-    # Any modal formula of the closure not reached by the traversal above
-    # (possible only through unusual sharing) is appended at the end so the
-    # Lean is always complete with respect to cl(ψ).
-    for item in closure:
-        if item.kind == sx.KIND_DIA:
-            add(item)
+    # appearance starting from the root formula (a ``⟨a⟩⊤`` of the closure
+    # already heads the order).
+    seen = set(items)
+    items.extend(
+        item for item in closure if item.kind == sx.KIND_DIA and item not in seen
+    )
 
     index = {item: position for position, item in enumerate(items)}
     return Lean(

@@ -97,11 +97,3 @@ def _negate(
     cache[key] = result
     return result
 
-
-def implies_formula(left: sx.Formula, right: sx.Formula) -> sx.Formula:
-    """The formula ``left ∧ ¬right`` whose unsatisfiability witnesses ``left ⟹ right``.
-
-    This is the containment test of Section 8: ``e₁ ⊆ e₂`` holds exactly when
-    ``ϕ₁ ∧ ¬ϕ₂`` has no satisfying finite focused tree.
-    """
-    return sx.mk_and(left, negate(right))

@@ -43,6 +43,23 @@ def documents_with_every_mark(text: str) -> list[Tree]:
     return [base.mark_at(path) for path, _node in sorted(base.iter_paths())]
 
 
+def solve(query, analyzer=None):
+    """Answer ``query`` on ``analyzer`` (a fresh one by default) and fail the
+    test unless the verdict is definite.
+
+    An error outcome carries ``holds=False``, so a test asserting
+    ``not outcome.holds`` must not read it without this check.
+    """
+    from repro.api import StaticAnalyzer
+
+    outcome = (analyzer or StaticAnalyzer()).solve(query)
+    assert outcome.definite, (
+        f"{outcome.problem}: {outcome.verdict_status} "
+        f"({outcome.error or outcome.budget_reason})"
+    )
+    return outcome
+
+
 #: Wildcard label of pruned witnesses whose collapsed elements could not be
 #: lifted back to concrete names (repro.xmltypes.membership.lift_wildcards).
 from repro.solver.models import FRESH_LABEL as WILDCARD_LABEL  # noqa: E402
@@ -51,8 +68,8 @@ from repro.solver.models import FRESH_LABEL as WILDCARD_LABEL  # noqa: E402
 def assert_genuine_counterexample(result, dtd=None, exprs=()) -> Tree:
     """Shared witness-validity invariant for satisfiable analysis outcomes.
 
-    ``result`` is an :class:`repro.analysis.problems.AnalysisResult` (or a
-    bare document).  Asserts that the witness exists and carries exactly one
+    ``result`` is an :class:`repro.api.AnalysisOutcome` (its serialized
+    witness is parsed) or a bare document.  Asserts that the witness exists and carries exactly one
     start mark; with ``dtd`` given, additionally that the marked node's
     subtree validates against the DTD and that
     :func:`repro.xmltypes.membership.dtd_attribute_violations` is empty when
@@ -70,6 +87,8 @@ def assert_genuine_counterexample(result, dtd=None, exprs=()) -> Tree:
 
     document = getattr(result, "counterexample", result)
     assert document is not None, "expected a witness document"
+    if isinstance(document, str):
+        document = parse_tree(document)
     assert document.mark_count() == 1, (
         f"witness must carry exactly one start mark: {document}"
     )

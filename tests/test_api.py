@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.analysis.problems import Rooted, label_projection, relevant_attributes
-from repro.api import KINDS, AnalysisOutcome, BatchReport, Query, StaticAnalyzer, solve_many
+from repro.api import KINDS, AnalysisOutcome, BatchReport, Query, StaticAnalyzer
 from repro.cache import formula_digest
 from repro.logic import syntax as sx
 from repro.logic.negation import negate
@@ -92,7 +92,7 @@ def test_equivalence_shares_containment_solves():
 
 
 def test_batch_report_is_json_round_trippable():
-    report = solve_many(
+    report = StaticAnalyzer().solve_many(
         [
             Query.satisfiability("child::meta/child::title", "wikipedia"),
             Query.emptiness("child::title/child::meta", "wikipedia"),
@@ -530,6 +530,37 @@ def test_solve_many_workers_share_the_disk_cache(tmp_path):
     assert replay.solver_runs == 0
     assert replay.disk_cache_hits == 2
     assert [o.holds for o in replay.outcomes] == [o.holds for o in report.outcomes]
+
+
+def test_pool_replay_reads_each_disk_entry_once(tmp_path, monkeypatch):
+    """A ``workers=2`` replay from disk checks entries for presence and reads
+    each once, when it answers: as many reads as ``workers=1`` makes."""
+    from repro.cache import DiskSolveCache
+
+    cache_dir = str(tmp_path / "solve-cache")
+    queries = [
+        Query.containment("child::a[b]", "child::a"),
+        Query.overlap("a//b", "a/b"),
+        Query.satisfiability("child::meta/child::title", "wikipedia"),
+    ]
+    StaticAnalyzer(cache_dir=cache_dir).solve_many(queries)
+    reads = []
+    get = DiskSolveCache.get
+
+    def counting_get(self, formula):
+        reads.append(formula)
+        return get(self, formula)
+
+    monkeypatch.setattr(DiskSolveCache, "get", counting_get)
+    sequential = StaticAnalyzer(cache_dir=cache_dir).solve_many(queries, workers=1)
+    assert len(reads) == 3
+    reads.clear()
+    parallel = StaticAnalyzer(cache_dir=cache_dir).solve_many(queries, workers=2)
+    assert len(reads) == 3
+    assert (parallel.solver_runs, parallel.disk_cache_hits) == (
+        sequential.solver_runs,
+        sequential.disk_cache_hits,
+    ) == (0, 3)
 
 
 @pytest.mark.parametrize(

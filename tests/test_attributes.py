@@ -5,7 +5,6 @@ counterexample documents carrying attributes."""
 import pytest
 
 from repro import (
-    Analyzer,
     Query,
     StaticAnalyzer,
     parse_dtd,
@@ -30,7 +29,7 @@ from repro.trees.focus import focus_at
 from repro.xmltypes.compile import attribute_constraints
 from repro.xmltypes.dtd import IMPLIED, REQUIRED
 from repro.xmltypes.library import smil_dtd, xhtml_core_dtd, xhtml_strict_dtd
-from conftest import assert_genuine_counterexample
+from conftest import assert_genuine_counterexample, solve
 from repro.xpath import ast as xp
 from repro.xpath.parser import parse_xpath
 from repro.xpath.semantics import select
@@ -252,38 +251,40 @@ def test_attribute_constraints_wildcard_marker(mini):
 
 
 def test_satisfiability_and_emptiness_with_attributes(mini):
-    analyzer = Analyzer()
-    result = analyzer.satisfiability(
-        "//a[@href]", rooted(mini, relevant_attributes("//a[@href]"))
+    analyzer = StaticAnalyzer()
+    outcome = solve(
+        Query.satisfiability("//a[@href]", rooted(mini, relevant_attributes("//a[@href]"))),
+        analyzer,
     )
-    assert result.holds
-    witness = assert_genuine_counterexample(result, mini, exprs=("//a[@href]",))
+    assert outcome.holds
+    witness = assert_genuine_counterexample(outcome, mini, exprs=("//a[@href]",))
     assert 'href=""' in serialize_tree(witness)
     # The witness genuinely selects under the denotational semantics.
     assert select(parse_xpath("//a[@href]"), witness)
     # An attribute declared nowhere renders the query empty.
-    assert analyzer.emptiness(
-        "//a[@nosuch]", rooted(mini, relevant_attributes("//a[@nosuch]"))
+    assert solve(
+        Query.emptiness("//a[@nosuch]", rooted(mini, relevant_attributes("//a[@nosuch]"))),
+        analyzer,
     ).holds
 
 
 def test_required_attribute_containment(mini):
-    analyzer = Analyzer()
+    analyzer = StaticAnalyzer()
     alphabet = relevant_attributes("//img", "//img[@alt]")
     constrained = rooted(mini, alphabet)
-    assert analyzer.containment(
-        "//img", "//img[@alt]", type1=constrained, type2=constrained
+    assert solve(
+        Query.containment("//img", "//img[@alt]", constrained, constrained), analyzer
     ).holds
     # Optional attributes do not support the containment; the counterexample
     # exhibits an anchor without href.
     alphabet = relevant_attributes("//a", "//a[@href]")
     constrained = rooted(mini, alphabet)
-    result = analyzer.containment(
-        "//a", "//a[@href]", type1=constrained, type2=constrained
+    outcome = solve(
+        Query.containment("//a", "//a[@href]", constrained, constrained), analyzer
     )
-    assert not result.holds
+    assert not outcome.holds
     counterexample = assert_genuine_counterexample(
-        result, mini, exprs=("//a", "//a[@href]")
+        outcome, mini, exprs=("//a", "//a[@href]")
     )
     selected_left = select(parse_xpath("//a"), counterexample)
     selected_right = select(parse_xpath("//a[@href]"), counterexample)
@@ -291,25 +292,28 @@ def test_required_attribute_containment(mini):
 
 
 def test_required_attribute_is_never_absent(mini):
-    analyzer = Analyzer()
-    assert not analyzer.satisfiability(
-        "//img[not(@alt)]", rooted(mini, ("alt",))
+    analyzer = StaticAnalyzer()
+    assert not solve(
+        Query.satisfiability("//img[not(@alt)]", rooted(mini, ("alt",))), analyzer
     ).holds
-    assert not analyzer.satisfiability(
-        "//img[not(@*)]", rooted(mini, relevant_attributes("//img[not(@*)]"))
+    assert not solve(
+        Query.satisfiability(
+            "//img[not(@*)]", rooted(mini, relevant_attributes("//img[not(@*)]"))
+        ),
+        analyzer,
     ).holds
 
 
 def test_type_inclusion_respects_required_attributes(mini):
     # The negated output type is a predicate on subtrees, so its #REQUIRED
     # attributes matter even when the query never mentions them.
-    analyzer = Analyzer()
+    analyzer = StaticAnalyzer()
     img_type = mini.with_root("img")
     # An attribute-free input admits an alt-less img: inclusion must fail.
-    result = analyzer.type_inclusion(".//img[not(*)]", None, img_type)
-    assert not result.holds
+    outcome = solve(Query.type_inclusion(".//img[not(*)]", None, img_type), analyzer)
+    assert not outcome.holds
     # The same DTD as input supplies src/alt on every img: inclusion holds.
-    assert analyzer.type_inclusion(".//img", mini, img_type).holds
+    assert solve(Query.type_inclusion(".//img", mini, img_type), analyzer).holds
     # The alphabet covers the DTDs' required and asymmetric declared names.
     alphabet = type_inclusion_attributes(".//img", mini, img_type)
     assert {"src", "alt"} <= set(alphabet)
@@ -326,13 +330,8 @@ def test_type_inclusion_respects_required_attributes(mini):
         root="a",
     )
     assert "x" in type_inclusion_attributes(".//a", input_dtd, output_dtd)
-    result = analyzer.type_inclusion(".//a", input_dtd, output_dtd)
-    assert not result.holds  # <a x=""/> is valid input but invalid output
-    # And the API façade agrees with the one-shot helper.
-    outcome = StaticAnalyzer().solve(
-        Query.type_inclusion(".//img[not(*)]", None, img_type)
-    )
-    assert not outcome.holds
+    outcome = solve(Query.type_inclusion(".//a", input_dtd, output_dtd), analyzer)
+    assert not outcome.holds  # <a x=""/> is valid input but invalid output
 
 
 def test_api_facade_answers_attribute_queries(mini):
@@ -389,42 +388,45 @@ def test_absolute_qualifier_anchors_at_the_root():
     assert select(parse_xpath(".//a[//b]"), document_with)
     # The translation agrees: a[//b] is satisfiable, a[//b] with a b-free
     # document type is not.
-    analyzer = Analyzer()
-    assert analyzer.satisfiability("//a[//b]").holds
+    analyzer = StaticAnalyzer()
+    assert solve(Query.satisfiability("//a[//b]"), analyzer).holds
     b_free = parse_dtd("<!ELEMENT r (a)*><!ELEMENT a EMPTY>", root="r")
-    assert not analyzer.satisfiability("//a[//b]", rooted(b_free)).holds
+    assert not solve(Query.satisfiability("//a[//b]", rooted(b_free)), analyzer).holds
     # The relative reading is strictly stronger than the absolute one.
-    assert analyzer.containment(".//a[.//b]", ".//a[//b]").holds
-    assert not analyzer.containment(".//a[//b]", ".//a[.//b]").holds
+    assert solve(Query.containment(".//a[.//b]", ".//a[//b]"), analyzer).holds
+    assert not solve(Query.containment(".//a[//b]", ".//a[.//b]"), analyzer).holds
 
 
 @pytest.mark.slow
 def test_xhtml_core_attribute_analyses():
-    analyzer = Analyzer()
+    analyzer = StaticAnalyzer()
     xhtml = xhtml_core_dtd()
     alphabet = relevant_attributes("//img", "//img[@alt]")
     constrained = rooted(xhtml, alphabet)
-    assert analyzer.containment(
-        "//img", "//img[@alt]", type1=constrained, type2=constrained
+    assert solve(
+        Query.containment("//img", "//img[@alt]", constrained, constrained), analyzer
     ).holds
     # Anchors with href can still be nested under the (structural) XHTML
     # rules, through an intermediate inline element — the attribute-aware
     # variant of the paper's e8 analysis.
-    nested = analyzer.satisfiability(
-        "descendant::a[@href][ancestor::a[@href]]", rooted(xhtml, ("href",))
+    nested = solve(
+        Query.satisfiability(
+            "descendant::a[@href][ancestor::a[@href]]", rooted(xhtml, ("href",))
+        ),
+        analyzer,
     )
     assert nested.holds
-    assert 'href=""' in serialize_tree(nested.counterexample)
+    assert 'href=""' in nested.counterexample
 
 
 @pytest.mark.slow
 def test_smil_requires_href_on_anchors():
-    analyzer = Analyzer()
+    analyzer = StaticAnalyzer()
     smil = smil_dtd()
-    assert not analyzer.satisfiability(
-        "//a[not(@href)]", rooted(smil, ("href",))
+    assert not solve(
+        Query.satisfiability("//a[not(@href)]", rooted(smil, ("href",))), analyzer
     ).holds
-    assert analyzer.satisfiability("//a[@href]", rooted(smil, ("href",))).holds
+    assert solve(Query.satisfiability("//a[@href]", rooted(smil, ("href",))), analyzer).holds
 
 
 def test_witness_never_decorates_undeclared_elements_with_attributes():

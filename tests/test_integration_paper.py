@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.analysis import Analyzer, check_containment, check_satisfiability
 from repro.analysis.problems import FIGURE_21
+from repro.api import Query, StaticAnalyzer
 from repro.logic.cyclefree import is_cycle_free
 from repro.logic.syntax import formula_size
 from repro.xmltypes.binarize import binarize_dtd
@@ -12,7 +12,7 @@ from repro.xpath.compile import compile_xpath
 from repro.xpath.parser import parse_xpath
 from repro.xpath.semantics import select
 
-from conftest import assert_genuine_counterexample
+from conftest import assert_genuine_counterexample, solve
 
 
 def test_all_figure21_expressions_translate_linearly():
@@ -25,11 +25,11 @@ def test_all_figure21_expressions_translate_linearly():
 
 def test_figure18_containment_example():
     """The worked example of Section 6.3: e1 ⊄ e2, counterexample of depth 3."""
-    result = check_containment(
-        "child::c/preceding-sibling::a[child::b]", "child::c[child::b]"
+    outcome = solve(
+        Query.containment("child::c/preceding-sibling::a[child::b]", "child::c[child::b]")
     )
-    assert not result.holds
-    document = assert_genuine_counterexample(result)
+    assert not outcome.holds
+    document = assert_genuine_counterexample(outcome)
     # The counterexample has the shape of Figure 18: a marked context node
     # whose children include an `a` (with a `b` child) followed by a `c`.
     assert document.depth() == 3
@@ -44,67 +44,64 @@ def test_figure18_containment_example():
 
 
 def test_table2_row1_e1_contains_e2_but_not_conversely():
-    assert check_containment(FIGURE_21["e1"], FIGURE_21["e2"]).holds
-    assert not check_containment(FIGURE_21["e2"], FIGURE_21["e1"]).holds
+    assert solve(Query.containment(FIGURE_21["e1"], FIGURE_21["e2"])).holds
+    assert not solve(Query.containment(FIGURE_21["e2"], FIGURE_21["e1"])).holds
 
 
 def test_table2_row2_e3_and_e4_are_equivalent():
-    assert check_containment(FIGURE_21["e4"], FIGURE_21["e3"]).holds
-    assert check_containment(FIGURE_21["e3"], FIGURE_21["e4"]).holds
+    assert solve(Query.containment(FIGURE_21["e4"], FIGURE_21["e3"])).holds
+    assert solve(Query.containment(FIGURE_21["e3"], FIGURE_21["e4"])).holds
 
 
 def test_table2_row3_e6_versus_e5():
     # With e5 exactly as printed in Figure 21 the containment fails and the
     # solver exhibits a counterexample (benchmarks/reports/
     # table2_decision_problems.txt records the row's measured verdicts).
-    as_printed = check_containment(FIGURE_21["e6"], FIGURE_21["e5"])
+    as_printed = solve(Query.containment(FIGURE_21["e6"], FIGURE_21["e5"]))
     assert not as_printed.holds
     assert_genuine_counterexample(as_printed)
     # ``[//c]`` now follows XPath 1.0 and anchors at the *document root*, so
     # the printed e6 admits documents whose ``c`` lies outside the ``a``
     # subtree and is not contained in the descendant variant of e5 either.
-    assert not check_containment(FIGURE_21["e6"], "a//c/following::d/e").holds
+    assert not solve(Query.containment(FIGURE_21["e6"], "a//c/following::d/e")).holds
     # Table 2's verdict corresponds to the relative reading of the qualifier,
     # which is written ``.//c`` in XPath: under it the containment holds.
     relative_reading = "a/b[.//c]/following::d/e ∩ a/d[preceding::c]/e"
-    assert check_containment(relative_reading, "a//c/following::d/e").holds
+    assert solve(Query.containment(relative_reading, "a//c/following::d/e")).holds
     # The reverse containment does not hold in either reading (e5 ⊄ e6).
-    assert not check_containment("a//c/following::d/e", FIGURE_21["e6"]).holds
-    assert not check_containment("a//c/following::d/e", relative_reading).holds
+    assert not solve(Query.containment("a//c/following::d/e", FIGURE_21["e6"])).holds
+    assert not solve(Query.containment("a//c/following::d/e", relative_reading)).holds
 
 
 @pytest.mark.slow
 def test_table2_row4_e7_satisfiable_under_smil():
-    result = check_satisfiability(FIGURE_21["e7"], smil_dtd())
-    assert result.holds
-    assert_genuine_counterexample(result, smil_dtd(), exprs=(FIGURE_21["e7"],))
+    outcome = solve(Query.satisfiability(FIGURE_21["e7"], smil_dtd()))
+    assert outcome.holds
+    assert_genuine_counterexample(outcome, smil_dtd(), exprs=(FIGURE_21["e7"],))
 
 
 @pytest.mark.slow
 def test_table2_row5_e8_satisfiable_under_xhtml_core():
     # The official XHTML DTD does not syntactically prohibit nested anchors.
-    result = check_satisfiability(FIGURE_21["e8"], xhtml_core_dtd())
-    assert result.holds
+    assert solve(Query.satisfiability(FIGURE_21["e8"], xhtml_core_dtd())).holds
 
 
 def test_wikipedia_pipeline_of_figures_12_to_14():
     dtd = wikipedia_dtd()
     grammar = binarize_dtd(dtd).restricted_to_reachable()
     assert grammar.labels() == set(dtd.element_names())
-    analyzer = Analyzer()
+    analyzer = StaticAnalyzer()
     # A query consistent with the DTD is satisfiable under it...
-    assert analyzer.satisfiability("child::meta/child::title", dtd).holds
+    outcome = solve(Query.satisfiability("child::meta/child::title", dtd), analyzer)
+    assert outcome.holds
     # ...and the satisfying document produced by the solver validates.
-    result = analyzer.satisfiability("child::meta/child::title", dtd)
-    assert_genuine_counterexample(result, dtd, exprs=("child::meta/child::title",))
+    assert_genuine_counterexample(outcome, dtd, exprs=("child::meta/child::title",))
     # A query structurally impossible under the DTD is reported empty.
-    assert analyzer.emptiness("child::title/child::meta", dtd).holds
-    assert analyzer.emptiness("child::meta/child::edit", dtd).holds
+    assert solve(Query.emptiness("child::title/child::meta", dtd), analyzer).holds
+    assert solve(Query.emptiness("child::meta/child::edit", dtd), analyzer).holds
 
 
 def test_type_constrained_containment_wikipedia():
     dtd = wikipedia_dtd()
     # Under the DTD, every history child of meta contains at least one edit.
-    assert check_containment(
-        "child::history", "child::history[edit]", type1=dtd, type2=dtd
-    ).holds
+    assert solve(Query.containment("child::history", "child::history[edit]", dtd, dtd)).holds

@@ -69,11 +69,6 @@ def test_lean_contains_every_modal_closure_formula():
     assert len(non_trivial) == 2
 
 
-def test_lean_extra_labels_are_included():
-    computed = lean(sx.prop("a"), extra_labels=("q", "r"))
-    assert {"a", "q", "r", OTHER_LABEL} <= set(computed.propositions)
-
-
 def test_lean_size_is_linear_in_formula_size():
     # Lean(ψ) grows linearly for a chain of modalities.
     def chain(depth: int) -> sx.Formula:

@@ -6,7 +6,7 @@ onto the "any other label" proposition before any BDD is built
 three properties the optimisation rests on:
 
 * **semantics preservation** — every verdict matches the unpruned run
-  (``Analyzer(prune_labels=False)``), including across problem kinds;
+  (``StaticAnalyzer(prune_labels=False)``), including across problem kinds;
 * **proportionality** — a query touching 2 of 40 element names solves with a
   proportionally smaller Lean;
 * **witness quality** — satisfying models are lifted back to concrete
@@ -15,15 +15,17 @@ three properties the optimisation rests on:
 
 import pytest
 
-from repro.analysis import Analyzer
 from repro.analysis.problems import label_projection, relevant_labels
 from repro.api import Query, StaticAnalyzer
 from repro.logic import syntax as sx
+from repro.trees.unranked import parse_tree
 from repro.xmltypes.binarize import binarize_dtd
 from repro.xmltypes.compile import project_grammar
 from repro.xmltypes.dtd import parse_dtd
 from repro.xmltypes.library import builtin_dtd
 from repro.xmltypes.membership import dtd_accepts, grammar_accepts, lift_wildcards
+
+from conftest import solve
 
 
 def wide_dtd(sections: int = 19):
@@ -117,11 +119,10 @@ def test_minimization_merges_collapsed_variables():
 )
 def test_pruned_verdicts_match_unpruned(method, args):
     dtd = wide_dtd()
-    pruned = Analyzer()
-    unpruned = Analyzer(prune_labels=False)
     types = (dtd,) * (2 if method in ("containment", "overlap") else 1)
-    fast = getattr(pruned, method)(*args, *types)
-    slow = getattr(unpruned, method)(*args, *types)
+    query = getattr(Query, method)(*args, *types)
+    fast = solve(query)
+    slow = solve(query, StaticAnalyzer(prune_labels=False))
     assert fast.holds == slow.holds
 
 
@@ -129,10 +130,9 @@ def test_pruned_lean_is_proportionally_smaller():
     """A query touching 2 of 40 element names: the Lean shrinks ~3x."""
     dtd = wide_dtd()
     assert len(dtd.element_names()) == 40
-    pruned = Analyzer().satisfiability("child::s2/child::leaf2", dtd)
-    unpruned = Analyzer(prune_labels=False).satisfiability(
-        "child::s2/child::leaf2", dtd
-    )
+    query = Query.satisfiability("child::s2/child::leaf2", dtd)
+    pruned = solve(query)
+    unpruned = solve(query, StaticAnalyzer(prune_labels=False))
     assert pruned.holds == unpruned.holds is True
     pruned_lean = pruned.statistics["lean_size"]
     unpruned_lean = unpruned.statistics["lean_size"]
@@ -142,10 +142,10 @@ def test_pruned_lean_is_proportionally_smaller():
 
 def test_pruned_witness_is_lifted_to_a_valid_document():
     dtd = wide_dtd()
-    result = Analyzer().satisfiability("child::s2/child::leaf2", dtd)
-    assert result.holds
-    witness = result.counterexample
-    assert witness is not None
+    outcome = solve(Query.satisfiability("child::s2/child::leaf2", dtd))
+    assert outcome.holds
+    assert outcome.counterexample is not None
+    witness = parse_tree(outcome.counterexample)
     # Collapsed labels were reassigned concrete element names.
     assert dtd_accepts(dtd, witness.unmark_all())
 
@@ -158,7 +158,7 @@ def test_lift_wildcards_returns_none_when_no_assignment_exists():
     assert lift_wildcards(dtd, Tree("root", (Tree("_", ()),))) is None
 
 
-# -- the API façade mirrors the problem layer ----------------------------------------
+# -- named schemas through the API ---------------------------------------------------
 
 
 def test_api_prunes_and_lifts_like_the_analyzer():
@@ -168,8 +168,6 @@ def test_api_prunes_and_lifts_like_the_analyzer():
     )
     assert outcome.holds
     # The witness validates against the schema (labels were lifted).
-    from repro.trees.unranked import parse_tree
-
     assert dtd_accepts(builtin_dtd("wikipedia"), parse_tree(outcome.counterexample).unmark_all())
 
 
@@ -196,11 +194,12 @@ def test_lifted_witness_never_reuses_a_tested_label():
         name="lift",
         root="r",
     )
-    result = Analyzer().containment("//a", "//c/a", dtd, dtd)
-    reference = Analyzer(prune_labels=False).containment("//a", "//c/a", dtd, dtd)
-    assert result.holds == reference.holds is False
-    witness = result.counterexample
-    assert witness is not None
+    query = Query.containment("//a", "//c/a", dtd, dtd)
+    outcome = solve(query)
+    reference = solve(query, StaticAnalyzer(prune_labels=False))
+    assert outcome.holds == reference.holds is False
+    assert outcome.counterexample is not None
+    witness = parse_tree(outcome.counterexample)
     # The lifted witness must still separate the two queries: the `a` node
     # must not sit under a `c`.
     assert all(node.label != "c" for node in witness.iter_nodes())

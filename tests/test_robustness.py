@@ -388,6 +388,27 @@ def test_torn_write_fault_is_survived_by_the_next_reader(tmp_path):
     assert list(tmp_path.glob("cache/**/*.corrupt")), "torn entry not quarantined"
 
 
+def test_pool_path_answers_a_torn_disk_entry(tmp_path):
+    """A torn entry is present on disk, so the pool does not run its formula;
+    reading it when answering misses, and the parent runs the solver."""
+    cache_dir = str(tmp_path / "cache")
+    faults.install(faults.FaultPlan([faults.FaultPoint(point="cache-torn-write")]))
+    try:
+        StaticAnalyzer(cache_dir=cache_dir).solve(Query.satisfiability("a/b"))
+    finally:
+        faults.uninstall()
+
+    queries = [Query.satisfiability("a/b"), Query.containment("a/b", "a//b")]
+    report = StaticAnalyzer(cache_dir=cache_dir).solve_many(queries, workers=2)
+    assert [o.definite for o in report.outcomes] == [True, True]
+    assert [o.holds for o in report.outcomes] == [True, True]
+    assert (report.solver_runs, report.disk_cache_hits) == (2, 0)
+    assert list(tmp_path.glob("cache/**/*.corrupt")), "torn entry not quarantined"
+    # The parent's run republished a good entry.
+    replay = StaticAnalyzer(cache_dir=cache_dir).solve_many(queries, workers=2)
+    assert (replay.solver_runs, replay.disk_cache_hits) == (0, 2)
+
+
 # ---------------------------------------------------------------------------
 # Wire format and CLI surface
 # ---------------------------------------------------------------------------

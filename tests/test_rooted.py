@@ -173,7 +173,7 @@ def test_wire_query_round_trips_rooted_types():
 
 
 # ---------------------------------------------------------------------------
-# Analyzer plumbing
+# StaticAnalyzer plumbing
 # ---------------------------------------------------------------------------
 
 
