@@ -12,9 +12,11 @@ Two variants are run:
 * with the type constraint exactly as in Section 5.2 (the context above the
   typed node is unconstrained, so an ``a`` ancestor *outside* the document is
   enough);
-* with the type anchored at the document root (``repro.analysis.problems.rooted``),
-  which is the reading under which the analysis says something interesting
-  about the schema itself: nesting must then happen through ``object``.
+* with the type read as a whole document (``repro.analysis.problems.Rooted``:
+  the context node is a document node above the root element, with no name
+  of its own, printed ``<_!>``), which is the reading under which the
+  analysis says something interesting about the schema itself: nesting must
+  then happen through an intermediate inline element.
 
 Run with::
 
@@ -30,7 +32,7 @@ from repro import (
     parse_tree,
     serialize_tree,
 )
-from repro.analysis.problems import rooted
+from repro.analysis.problems import Rooted
 
 QUERY = "descendant::a[ancestor::a]"
 
@@ -46,7 +48,12 @@ STRICT_ANCHORS = """
 
 def verdict(outcome) -> str:
     """One line per answer: the problem, its verdict, the solver time and the
-    witness document, if any."""
+    witness document, if any.  An outcome without a verdict (bad input, or a
+    budget that ran out) prints its status and why instead."""
+    if outcome.error is not None:
+        return f"{outcome.problem}: error ({outcome.error_kind}: {outcome.error})"
+    if not outcome.definite:
+        return f"{outcome.problem}: unknown ({outcome.budget_reason} budget)"
     status = "holds" if outcome.holds else "does not hold"
     witness = "" if outcome.counterexample is None else f"; witness: {outcome.counterexample}"
     return f"{outcome.problem}: {status} ({outcome.time_ms:.1f} ms){witness}"
@@ -64,20 +71,22 @@ def main() -> None:
     print("type constraint as in §5.2 (context unconstrained):")
     print(" ", verdict(unanchored))
 
-    anchored = analyzer.solve(Query.satisfiability(QUERY, rooted(xhtml)))
-    print("type constraint anchored at the document root:")
+    anchored = analyzer.solve(Query.satisfiability(QUERY, Rooted(xhtml)))
+    print("type constraint read as a whole document:")
     print(" ", verdict(anchored))
     if anchored.counterexample is not None:
         witness = parse_tree(anchored.counterexample)
         print("witness document (anchors nested through an intermediate inline element):")
         print(serialize_tree(witness, indent=2))
-        print("witness validates against the DTD:", dtd_accepts(xhtml, witness.unmark_all()))
+        (root,) = witness.children  # the root element, below the document node
+        print("witness validates against the DTD:", dtd_accepts(xhtml, root))
     print()
 
-    # The same query under a root-anchored schema with no loophole is unsatisfiable.
+    # The same query over whole documents of a schema with no loophole is
+    # unsatisfiable.
     repaired = parse_dtd(STRICT_ANCHORS, root="html", name="no-nesting")
-    print("under the repaired, root-anchored schema:")
-    print(" ", verdict(analyzer.solve(Query.satisfiability(QUERY, rooted(repaired)))))
+    print("under the repaired schema, read as a whole document:")
+    print(" ", verdict(analyzer.solve(Query.satisfiability(QUERY, Rooted(repaired)))))
 
 
 if __name__ == "__main__":

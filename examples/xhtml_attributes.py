@@ -20,12 +20,17 @@ Run with::
 """
 
 from repro import Query, StaticAnalyzer, builtin_dtd, parse_tree, serialize_tree
-from repro.analysis.problems import relevant_attributes, rooted
+from repro.analysis.problems import Rooted
 
 
 def verdict(outcome) -> str:
     """One line per answer: the problem, its verdict, the solver time and the
-    witness document, if any."""
+    witness document, if any.  An outcome without a verdict (bad input, or a
+    budget that ran out) prints its status and why instead."""
+    if outcome.error is not None:
+        return f"{outcome.problem}: error ({outcome.error_kind}: {outcome.error})"
+    if not outcome.definite:
+        return f"{outcome.problem}: unknown ({outcome.budget_reason} budget)"
     status = "holds" if outcome.holds else "does not hold"
     witness = "" if outcome.counterexample is None else f"; witness: {outcome.counterexample}"
     return f"{outcome.problem}: {status} ({outcome.time_ms:.1f} ms){witness}"
@@ -33,31 +38,22 @@ def verdict(outcome) -> str:
 
 def main() -> None:
     analyzer = StaticAnalyzer()
-    # The reduced structural subset of XHTML Strict; switch to
-    # builtin_dtd("xhtml") for the full 77-element DTD (much slower).
-    xhtml = builtin_dtd("xhtml-core")
+    # Whole documents of the reduced structural subset of XHTML Strict (the
+    # witnesses' <_!> is the document node); switch to builtin_dtd("xhtml")
+    # for the full 77-element DTD (much slower).
+    xhtml = Rooted(builtin_dtd("xhtml-core"))
 
     print("1. every img carries a required alt attribute:")
-    alphabet = relevant_attributes("//img", "//img[@alt]")
-    constrained = rooted(xhtml, alphabet)
-    outcome = analyzer.solve(
-        Query.containment("//img", "//img[@alt]", constrained, constrained)
-    )
+    outcome = analyzer.solve(Query.containment("//img", "//img[@alt]", xhtml, xhtml))
     print("  ", verdict(outcome))
 
     print("2. anchors may lack href (counterexample shown):")
-    alphabet = relevant_attributes("//a", "//a[@href]")
-    constrained = rooted(xhtml, alphabet)
-    outcome = analyzer.solve(
-        Query.containment("//a", "//a[@href]", constrained, constrained)
-    )
+    outcome = analyzer.solve(Query.containment("//a", "//a[@href]", xhtml, xhtml))
     print("  ", verdict(outcome))
 
     print("3. an a[@href] nested inside another a[@href] is still possible:")
     outcome = analyzer.solve(
-        Query.satisfiability(
-            "descendant::a[@href][ancestor::a[@href]]", rooted(xhtml, ("href",))
-        )
+        Query.satisfiability("descendant::a[@href][ancestor::a[@href]]", xhtml)
     )
     print("  ", verdict(outcome))
     if outcome.counterexample is not None:

@@ -40,9 +40,8 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from repro.logic import syntax as sx
-from repro.logic.closure import OTHER_ATTRIBUTE
+from repro.logic.closure import OTHER_ATTRIBUTE, OTHER_LABEL
 from repro.logic.negation import negate
-from repro.xmltypes.compile import compile_dtd
 from repro.xmltypes.dtd import DTD
 from repro.xpath import ast as xp
 from repro.xpath.parser import parse_xpath_cached
@@ -73,36 +72,40 @@ class Rooted:
     unconstrained, so absolute paths in a query may anchor anywhere.
     ``Rooted(T)`` instead places the marked context node *above* the typed
     root element, as a virtual document node: it has no parent, no siblings,
-    and exactly one child — the root element of a document of type ``T``.
-    Absolute expressions then read as paths from the document node
-    (``/html`` is the root element, ``//p`` is every ``p`` in the document,
-    ``/self::*`` is the document node itself), matching the data model XSLT
-    patterns are defined over.
+    no attributes, no element name, and exactly one child — the root element
+    of a document of type ``T``.  Absolute expressions then read as paths
+    from the document node (``/html`` is the root element, ``//p`` is every
+    ``p`` in the document, ``/self::*`` is the document node itself),
+    matching the data model XSLT patterns are defined over.  No name test
+    (``/self::html``, ``parent::meta``) and no attribute test (``@href``,
+    ``@*``) selects the document node; the wildcard ``*`` does.
 
-    ``xml_type`` may be anything the analysis accepts except a raw Lµ formula
-    or another ``Rooted`` (wrap the base type, not a hand-built formula — the
-    wrapper must know how the inner translation is produced to place it under
-    the document node).
+    ``xml_type`` is a schema (a built-in name or a
+    :class:`~repro.xmltypes.dtd.DTD`) or ``None`` for any tree; anything
+    else is an :class:`~repro.core.errors.UnsupportedTypeError` when the
+    analyzer resolves it.  A ``Rooted`` cannot wrap another ``Rooted``.
     """
 
     xml_type: "DTD | str | None"
 
     def __post_init__(self) -> None:
-        if isinstance(self.xml_type, (Rooted, sx.Formula)):
-            raise TypeError(
-                f"Rooted wraps a base type constraint, not {type(self.xml_type).__name__}"
-            )
+        if isinstance(self.xml_type, Rooted):
+            raise TypeError("Rooted wraps a base type constraint, not Rooted")
 
 
-def document_formula(inner: sx.Formula) -> sx.Formula:
+def document_formula(inner: sx.Formula, attributes: tuple[str, ...]) -> sx.Formula:
     """The Lµ formula of :class:`Rooted` given the inner type's translation.
 
     The marked node is the document node: a unique top-level node (no parent,
     no siblings — only a first child with no previous sibling can satisfy
     ``¬⟨-1⟩⊤ ∧ ¬⟨-2⟩⊤``) whose single child satisfies the inner constraint.
+    It is no element: it carries the "any other label" proposition, which no
+    XPath name test can name, and none of the problem's ``attributes``.
     """
     return sx.big_and(
         (
+            sx.prop(OTHER_LABEL),
+            *(sx.nattr(name) for name in attributes),
             sx.no_dia(-1),
             sx.no_dia(-2),
             sx.no_dia(2),
@@ -111,11 +114,7 @@ def document_formula(inner: sx.Formula) -> sx.Formula:
     )
 
 
-def _expression(expr) -> xp.Expr:
-    return parse_xpath_cached(expr) if isinstance(expr, str) else expr
-
-
-def relevant_attributes(*exprs) -> tuple[str, ...]:
+def relevant_attributes(*exprs: str) -> tuple[str, ...]:
     """The attribute alphabet of a problem: every name its expressions mention.
 
     The wildcard ``@*`` contributes the "other attribute" marker so that type
@@ -125,9 +124,7 @@ def relevant_attributes(*exprs) -> tuple[str, ...]:
     names: set[str] = set()
     wildcard = False
     for expr in exprs:
-        if expr is None:
-            continue
-        expr_names, expr_wildcard = xp.collect_attributes(_expression(expr))
+        expr_names, expr_wildcard = xp.collect_attributes(parse_xpath_cached(expr))
         names |= expr_names
         wildcard = wildcard or expr_wildcard
     if wildcard:
@@ -135,7 +132,7 @@ def relevant_attributes(*exprs) -> tuple[str, ...]:
     return tuple(sorted(names))
 
 
-def relevant_labels(*exprs) -> tuple[str, ...]:
+def relevant_labels(*exprs: str) -> tuple[str, ...]:
     """The element alphabet of a problem: every name its expressions test.
 
     Wildcard node tests contribute nothing (they cannot distinguish labels).
@@ -143,13 +140,11 @@ def relevant_labels(*exprs) -> tuple[str, ...]:
     """
     names: set[str] = set()
     for expr in exprs:
-        if expr is None:
-            continue
-        names |= xp.collect_labels(_expression(expr))
+        names |= xp.collect_labels(parse_xpath_cached(expr))
     return tuple(sorted(names))
 
 
-def label_projection(exprs, types) -> tuple[str, ...] | None:
+def label_projection(exprs: Sequence[str], types: Sequence) -> tuple[str, ...] | None:
     """The element alphabet to project type constraints onto, or ``None``.
 
     Cone-of-influence pruning collapses element names a problem's
@@ -163,30 +158,23 @@ def label_projection(exprs, types) -> tuple[str, ...] | None:
 
     Concretely, pruning applies when the problem involves at most one
     distinct DTD (possibly repeated, possibly mixed with unconstrained
-    ``None`` sides).  Raw-formula type constraints cannot be projected, but
-    their alphabet joins the kept labels so they stay sound alongside a
-    pruned schema.  ``types`` are resolved type constraints (see
+    ``None`` sides).  ``types`` are resolved type constraints (see
     :meth:`repro.api.StaticAnalyzer._resolve_type`): a DTD is its own
     identity, so a registry name, its aliases and its ``DTD`` object are one
     schema.
     """
     distinct: set[object] = set()
-    formula_labels: set[str] = set()
     for xml_type in types:
         if isinstance(xml_type, Rooted):
             # The document-node wrapper is the same label homomorphism as its
             # inner type; mixing Rooted(T) and T in one problem is still one
             # distinct schema.
             xml_type = xml_type.xml_type
-        if xml_type is None:
-            continue
-        if isinstance(xml_type, sx.Formula):
-            formula_labels |= sx.atomic_propositions(xml_type)
-            continue
-        distinct.add(xml_type)
+        if xml_type is not None:
+            distinct.add(xml_type)
     if len(distinct) > 1:
         return None
-    return tuple(sorted(set(relevant_labels(*exprs)) | formula_labels))
+    return relevant_labels(*exprs)
 
 
 def _required_attribute_names(xml_type) -> set[str]:
@@ -215,8 +203,8 @@ def type_inclusion_attributes(expr, input_type, output_type) -> tuple[str, ...]:
     output declaring the same name on a different element does not help).
 
     Both types are resolved constraints; a :class:`Rooted` type contributes
-    its DTD's names.  When the input type is unconstrained (``None`` or a
-    raw formula), documents may carry attribute names no finite alphabet can
+    its DTD's names.  When the input type is unconstrained (``None``),
+    documents may carry attribute names no finite alphabet can
     enumerate; such attributes stay outside the model, i.e. inclusion is
     decided *modulo attributes the problem cannot name* (consistent with the
     projection semantics everywhere else).
@@ -242,34 +230,6 @@ def type_inclusion_attributes(expr, input_type, output_type) -> tuple[str, ...]:
                 if declaration.name not in declared_out
             }
     return tuple(sorted(names))
-
-
-def rooted(xml_type: DTD, attributes: tuple[str, ...] = ()) -> sx.Formula:
-    """Anchor a DTD at the document root.
-
-    The type translation of Section 5.2 deliberately leaves the context of the
-    typed node unconstrained.  For whole-document analyses (such as the XHTML
-    experiments of Section 8) the paper notes that "conditions similar to
-    those of absolute paths are added" when the position of the root is known;
-    this helper conjoins the DTD's formula with "no parent and no sibling", so
-    the marked context node is the document root itself.  ``attributes`` is
-    the attribute alphabet to project DTD attribute constraints onto (use
-    :func:`relevant_attributes` of the queries the type will face).
-
-    Note the marked node here is the *root element*: an absolute query like
-    ``/html`` (a child step from the context node) then looks for ``html``
-    *below* the root element and fails.  For the XPath/XSLT reading where
-    absolute paths start at a document node above the root element, use the
-    :class:`Rooted` wrapper instead.
-    """
-    return sx.big_and(
-        (
-            compile_dtd(xml_type, attributes=attributes),
-            sx.no_dia(-1),
-            sx.no_dia(-2),
-            sx.no_dia(2),
-        )
-    )
 
 
 def reduce_problem(

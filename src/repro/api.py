@@ -49,8 +49,8 @@ Quickstart::
 
 XML types may be given as built-in schema names (``"smil"``, ``"xhtml"``,
 ``"xhtml-core"``, ``"wikipedia"``), parsed :class:`repro.xmltypes.dtd.DTD`
-objects, raw Lµ formulas, or ``None`` for "any tree"; a name, its aliases
-and its ``DTD`` object are one schema.
+objects, ``None`` for "any tree", or :class:`repro.analysis.problems.Rooted`
+of one of these; a name, its aliases and its ``DTD`` object are one schema.
 
 Expressions may use attribute steps (``@href``, ``attribute::*``); DTD types
 then contribute their ``<!ATTLIST>`` constraints, projected onto the
@@ -67,8 +67,9 @@ so absolute ``//`` queries could select nodes outside the typed subtree.
 For whole-document readings wrap the type in
 :class:`repro.analysis.problems.Rooted` — ``Query.satisfiability("/html/head",
 Rooted("xhtml"))`` — which anchors the context node at a virtual document
-node above the typed root element, the data model XSLT patterns use; on the
-CLI wire the same wrapper is spelled ``"rooted:xhtml"``.)
+node above the typed root element, the data model XSLT patterns use; that
+node has no name and no attributes.  On the CLI wire the same wrapper is
+spelled ``"rooted:xhtml"``.)
 """
 
 from __future__ import annotations
@@ -229,14 +230,11 @@ def _describe_type(xml_type: object) -> str | None:
     if xml_type is None:
         return None
     if isinstance(xml_type, Rooted):
-        inner = _describe_type(xml_type.xml_type)
-        return f"rooted:{inner if inner is not None else 'any'}"
+        return f"rooted:{_describe_type(xml_type.xml_type) or ''}"
     if isinstance(xml_type, str):
         return xml_type
     if isinstance(xml_type, DTD):
         return xml_type.name
-    if isinstance(xml_type, sx.Formula):
-        return "formula"
     return type(xml_type).__name__
 
 
@@ -408,8 +406,8 @@ def _lift_witness(document: Tree, lift_context: LiftContext) -> Tree:
     Best effort (see :func:`repro.xmltypes.membership.lift_wildcards`): the
     witness comes back unchanged when no assignment validates.  When the
     schema came from a :class:`Rooted` type (``rooted``), the top node is the
-    virtual document node, whose label is arbitrary, so only its single
-    child — the typed root element — is lifted.
+    virtual document node, which has no name, so only its single child — the
+    typed root element — is lifted.
     """
     dtd, kept_labels, rooted = lift_context
     if not rooted:
@@ -524,10 +522,10 @@ class StaticAnalyzer:
 
         A registry name or alias becomes the registry's :class:`DTD` (one
         object per schema), ``Rooted(T)`` becomes ``Rooted`` of the resolved
-        ``T``, and ``None``, a ``DTD`` or an Lµ formula stands for itself.
-        Idempotent; anything else raises :class:`UnsupportedTypeError`.
+        ``T``, and ``None`` or a ``DTD`` stands for itself.  Idempotent;
+        anything else raises :class:`UnsupportedTypeError`.
         """
-        if xml_type is None or isinstance(xml_type, (DTD, sx.Formula)):
+        if xml_type is None or isinstance(xml_type, DTD):
             return xml_type
         if isinstance(xml_type, str):
             return builtin_dtd(xml_type)
@@ -584,17 +582,16 @@ class StaticAnalyzer:
                     constrain_siblings=True,
                     attributes=attributes,
                     labels=labels,
-                )
+                ),
+                attributes,
             )
-        elif isinstance(xml_type, DTD):
+        else:
             formula = compile_dtd(
                 xml_type,
                 constrain_siblings=constrain_siblings,
                 attributes=attributes,
                 labels=labels,
             )
-        else:  # a raw Lµ formula
-            formula = xml_type
         self._type_cache[key] = formula
         return formula
 

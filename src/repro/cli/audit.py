@@ -20,6 +20,7 @@ import sys
 from repro.api import StaticAnalyzer
 from repro.cli.analyze import EXIT_UNKNOWN, EXIT_USAGE
 from repro.cli.main import budget_from_args
+from repro.cli.wire import WireError, resolve_wire_type
 from repro.core.errors import ReproError
 from repro.xslt import audit_stylesheet
 
@@ -28,9 +29,12 @@ def run(args) -> int:
     analyzer = StaticAnalyzer(cache_dir=args.cache_dir, budget=budget_from_args(args))
     try:
         report = audit_stylesheet(
-            args.stylesheet, args.schema, analyzer=analyzer, workers=args.workers
+            args.stylesheet,
+            resolve_wire_type(args.schema),
+            analyzer=analyzer,
+            workers=args.workers,
         )
-    except (OSError, ReproError) as exc:
+    except (OSError, ReproError, WireError) as exc:
         print(f"repro audit: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.format == "json":

@@ -30,9 +30,8 @@ from pathlib import Path
 
 from repro.analysis.problems import Rooted
 from repro.api import AnalysisOutcome, Query, StaticAnalyzer
-from repro.core.errors import ParseError, SchemaLookupError
-from repro.xmltypes.dtd import DTD, parse_dtd, reachable_elements
-from repro.xmltypes.library import builtin_dtd
+from repro.core.errors import ParseError, UnsupportedTypeError
+from repro.xmltypes.dtd import DTD, reachable_elements
 from repro.xpath import ast as xp
 from repro.xpath.parser import parse_xpath_cached
 from repro.xslt.parser import Stylesheet, Template, load_stylesheet
@@ -59,14 +58,20 @@ def audit_stylesheet(
 ) -> AuditReport:
     """Audit a stylesheet against a schema; see the module docstring.
 
-    ``schema`` is a built-in schema name, a path to a ``.dtd`` file, or a
-    parsed :class:`~repro.xmltypes.dtd.DTD`.  ``analyzer`` defaults to a
-    fresh :class:`~repro.api.StaticAnalyzer`; pass a configured one to reuse
-    its caches (or a disk cache) across audits.
+    ``schema`` is a schema as :class:`~repro.api.Query` takes one: a built-in
+    schema name or a parsed :class:`~repro.xmltypes.dtd.DTD` (``repro audit``
+    parses a ``.dtd`` file through :func:`repro.cli.wire.resolve_wire_type`).
+    The report names it by the given name, or by the DTD's name.
+    ``analyzer`` defaults to a fresh :class:`~repro.api.StaticAnalyzer`;
+    pass a configured one to reuse its caches (or a disk cache) across
+    audits.
     """
     if not isinstance(stylesheet, Stylesheet):
         stylesheet = load_stylesheet(stylesheet)
-    dtd, schema_name = _resolve_schema(schema)
+    dtd = StaticAnalyzer._resolve_type(schema)
+    if not isinstance(dtd, DTD):
+        raise UnsupportedTypeError(f"an audit needs a schema, not {schema!r}")
+    schema_name = schema if isinstance(schema, str) else dtd.name
     if analyzer is None:
         analyzer = StaticAnalyzer()
     rooted = Rooted(dtd)
@@ -118,20 +123,6 @@ def audit_stylesheet(
         total_seconds=batch.total_seconds,
         cache_statistics=analyzer.cache_statistics(),
     )
-
-
-def _resolve_schema(schema: object) -> tuple[DTD, str]:
-    if isinstance(schema, DTD):
-        return schema, schema.name
-    if isinstance(schema, (str, Path)):
-        text = str(schema)
-        if text.endswith(".dtd"):
-            path = Path(text)
-            if not path.is_file():
-                raise SchemaLookupError(f"DTD file not found: {text}")
-            return parse_dtd(path.read_text(encoding="utf-8"), name=path.stem), path.stem
-        return builtin_dtd(text), text
-    raise SchemaLookupError(f"unsupported schema constraint {schema!r}")
 
 
 # -- compile ---------------------------------------------------------------------

@@ -74,14 +74,18 @@ def assert_genuine_counterexample(result, dtd=None, exprs=()) -> Tree:
     subtree validates against the DTD and that
     :func:`repro.xmltypes.membership.dtd_attribute_violations` is empty when
     restricted to the attribute alphabet of ``exprs`` (the expressions of
-    the problem that produced the witness).  Returns the document so tests
-    can chain further assertions.
+    the problem that produced the witness).  When the outcome's query reads
+    its first type as :class:`repro.analysis.problems.Rooted`, the marked
+    node is the document node: it must carry no name and no attribute, and
+    its single child is the subtree checked, which must be fully lifted (no
+    wildcard label), so it always gets the membership check.  Returns the
+    document so tests can chain further assertions.
 
-    Subtrees still containing the wildcard label (a pruned model the lifter
-    could not fully concretise) skip the membership check — their attribute
-    constraints are still enforced.
+    Other subtrees still containing the wildcard label (a pruned model the
+    lifter could not fully concretise) skip the membership check — their
+    attribute constraints are still enforced.
     """
-    from repro.analysis.problems import relevant_attributes
+    from repro.analysis.problems import Rooted, relevant_attributes
     from repro.trees.focus import focus_at
     from repro.xmltypes.membership import dtd_accepts, dtd_attribute_violations
 
@@ -96,6 +100,15 @@ def assert_genuine_counterexample(result, dtd=None, exprs=()) -> Tree:
         return document
     focus = focus_at(document, document.find_mark())
     subtree = focus.tree.unmark_all()
+    query = getattr(result, "query", None)
+    if query is not None and isinstance(query.types[0], Rooted):
+        assert subtree.label == WILDCARD_LABEL and not subtree.attributes, (
+            f"the document node of {document} is named or carries attributes"
+        )
+        (subtree,) = subtree.children
+        assert WILDCARD_LABEL not in subtree.labels(), (
+            f"the element below the document node of {document} was not lifted"
+        )
     if WILDCARD_LABEL not in subtree.labels():
         assert dtd_accepts(dtd, subtree), (
             f"witness subtree does not validate against {dtd.name}: {subtree}"

@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.analysis.problems import Rooted, rooted
+from repro.analysis.problems import Rooted
 from repro.api import KINDS, Query, StaticAnalyzer
-from repro.trees.focus import focus_at
 from repro.trees.unranked import parse_tree
 from repro.xmltypes.dtd import parse_dtd
 from repro.xmltypes.library import wikipedia_dtd
@@ -93,13 +92,6 @@ def test_outcome_names_the_problem_and_its_time():
     assert outcome.problem == "containment child::a ⊆ child::*"
 
 
-def test_solve_accepts_raw_formula_types():
-    from repro.xmltypes.compile import compile_dtd
-
-    type_formula = compile_dtd(SIMPLE_DTD)
-    assert solve(Query.satisfiability("child::a", type_formula)).holds
-
-
 def test_query_refuses_a_parsed_expression():
     """A query is plain data: expressions are XPath text, never parsed ASTs."""
     with pytest.raises(ValueError, match="as text"):
@@ -116,7 +108,6 @@ SIMPLE_OUTPUT = parse_dtd("<!ELEMENT a (c)><!ELEMENT c EMPTY>", root="a")
 TYPE_SHAPES = {
     "none": None,
     "dtd": SIMPLE_DTD,
-    "formula": rooted(SIMPLE_DTD),
     "rooted": Rooted(SIMPLE_DTD),
 }
 
@@ -146,15 +137,11 @@ def test_every_kind_answers_under_every_type_shape(kind, type_name):
     witness is genuine: one start mark, and the typed subtree validates —
     under ``Rooted`` that is the marked document node's single child."""
     outcome = solve(getattr(Query, kind)(*_shape_args(kind, TYPE_SHAPES[type_name])))
-    typed = SIMPLE_DTD if type_name in ("dtd", "formula") else None
+    typed = None if type_name == "none" else SIMPLE_DTD
     for part in outcome.parts or [outcome]:
         assert part.definite
-        if part.counterexample is None:
-            continue
-        document = assert_genuine_counterexample(part, typed)
-        if type_name == "rooted":
-            (root,) = focus_at(document, document.find_mark()).tree.children
-            assert dtd_accepts(SIMPLE_DTD, root.unmark_all()), part.counterexample
+        if part.counterexample is not None:
+            assert_genuine_counterexample(part, typed)
 
 
 def test_input_errors_are_error_outcomes():

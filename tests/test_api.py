@@ -489,16 +489,29 @@ def test_solve_many_workers_matches_sequential_order_and_verdicts(queries):
     assert _cache_flags(parallel) == _cache_flags(sequential)
 
 
-def test_solve_many_workers_ship_raw_formula_queries():
-    from repro.logic import syntax as sx
+#: Lµ formulas are not type constraints: one that is not cycle-free (its
+#: least fixpoint holds at no node of a finite tree), an open one, and a
+#: closed, cycle-free one under ``Rooted``.
+FORMULA_TYPES = {
+    "not-cycle-free": sx.mu([("X", sx.dia(1, sx.dia(-1, sx.var("X"))))], sx.var("X")),
+    "open": sx.var("Z"),
+    "rooted": Rooted(sx.prop("a")),
+}
 
-    queries = [
-        Query.satisfiability("child::a", sx.prop("a")),  # crosses the pool
-        Query.satisfiability("child::b"),
-    ]
-    report = StaticAnalyzer().solve_many(queries, workers=2)
-    assert [o.ok for o in report.outcomes] == [True, True]
-    assert [o.holds for o in report.outcomes] == [True, True]
+
+@pytest.mark.parametrize("name", list(FORMULA_TYPES))
+def test_a_formula_type_is_an_error_outcome(name):
+    """A formula passed as a type is neither a verdict nor an exception, in
+    process and through the worker pool."""
+    query = Query.satisfiability("self::*", FORMULA_TYPES[name])
+    outcome = StaticAnalyzer().solve(query)
+    assert outcome.verdict_status == "error"
+    assert outcome.error_kind == "UnsupportedTypeError"
+    report = StaticAnalyzer().solve_many(
+        [query, Query.satisfiability("child::b")], workers=2
+    )
+    assert [o.error_kind for o in report.outcomes] == ["UnsupportedTypeError", None]
+    assert report.outcomes[1].holds is True
 
 
 def test_solve_many_workers_propagates_structured_errors():

@@ -12,8 +12,8 @@ from repro import (
     serialize_tree,
 )
 from repro.analysis.problems import (
+    Rooted,
     relevant_attributes,
-    rooted,
     type_inclusion_attributes,
 )
 from repro.core.errors import ParseError
@@ -252,33 +252,24 @@ def test_attribute_constraints_wildcard_marker(mini):
 
 def test_satisfiability_and_emptiness_with_attributes(mini):
     analyzer = StaticAnalyzer()
-    outcome = solve(
-        Query.satisfiability("//a[@href]", rooted(mini, relevant_attributes("//a[@href]"))),
-        analyzer,
-    )
+    outcome = solve(Query.satisfiability("//a[@href]", Rooted(mini)), analyzer)
     assert outcome.holds
     witness = assert_genuine_counterexample(outcome, mini, exprs=("//a[@href]",))
     assert 'href=""' in serialize_tree(witness)
     # The witness genuinely selects under the denotational semantics.
     assert select(parse_xpath("//a[@href]"), witness)
     # An attribute declared nowhere renders the query empty.
-    assert solve(
-        Query.emptiness("//a[@nosuch]", rooted(mini, relevant_attributes("//a[@nosuch]"))),
-        analyzer,
-    ).holds
+    assert solve(Query.emptiness("//a[@nosuch]", Rooted(mini)), analyzer).holds
 
 
 def test_required_attribute_containment(mini):
     analyzer = StaticAnalyzer()
-    alphabet = relevant_attributes("//img", "//img[@alt]")
-    constrained = rooted(mini, alphabet)
+    constrained = Rooted(mini)
     assert solve(
         Query.containment("//img", "//img[@alt]", constrained, constrained), analyzer
     ).holds
     # Optional attributes do not support the containment; the counterexample
     # exhibits an anchor without href.
-    alphabet = relevant_attributes("//a", "//a[@href]")
-    constrained = rooted(mini, alphabet)
     outcome = solve(
         Query.containment("//a", "//a[@href]", constrained, constrained), analyzer
     )
@@ -294,13 +285,10 @@ def test_required_attribute_containment(mini):
 def test_required_attribute_is_never_absent(mini):
     analyzer = StaticAnalyzer()
     assert not solve(
-        Query.satisfiability("//img[not(@alt)]", rooted(mini, ("alt",))), analyzer
+        Query.satisfiability("//img[not(@alt)]", Rooted(mini)), analyzer
     ).holds
     assert not solve(
-        Query.satisfiability(
-            "//img[not(@*)]", rooted(mini, relevant_attributes("//img[not(@*)]"))
-        ),
-        analyzer,
+        Query.satisfiability("//img[not(@*)]", Rooted(mini)), analyzer
     ).holds
 
 
@@ -391,7 +379,7 @@ def test_absolute_qualifier_anchors_at_the_root():
     analyzer = StaticAnalyzer()
     assert solve(Query.satisfiability("//a[//b]"), analyzer).holds
     b_free = parse_dtd("<!ELEMENT r (a)*><!ELEMENT a EMPTY>", root="r")
-    assert not solve(Query.satisfiability("//a[//b]", rooted(b_free)), analyzer).holds
+    assert not solve(Query.satisfiability("//a[//b]", Rooted(b_free)), analyzer).holds
     # The relative reading is strictly stronger than the absolute one.
     assert solve(Query.containment(".//a[.//b]", ".//a[//b]"), analyzer).holds
     assert not solve(Query.containment(".//a[//b]", ".//a[.//b]"), analyzer).holds
@@ -401,8 +389,7 @@ def test_absolute_qualifier_anchors_at_the_root():
 def test_xhtml_core_attribute_analyses():
     analyzer = StaticAnalyzer()
     xhtml = xhtml_core_dtd()
-    alphabet = relevant_attributes("//img", "//img[@alt]")
-    constrained = rooted(xhtml, alphabet)
+    constrained = Rooted(xhtml)
     assert solve(
         Query.containment("//img", "//img[@alt]", constrained, constrained), analyzer
     ).holds
@@ -410,9 +397,7 @@ def test_xhtml_core_attribute_analyses():
     # rules, through an intermediate inline element — the attribute-aware
     # variant of the paper's e8 analysis.
     nested = solve(
-        Query.satisfiability(
-            "descendant::a[@href][ancestor::a[@href]]", rooted(xhtml, ("href",))
-        ),
+        Query.satisfiability("descendant::a[@href][ancestor::a[@href]]", Rooted(xhtml)),
         analyzer,
     )
     assert nested.holds
@@ -424,9 +409,9 @@ def test_smil_requires_href_on_anchors():
     analyzer = StaticAnalyzer()
     smil = smil_dtd()
     assert not solve(
-        Query.satisfiability("//a[not(@href)]", rooted(smil, ("href",))), analyzer
+        Query.satisfiability("//a[not(@href)]", Rooted(smil)), analyzer
     ).holds
-    assert solve(Query.satisfiability("//a[@href]", rooted(smil, ("href",))), analyzer).holds
+    assert solve(Query.satisfiability("//a[@href]", Rooted(smil)), analyzer).holds
 
 
 def test_witness_never_decorates_undeclared_elements_with_attributes():

@@ -137,6 +137,33 @@ def test_audit_usage_errors(tmp_path, capsys):
     assert "no-such" in err and "wikipedia" in err  # lists available schemas
 
 
+def test_audit_schema_accepts_dtd_files(tmp_path, capsys):
+    """``--schema`` reads a .dtd path as ``analyze --type`` does; the report
+    names the schema by the file stem."""
+    schema = tmp_path / "tiny.dtd"
+    schema.write_text("<!ELEMENT a (b*)><!ELEMENT b EMPTY>", encoding="utf-8")
+    sheet = write(tmp_path, '<xsl:template match="a | b">x</xsl:template>\n')
+    code = main(["audit", str(sheet), "--schema", str(schema), "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == EXIT_OK
+    assert payload["schema"] == "tiny"
+    assert payload["findings"] == []
+
+
+def test_audit_schema_errors(tmp_path, capsys):
+    sheet = write(tmp_path, '<xsl:template match="a">x</xsl:template>\n')
+    missing = str(tmp_path / "missing.dtd")
+    assert main(["audit", str(sheet), "--schema", missing]) == EXIT_USAGE
+    assert missing in capsys.readouterr().err
+    broken = tmp_path / "broken.dtd"
+    broken.write_text("<!ELEMENT a (b", encoding="utf-8")
+    assert main(["audit", str(sheet), "--schema", str(broken)]) == EXIT_USAGE
+    assert "invalid DTD 'broken'" in capsys.readouterr().err
+    # An audit reads its schema as a document already: rooted: is refused.
+    assert main(["audit", str(sheet), "--schema", "rooted:wikipedia"]) == EXIT_USAGE
+    assert "needs a schema" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # Wire round trips: the auditor's query kinds via analyze --batch and serve
 # ---------------------------------------------------------------------------

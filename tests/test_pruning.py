@@ -17,7 +17,6 @@ import pytest
 
 from repro.analysis.problems import label_projection, relevant_labels
 from repro.api import Query, StaticAnalyzer
-from repro.logic import syntax as sx
 from repro.trees.unranked import parse_tree
 from repro.xmltypes.binarize import binarize_dtd
 from repro.xmltypes.compile import project_grammar
@@ -64,8 +63,6 @@ def test_label_projection_requires_a_single_shared_type():
     # Two distinct type objects can be told apart through collapsed names:
     # pruning must be skipped.
     assert label_projection(("a", "b"), (dtd, other)) is None
-    # Raw-formula constraints contribute their alphabet instead.
-    assert label_projection(("a",), (dtd, sx.prop("x"))) == ("a", "x")
 
 
 def test_projected_grammar_is_a_label_homomorphism():

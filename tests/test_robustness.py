@@ -731,14 +731,13 @@ import io, json, multiprocessing
 from repro.analysis.problems import Rooted
 from repro.api import Query, StaticAnalyzer
 from repro.cli.serve import serve
-from repro.logic import syntax as sx
 
 multiprocessing.set_start_method("spawn")
 queries = [
     Query.satisfiability("a/b"),
     Query.containment("a/b", "a//b"),
     Query.emptiness("c[d]"),
-    Query.satisfiability("child::a", sx.prop("a")),
+    Query.satisfiability("/self::*[not(@href)]", Rooted("xhtml-core")),
     Query.emptiness("/article/meta", Rooted("wikipedia")),
 ]
 report = StaticAnalyzer().solve_many(queries, workers=2)

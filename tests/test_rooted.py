@@ -10,7 +10,6 @@ semantics against the small Wikipedia schema, the wire spellings
 
 import pytest
 
-import repro.logic.syntax as sx
 from repro.analysis.problems import Rooted, label_projection, type_inclusion_attributes
 from repro.api import Query, StaticAnalyzer, _describe_type
 from repro.cli import wire
@@ -18,7 +17,6 @@ from repro.trees.unranked import parse_tree
 from repro.xmltypes.dtd import parse_dtd
 from repro.xmltypes.library import builtin_dtd
 from repro.xmltypes.membership import dtd_accepts, dtd_attribute_violations
-from repro.xpath.parser import parse_xpath_cached
 
 ROOTED = Rooted("wikipedia")
 
@@ -63,6 +61,31 @@ def test_document_node_pattern_selects_exactly_the_document_node(analyzer):
     assert not _solve(analyzer, Query.satisfiability("/self::*/title", ROOTED)).holds
 
 
+#: Queries that only a named or attributed document node could satisfy,
+#: with the type they are asked under and whether they are empty.  The
+#: wildcard ``/self::*`` still selects the document node.
+DOCUMENT_NODE_QUERIES = [
+    ("/article[parent::meta]", "wikipedia", True),
+    ("//title[ancestor::text]", "wikipedia", True),
+    ("/self::meta", "wikipedia", True),
+    ("/self::*[@href]", "xhtml-core", True),
+    ("/html[parent::*[@*]]", "xhtml-core", True),
+    ("/self::*", "wikipedia", False),
+]
+
+
+@pytest.mark.parametrize(
+    "expr, schema, empty", DOCUMENT_NODE_QUERIES, ids=[q[0] for q in DOCUMENT_NODE_QUERIES]
+)
+def test_document_node_is_not_an_element(analyzer, expr, schema, empty):
+    """No name test and no attribute test selects the document node."""
+    outcome = _solve(analyzer, Query.emptiness(expr, Rooted(schema)))
+    assert outcome.holds is empty, outcome.counterexample
+    if not empty:
+        document = parse_tree(outcome.counterexample)
+        assert document.label == "_" and not document.attributes
+
+
 def test_emptiness_under_rooted_type(analyzer):
     # redirect is declared EMPTY: nothing below it.
     assert _solve(analyzer, Query.emptiness("//redirect/title", ROOTED)).holds
@@ -90,10 +113,12 @@ def test_coverage_under_rooted_types(analyzer):
 
 
 def test_rooted_witnesses_are_lifted_below_the_document_node(analyzer):
-    """The document node keeps its (arbitrary) label; its only child, the
-    root element, is lifted to concrete names and validates."""
+    """The document node carries no name (``_``); its only child, the root
+    element, is lifted to concrete names and validates."""
     outcome = _solve(analyzer, Query.satisfiability("/article/text", ROOTED))
-    (root,) = parse_tree(outcome.counterexample).children
+    document = parse_tree(outcome.counterexample)
+    assert document.label == "_"
+    (root,) = document.children
     assert all(node.label != "_" for node in root.iter_nodes())
     assert dtd_accepts(builtin_dtd("wikipedia"), root)
 
@@ -121,17 +146,25 @@ def test_same_typed_containment_translates_the_type_once():
 # ---------------------------------------------------------------------------
 
 
-def test_rooted_rejects_formulas_and_nesting():
-    with pytest.raises(TypeError):
-        Rooted(sx.TRUE)
+def test_rooted_rejects_nesting():
     with pytest.raises(TypeError):
         Rooted(Rooted("wikipedia"))
 
 
 def test_describe_type_spells_rooted_prefix():
     assert _describe_type(Rooted("xhtml")) == "rooted:xhtml"
-    assert _describe_type(Rooted(None)) == "rooted:any"
+    assert _describe_type(Rooted(None)) == "rooted:"
     assert _describe_type(Rooted(builtin_dtd("wikipedia"))) == "rooted:wikipedia"
+
+
+@pytest.mark.parametrize(
+    "xml_type",
+    [None, "wikipedia", ROOTED, Rooted(None)],
+    ids=["none", "name", "rooted-name", "rooted-any"],
+)
+def test_query_as_dict_round_trips_through_the_wire(xml_type):
+    query = Query.satisfiability("/article", xml_type)
+    assert wire.query_from_dict(query.as_dict()) == query
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +212,7 @@ def test_wire_query_round_trips_rooted_types():
 
 def test_label_projection_unwraps_rooted():
     dtd = builtin_dtd("wikipedia")
-    exprs = [parse_xpath_cached("//history/edit")]
+    exprs = ["//history/edit"]
     # Mixing Rooted(T) and T is still one distinct schema: pruning applies.
     labels = label_projection(exprs, [Rooted(dtd), dtd])
     assert labels is not None

@@ -26,7 +26,11 @@ REFERENCE = (
 )
 
 PINNED_PROBLEMS = 44
-PINNED_DIGEST = "827b697c090f130e1043ba9913d279331c9a5cb6ebc0ae4eb019274413870f0b"
+#: Last moved when the ``Rooted`` document node stopped carrying an element
+#: name: the pin's four ``rooted:`` witnesses (pool problems 97, 98, 100 and
+#: 102) changed only that node's label, from ``<title!>``, ``<text!>``,
+#: ``<title!>`` and ``<smil!>`` to ``<_!>``; every other byte is unchanged.
+PINNED_DIGEST = "eb6136a63d57a2c550eb0b208affd8372dcaa0cf2790b043d9df5bd4f3a8731a"
 
 
 def _pinned_requests() -> list[dict]:

@@ -12,14 +12,14 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.problems import Rooted
 from repro.api import StaticAnalyzer
-from repro.core.errors import SchemaLookupError
+from repro.core.errors import SchemaLookupError, UnsupportedTypeError
 from repro.trees.unranked import parse_tree
 from repro.xmltypes.dtd import parse_dtd
 from repro.xmltypes.library import builtin_dtd
 from repro.xmltypes.membership import dtd_accepts
 from repro.xslt import AuditReport, audit_stylesheet, load_stylesheet
-from repro.xslt.rules import _resolve_schema
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
@@ -114,6 +114,22 @@ def test_unreachable_branch_finding(seeded):
     # redirect is a sibling of meta, never its child.
     assert 'test="redirect"' in finding.message
     assert (finding.line, finding.column) == (10, 5)
+
+
+def test_parent_of_the_root_element_is_no_element(tmp_path, analyzer):
+    """The root element's parent is the document node, which no name test
+    selects: a ``parent::meta`` test on ``article`` is unreachable."""
+    path = write(
+        tmp_path,
+        """\
+        <xsl:template match="article">
+          <xsl:if test="parent::meta">never</xsl:if>
+        </xsl:template>
+        """,
+    )
+    report = audit_stylesheet(path, "wikipedia", analyzer=analyzer)
+    (finding,) = by_rule(report)["unreachable-branch"]
+    assert 'test="parent::meta"' in finding.message
 
 
 def test_dead_select_finding(seeded):
@@ -353,21 +369,21 @@ def test_identical_queries_are_deduplicated(tmp_path, analyzer):
 # ---------------------------------------------------------------------------
 
 
-def test_resolve_schema_accepts_dtd_files(tmp_path):
-    path = tmp_path / "tiny.dtd"
-    path.write_text("<!ELEMENT a (b*)><!ELEMENT b EMPTY>", encoding="utf-8")
-    dtd, name = _resolve_schema(str(path))
-    assert name == "tiny"
-    assert set(dtd.elements) == {"a", "b"}
-
-
-def test_resolve_schema_errors():
-    with pytest.raises(SchemaLookupError, match="not found"):
-        _resolve_schema("/nonexistent/schema.dtd")
+def test_audit_schema_is_a_name_or_a_dtd(tmp_path, analyzer):
+    """The auditor takes a schema as a query does: a registry name (the
+    report keeps the name given) or a parsed DTD (the report names it)."""
+    path = write(tmp_path, '<xsl:template match="a">x</xsl:template>\n')
+    tiny = parse_dtd("<!ELEMENT a (b*)><!ELEMENT b EMPTY>", name="tiny")
+    assert audit_stylesheet(path, tiny, analyzer=analyzer).schema == "tiny"
+    assert audit_stylesheet(path, "wikipedia", analyzer=analyzer).schema == "wikipedia"
+    with pytest.raises(SchemaLookupError, match="no-such-builtin"):
+        audit_stylesheet(path, "no-such-builtin", analyzer=analyzer)
+    # A file path is the command line's spelling (repro audit --schema x.dtd).
     with pytest.raises(SchemaLookupError):
-        _resolve_schema("no-such-builtin")
-    with pytest.raises(SchemaLookupError, match="unsupported"):
-        _resolve_schema(1234)
+        audit_stylesheet(path, str(tmp_path / "tiny.dtd"), analyzer=analyzer)
+    for schema in (1234, None, Rooted("wikipedia")):
+        with pytest.raises(UnsupportedTypeError):
+            audit_stylesheet(path, schema, analyzer=analyzer)
 
 
 # ---------------------------------------------------------------------------
