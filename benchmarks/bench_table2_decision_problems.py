@@ -4,10 +4,8 @@ Each row reproduces one line of Table 2.  Absolute times are not comparable
 with the paper's (a pure-Python BDD engine against a Java implementation on
 2007 hardware); what is compared is the *decision* of each problem and the
 relative cost ordering (untyped containment ≪ SMIL-constrained satisfiability
-≪ XHTML-constrained problems).  The XHTML rows use the reduced "core" DTD by
-default so a full benchmark run stays within minutes; set the environment
-variable ``REPRO_XHTML=strict`` to use the full 77-element DTD as in the paper
-(expect a long run).  Each problem is answered by a fresh
+≪ XHTML-constrained problems).  The XHTML rows run on the full 77-element
+XHTML 1.0 Strict DTD, as in the paper.  Each problem is answered by a fresh
 ``StaticAnalyzer``, so every row times full solver runs, never a cache hit.
 The recorded numbers land in
 ``benchmarks/reports/table2_decision_problems.txt``; the reading of the
@@ -15,15 +13,9 @@ e6 ⊆ e5 row is pinned by ``tests/test_integration_paper.py::
 test_table2_row3_e6_versus_e5``.
 """
 
-import os
-
-import pytest
-
 from conftest import FIGURE_21, write_report
 from repro.api import Query, StaticAnalyzer
-from repro.xmltypes.library import smil_dtd, xhtml_core_dtd, xhtml_strict_dtd
-
-_XHTML = xhtml_strict_dtd if os.environ.get("REPRO_XHTML") == "strict" else xhtml_core_dtd
+from repro.xmltypes.library import smil_dtd, xhtml_strict_dtd
 
 PAPER_ROWS = {
     "row1_e1_e2": ("e1 ⊆ e2 and e2 ⊄ e1", "none", 353),
@@ -125,7 +117,7 @@ def test_row4_e7_satisfiable_under_smil(benchmark):
 
 
 def test_row5_e8_satisfiable_under_xhtml(benchmark):
-    dtd = _XHTML()
+    dtd = xhtml_strict_dtd()
     result = benchmark.pedantic(
         lambda: _solve(Query.satisfiability(FIGURE_21["e8"], dtd)), rounds=1, iterations=1
     )
@@ -138,7 +130,7 @@ def test_row5_e8_satisfiable_under_xhtml(benchmark):
 
 
 def test_row6_e9_coverage_under_xhtml(benchmark):
-    dtd = _XHTML()
+    dtd = xhtml_strict_dtd()
 
     def run():
         return _solve(

@@ -96,7 +96,7 @@ from repro.trees.unranked import Tree, serialize_tree
 from repro.xmltypes.compile import compile_dtd
 from repro.xmltypes.dtd import DTD
 from repro.xmltypes.membership import lift_wildcards
-from repro.xmltypes.library import builtin_dtd
+from repro.xmltypes.library import builtin_dtd, schema_names
 from repro.xpath.compile import compile_xpath
 from repro.xpath.parser import parse_xpath_cached
 
@@ -226,15 +226,24 @@ class Query:
         }
 
 
-def _describe_type(xml_type: object) -> str | None:
+def _describe_type(xml_type: object) -> object:
+    """The wire form of a type constraint (see :mod:`repro.cli.wire`): a
+    registry DTD by its name, any other parsed DTD by the inline object of
+    its text, so the description reads back as the same schema."""
     if xml_type is None:
         return None
     if isinstance(xml_type, Rooted):
-        return f"rooted:{_describe_type(xml_type.xml_type) or ''}"
+        inner = _describe_type(xml_type.xml_type)
+        return {"rooted": inner} if isinstance(inner, dict) else f"rooted:{inner or ''}"
     if isinstance(xml_type, str):
         return xml_type
     if isinstance(xml_type, DTD):
-        return xml_type.name
+        name = xml_type.name
+        if xml_type.source is None or (
+            name in schema_names() and builtin_dtd(name) is xml_type
+        ):
+            return name
+        return {"dtd": xml_type.source, "root": xml_type.root, "name": name}
     return type(xml_type).__name__
 
 

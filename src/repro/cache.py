@@ -63,7 +63,10 @@ from repro.logic.printer import format_formula
 #: document node (v2 records kept their ``_`` placeholders), and the key
 #: material dropped the ``scope=single`` line; v2 entries read as clean
 #: misses under the untouched ``v2/`` directory.
-CACHE_FORMAT_VERSION = 3
+#: v4: verdicts over single-rooted documents (a v3 record may hold a hedge-only
+#: ``satisfiable: true``), and the key material dropped the constant
+#: ``track_marks=True`` line; v3 entries are clean misses under ``v3/``.
+CACHE_FORMAT_VERSION = 4
 
 #: Characters of :func:`repro.logic.printer.format_formula` output stored in
 #: each entry for human inspection (informational only — never parsed back).
@@ -188,9 +191,7 @@ def solve_cache_key(formula: sx.Formula) -> str:
     """The content address of a formula's solver verdict.
 
     Covers the canonical formula digest, the Lean alphabet and the cache
-    format version.  The constant ``track_marks=True`` line records the
-    solver's mark tracking (Figure 16), which every solve runs; it stays in
-    the key material so every published v3 address stays valid.
+    format version.
     """
     alphabet = lean_alphabet(formula)
     material = "\n".join(
@@ -199,7 +200,6 @@ def solve_cache_key(formula: sx.Formula) -> str:
             formula_digest(formula),
             "labels=" + ",".join(alphabet["labels"]),
             "attributes=" + ",".join(alphabet["attributes"]),
-            "track_marks=True",
         ]
     )
     return hashlib.sha256(material.encode()).hexdigest()

@@ -10,9 +10,10 @@ witnesses.
 
 Following Section 7.1, the solver actually tests the linear-size "plunging"
 formula ``µX. ψ ∨ ⟨1⟩X ∨ ⟨2⟩X`` at the root: a root type (no pending backward
-modality, mark present below) whose truth assignment satisfies the plunging
-formula witnesses a tree in which ψ holds at some node reachable by forward
-modalities, which is exactly satisfiability of ψ over focused trees.
+modality, no ⟨2⟩ successor, mark present below) whose truth assignment
+satisfies the plunging formula witnesses a single-rooted document in which ψ
+holds at some node reachable by forward modalities, which is exactly
+satisfiability of ψ over focused trees.
 
 This implementation enumerates ψ-types eagerly, so it is only usable for small
 Leans; it exists to mirror the paper's abstract algorithm closely and to
@@ -209,6 +210,8 @@ class ExplicitSolver:
             assignment = entry.assignment
             if assignment.has_parent_program(-1) or assignment.has_parent_program(-2):
                 continue
+            if assignment.has_parent_program(2):
+                continue  # a root with a ⟨2⟩ successor is a hedge
             if status_on_set(self._plunged, assignment.members):
                 return key
         return None

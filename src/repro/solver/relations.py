@@ -74,14 +74,16 @@ class LeanEncoding:
         return self.literal(self.lean.start_index, primed)
 
     def root_filter(self, formula: sx.Formula, primed: bool = False) -> BDD:
-        """Root types satisfying ``formula``: no pending backward modality.
+        """Root types satisfying ``formula``: no pending backward modality,
+        and no ⟨2⟩ successor, so that a model is one document, not a hedge.
 
         This is the final check of the fixpoint loop: ``¬ischild₁ ∧
-        ¬ischild₂ ∧ statusᵩ``.
+        ¬ischild₂ ∧ ¬isparent₂ ∧ statusᵩ``.
         """
         return (
             ~self.ischild(1, primed)
             & ~self.ischild(2, primed)
+            & ~self.isparent(2, primed)
             & self.status(formula, primed)
         )
 

@@ -2,8 +2,9 @@
 
 The solver tests the "plunging" formula ``µX. ψ ∨ ⟨1⟩X ∨ ⟨2⟩X`` at the root of
 focused trees: ψ is satisfiable exactly when some root type — a ψ-type with no
-pending backward modality, below which the start mark occurs exactly once —
-satisfies the plunging formula.  This removes the need to keep witness sets:
+pending backward modality and no ⟨2⟩ successor, below which the start mark
+occurs exactly once — satisfies the plunging formula.  Models are therefore
+single-rooted documents.  This removes the need to keep witness sets:
 at every iteration the solver only maintains the *set of types proved so far*,
 represented as a BDD over the Lean bit-vector.
 
@@ -111,14 +112,14 @@ class SolverResult:
         return not self.satisfiable
 
     def model_document(self) -> Tree | None:
-        """The satisfying model as an unranked tree (first top-level tree)."""
+        """The satisfying model: one document, one root, one start mark."""
         forest = self.model_forest()
         if forest is None:
             return None
         return forest[0]
 
     def model_forest(self) -> tuple[Tree, ...] | None:
-        """The satisfying model decoded as an unranked forest."""
+        """The satisfying model decoded as an unranked forest (of one tree)."""
         if self.model is None:
             return None
         return binary_forest_to_unranked(self.model)

@@ -18,8 +18,10 @@ specifications that share no code with the BDD engine:
 * :mod:`repro.testing.shrink` — a disagreement shrinker that minimises
   failing (DTD, query) pairs while a predicate keeps holding;
 * :mod:`repro.testing.fuzz` — the campaign driver behind ``repro fuzz``:
-  every trial runs the symbolic solver with label pruning on and off,
-  compares both verdicts against the oracles, shrinks any disagreement,
+  every trial answers its problem through
+  :meth:`repro.api.StaticAnalyzer.solve` with label pruning on and off,
+  compares both verdicts and served witnesses against the oracles, shrinks
+  any disagreement,
   and serialises it into ``tests/corpus/`` for permanent
   replay by ``tests/test_corpus.py``;
 * ``faults`` — :mod:`repro.core.faults`, deterministic fault injection

@@ -1,17 +1,19 @@
 """The differential fuzzing campaign driver behind ``repro fuzz``.
 
 Every trial generates one decision problem (:func:`repro.testing.generators.
-gen_case`) and answers it with the symbolic engine under the ablation
-matrix — cone-of-influence label pruning on and off — then cross-examines
-the verdict with the three oracles of :mod:`repro.testing.oracle`:
+gen_case`) and answers it through the front door,
+:meth:`repro.api.StaticAnalyzer.solve`, under the ablation matrix —
+cone-of-influence label pruning on and off — then cross-examines the
+verdict with the three oracles of :mod:`repro.testing.oracle`:
 
-* both symbolic verdicts must be identical (ablation agreement);
+* both served verdicts must be identical (ablation agreement);
 * a witness found by bounded focused-tree enumeration refutes an
   "unsatisfiable" verdict;
 * the sampled Proposition 5.1 checks must find no model/semantics mismatch;
 * the gated ψ-type solver's verdict must match;
-* a "satisfiable" verdict's model document must replay cleanly through the
-  denotational semantics and DTD membership.
+* every served witness — the serialized counterexample ``serve`` sends —
+  must be one document that replays cleanly through the denotational
+  semantics and DTD membership.
 
 With ``FuzzConfig.chaos`` the campaign additionally stress-tests *resource
 governance* on every trial: a solve under a small seeded step budget must
@@ -47,7 +49,7 @@ from repro.testing.oracle import (
     replay_witness,
 )
 from repro.testing.shrink import shrink_case
-from repro.trees.unranked import serialize_tree
+from repro.trees.unranked import parse_tree, serialize_tree
 from repro.xmltypes.dtd import DTD
 
 #: The ablation matrix every trial runs: label pruning off and on (the first
@@ -125,35 +127,10 @@ class TrialOutcome:
         }
 
 
-def single_root() -> sx.Formula:
-    """The focus lies in a *single-rooted* document.
-
-    The logic's models are hedges: the solver happily exhibits witnesses
-    whose top level carries several sibling trees, which no XML document can
-    express and no denotational oracle in this repository can evaluate (the
-    zipper's top level has no siblings).  Conjoining
-    ``µZ. (¬⟨1̄⟩⊤ ∧ ¬⟨2̄⟩⊤ ∧ ¬⟨2⟩⊤) ∨ ⟨1̄⟩Z ∨ ⟨2̄⟩Z`` — "walking up and left
-    from here ends at a lone top-level node" — restricts every fuzzed
-    problem to the XML-document reading the oracles decide.  On
-    single-rooted documents the constraint holds at every node, so it never
-    distorts a verdict within the oracles' model class.
-    """
-    return sx.mu1(
-        lambda z: sx.big_and((sx.no_dia(-1), sx.no_dia(-2), sx.no_dia(2)))
-        | sx.dia(-1, z)
-        | sx.dia(-2, z),
-        prefix="SingleRoot",
-    )
-
-
-def _lean_size(formula: sx.Formula) -> int:
-    """Size of the Lean the solver would work over (of the plunged formula)."""
-    from repro.logic.closure import lean as compute_lean
-
-    plunged = sx.mu1(
-        lambda x: formula | sx.dia(1, x) | sx.dia(2, x), prefix="Plunge"
-    )
-    return len(compute_lean(plunged))
+def _case_query(case: FuzzCase, dtd: DTD | None) -> Query:
+    """The case as the :class:`Query` ``analyze`` and ``serve`` answer: one
+    (optional) DTD shared by every expression."""
+    return Query(case.kind, case.exprs, (dtd,) * len(case.exprs))
 
 
 def case_formula(case: FuzzCase, dtd: DTD | None, pruned: bool) -> sx.Formula:
@@ -161,11 +138,9 @@ def case_formula(case: FuzzCase, dtd: DTD | None, pruned: bool) -> sx.Formula:
 
     The case goes through :class:`repro.api.StaticAnalyzer`'s reduction —
     the one ``analyze``, ``serve`` and ``audit`` run — so every oracle
-    checks production's formula, restricted to single-rooted documents.
+    checks production's formula.
     """
-    query = Query(case.kind, case.exprs, (dtd,) * len(case.exprs))
-    reduced = StaticAnalyzer(prune_labels=pruned)._reduce(query)[0]
-    return sx.mk_and(reduced, single_root())
+    return StaticAnalyzer(prune_labels=pruned)._reduce(_case_query(case, dtd))[0]
 
 
 def evaluate_case(
@@ -176,44 +151,41 @@ def evaluate_case(
 ) -> TrialOutcome:
     """Run one case through the ablation matrix and every oracle.
 
-    The unpruned solve is the reference whose witness feeds the replay
-    oracle.  With ``chaos`` the resource-governance probes of
-    :func:`_chaos_check` run after the oracles.
+    Both rows are answered by ``StaticAnalyzer(prune_labels=P).solve``; the
+    unpruned one is the reference verdict, and every witness a row serves is
+    replayed as ``serve`` sends it.  With ``chaos`` the resource-governance
+    probes of :func:`_chaos_check` run after the oracles.
     """
     started = time.perf_counter()
     outcome = TrialOutcome(index=index, case=case)
     dtd = case.dtd()
-    formulas = {
-        pruned: case_formula(case, dtd, pruned) for pruned in (False, True)
-    }
+    query = _case_query(case, dtd)
+    analyzers = {p: StaticAnalyzer(prune_labels=p) for p in ABLATION_MATRIX}
+    formula = analyzers[False]._reduce(query)[0]
 
     # Size gate: Lemma 6.7 bounds the solver by 2^O(lean), so a rare
     # oversized case would otherwise dominate the campaign's wall clock.
-    outcome.lean_size = _lean_size(formulas[False])
+    outcome.lean_size = len(SymbolicSolver(formula).lean)
     if outcome.lean_size > bounds.max_lean:
         outcome.skipped_oversized = True
         outcome.seconds = time.perf_counter() - started
         return outcome
 
-    # Symbolic verdicts: pruning on/off.  Formulas are hash-consed, so when
-    # pruning is a no-op (untyped case, or every element name already
-    # tested) both rows solve the *same* formula — one solver run answers
-    # both.
-    results = {}
-    solved: dict[sx.Formula, object] = {}
-    for pruned in ABLATION_MATRIX:
-        formula = formulas[pruned]
-        if formula not in solved:
-            solved[formula] = SymbolicSolver(formula).solve()
-        results[pruned] = solved[formula]
+    # Symbolic verdicts: pruning off and on, through the front door.
+    served = {pruned: analyzer.solve(query) for pruned, analyzer in analyzers.items()}
+    for pruned, answer in served.items():
+        if not answer.definite:  # a trial error, like any raised exception
+            raise RuntimeError(
+                f"prune={pruned} answered {answer.verdict_status}: "
+                f"{answer.error or answer.budget_reason}"
+            )
     outcome.ablation = {
-        f"prune={pruned}": result.satisfiable for pruned, result in results.items()
+        f"prune={pruned}": answer.satisfiable for pruned, answer in served.items()
     }
-    verdicts = {result.satisfiable for result in results.values()}
-    reference = results[ABLATION_MATRIX[0]]
+    reference = served[ABLATION_MATRIX[0]]
     outcome.satisfiable = reference.satisfiable
-    outcome.holds = case.holds(reference.satisfiable)
-    if len(verdicts) > 1:
+    outcome.holds = reference.holds
+    if len(set(outcome.ablation.values())) > 1:
         outcome.disagreements.append(
             {
                 "oracle": "ablation",
@@ -223,7 +195,7 @@ def evaluate_case(
         )
 
     # Oracle 1: bounded enumeration + sampled Proposition 5.1 checks.
-    bounded = bounded_search(case, bounds, formula=formulas[False])
+    bounded = bounded_search(case, bounds, formula=formula)
     outcome.enumeration_checked = bounded.documents_checked
     outcome.enumeration_exhausted = bounded.exhausted
     outcome.enumeration_witness = bounded.witness_found
@@ -243,7 +215,7 @@ def evaluate_case(
         )
 
     # Oracle 2: the psi-type algorithm (gated by its exponential cost).
-    explicit, _estimated = explicit_verdict(formulas[False], bounds)
+    explicit, _estimated = explicit_verdict(formula, bounds)
     if explicit is not None:
         outcome.explicit_engaged = True
         if explicit != reference.satisfiable:
@@ -257,20 +229,20 @@ def evaluate_case(
                 }
             )
 
-    # Oracle 3: replay the symbolic model hedge.
-    if reference.satisfiable:
-        forest = reference.model_forest() or ()
-        if not forest:
+    # Oracle 3: replay every distinct witness the rows served.
+    for witness in dict.fromkeys(
+        answer.counterexample for answer in served.values() if answer.satisfiable
+    ):
+        if witness is None:
             outcome.replay_skipped = True
-        else:
-            outcome.replay_checked = True
-            problems = replay_witness(case, forest, dtd)
-            for problem in problems:
-                outcome.disagreements.append({"oracle": "witness", "detail": problem})
+            continue
+        outcome.replay_checked = True
+        for problem in replay_witness(case, parse_tree(witness), dtd):
+            outcome.disagreements.append({"oracle": "witness", "detail": problem})
 
     # Oracle 4 (chaos axis): resource governance must degrade, never lie.
     if chaos:
-        _chaos_check(outcome, formulas[False], reference.satisfiable)
+        _chaos_check(outcome, formula, reference.satisfiable)
 
     outcome.seconds = time.perf_counter() - started
     return outcome

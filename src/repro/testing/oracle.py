@@ -22,11 +22,12 @@ shares code with the BDD engine:
    Lean it only engages below a ψ-type budget.
 
 3. **Witness replay** (:func:`replay_witness`) — every satisfiable symbolic
-   verdict comes with a model document; the model must actually witness the
-   problem: the expressions select the right nodes under the denotational
-   semantics, the marked subtree validates against the DTD
-   (:func:`repro.xmltypes.membership.dtd_accepts`) and carries no attribute
-   violations (:func:`repro.xmltypes.membership.dtd_attribute_violations`).
+   verdict comes with a model document; the model must be one document and
+   actually witness the problem: the expressions select the right nodes
+   under the denotational semantics, the marked subtree validates against
+   the DTD (:func:`repro.xmltypes.membership.dtd_accepts`) and carries no
+   attribute violations
+   (:func:`repro.xmltypes.membership.dtd_attribute_violations`).
 """
 
 from __future__ import annotations
@@ -418,9 +419,8 @@ def replay_witness(
     """Validate a satisfiable verdict's model; returns the problems found.
 
     ``witness`` is the model document, or the solver's top-level forest.
-    The logic's raw models are hedges, but the fuzz reduction conjoins the
-    single-root constraint (:func:`repro.testing.fuzz.single_root`), so a
-    multi-tree forest here is itself a finding and is reported as one.
+    The solver decides single-rooted documents, so a forest of several
+    trees is itself a finding and is reported as one.
 
     An empty list means the witness genuinely witnesses the verdict: it is
     a single document carrying exactly one start mark, the denotational
@@ -438,8 +438,8 @@ def replay_witness(
     forest = (witness,) if isinstance(witness, Tree) else tuple(witness)
     if len(forest) != 1:
         return [
-            f"witness is a hedge of {len(forest)} top-level trees; the "
-            "single-root anchoring of fuzzed problems forbids hedge models"
+            f"witness is a forest of {len(forest)} top-level trees; a "
+            "document has exactly one root"
         ]
     document = forest[0]
     problems: list[str] = []

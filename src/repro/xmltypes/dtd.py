@@ -85,6 +85,9 @@ class DTD:
     name: str = "dtd"
     #: Attribute declarations per element name, in declaration order.
     attlists: dict[str, tuple[AttributeDeclaration, ...]] = field(default_factory=dict)
+    #: The text :func:`parse_dtd` read (``None`` for a DTD built otherwise).
+    #: Data only: the object, not its text, is the schema's identity.
+    source: str | None = field(default=None, repr=False)
     #: The binarized grammar, filled by ``compile_dtd`` on first use.
     _grammar: BinaryTypeGrammar | None = field(default=None, init=False, repr=False)
 
@@ -123,6 +126,7 @@ class DTD:
             root=root,
             name=self.name,
             attlists=dict(self.attlists),
+            source=self.source,
         )
 
     def symbol_count(self) -> int:
@@ -162,7 +166,7 @@ def parse_dtd(text: str, root: str | None = None, name: str = "dtd") -> DTD:
 
     stripped = _ENTITY_RE.sub(" ", without_comments)
 
-    dtd = DTD(name=name)
+    dtd = DTD(name=name, source=text)
     for match in _ATTLIST_RE.finditer(stripped):
         element_name, declarations = _parse_attlist(expand(match.group(1)))
         # Per XML 1.0 (section 3.3), later declarations of the same attribute

@@ -60,6 +60,67 @@ def test_query_as_dict_is_json_compatible():
     assert payload["types"] == ["wikipedia", None, None]
 
 
+def test_query_as_dict_round_trips_a_dtd_outside_the_registry():
+    from repro.cli import wire
+
+    tiny = parse_dtd("<!ELEMENT a EMPTY>", name="tiny")
+    query = Query.satisfiability("a", tiny)
+    payload = json.loads(json.dumps(query.as_dict()))
+    assert payload["types"] == [{"dtd": "<!ELEMENT a EMPTY>", "root": "a", "name": "tiny"}]
+    original = StaticAnalyzer().solve(query)
+    replayed = StaticAnalyzer().solve(wire.query_from_dict(payload))
+    assert original.definite and replayed.definite, replayed.error
+    assert (replayed.holds, replayed.satisfiable) == (original.holds, original.satisfiable)
+
+
+def test_a_dtd_parsed_under_a_registry_name_is_not_that_schema():
+    """Only the registry's own object is described by its name: a DTD parsed
+    from other text under the name ``wikipedia`` is described by its text,
+    and reads back as that text, not as the registry schema."""
+    from repro.cli import wire
+    from repro.xmltypes.dtd import DTD
+
+    registry = builtin_dtd("wikipedia")
+    impostor = parse_dtd("<!ELEMENT article EMPTY>", name="wikipedia")
+    inline = {"dtd": "<!ELEMENT article EMPTY>", "root": "article", "name": "wikipedia"}
+    query = Query.satisfiability("self::article/child::meta", impostor)
+    assert query.as_dict()["types"] == [inline]
+    assert Query.satisfiability("a", Rooted(impostor)).as_dict()["types"] == [
+        {"rooted": inline}
+    ]
+    assert Query.satisfiability("a", registry).as_dict()["types"] == ["wikipedia"]
+    assert Query.satisfiability("a", Rooted(registry)).as_dict()["types"] == [
+        "rooted:wikipedia"
+    ]
+    # A DTD built without text keeps today's description by name.
+    assert Query.satisfiability("a", DTD(name="bare")).as_dict()["types"] == ["bare"]
+
+    replayed = wire.query_from_dict(query.as_dict())
+    assert replayed.types[0] is not registry
+    assert replayed.types[0].source == impostor.source
+    analyzer = StaticAnalyzer()
+    assert analyzer.solve(replayed).holds is False  # article is EMPTY here
+    assert analyzer.solve(Query.satisfiability(query.exprs[0], registry)).holds
+
+
+#: Problems whose only models are hedges of top-level trees, which no
+#: document is: a node with a sibling has a parent, and the root has no
+#: preceding sibling.
+HEDGE_PROBES = [
+    (Query.containment("following-sibling::*", "parent::*/*"), True),
+    (Query.satisfiability("/preceding-sibling::c"), False),
+]
+
+
+@pytest.mark.parametrize(
+    "query, holds", HEDGE_PROBES, ids=["containment", "satisfiability"]
+)
+def test_hedge_probes_are_answered_over_documents(query, holds):
+    outcome = StaticAnalyzer().solve(query)
+    assert outcome.definite and outcome.holds is holds, outcome.as_dict()
+    assert outcome.satisfiable is False and outcome.counterexample is None
+
+
 def test_solve_many_matches_one_by_one_solve_on_table2():
     batch = StaticAnalyzer().solve_many(TABLE2_FAST)
     one_by_one = [StaticAnalyzer().solve(query) for query in TABLE2_FAST]

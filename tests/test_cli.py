@@ -211,6 +211,24 @@ def test_analyze_containment_exit_zero(capsys):
     assert payload["errors"] == 0
 
 
+@pytest.mark.parametrize(
+    "argv, holds",
+    [
+        (["following-sibling::*", "parent::*/*"], True),
+        (["--kind", "satisfiability", "/preceding-sibling::c"], False),
+    ],
+    ids=["containment", "satisfiability"],
+)
+def test_analyze_answers_hedge_probes_over_documents(argv, holds, capsys):
+    """Both problems have models only over hedges of top-level trees; over
+    single-rooted documents the containment holds and the path is empty."""
+    code = main(["analyze", *argv, "--compact"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == EXIT_OK and payload["errors"] == 0
+    (outcome,) = payload["outcomes"]
+    assert outcome["holds"] is holds and outcome["counterexample"] is None
+
+
 def test_analyze_malformed_expression_exit_one(capsys):
     code = main(["analyze", "child::a[", "--compact"])
     payload = json.loads(capsys.readouterr().out)
@@ -314,6 +332,19 @@ def test_serve_round_trips_queries_with_ids():
     assert all(r["ok"] for r in responses)
     assert responses[0]["outcome"]["holds"] is True
     assert responses[2]["outcome"]["from_cache"] is True
+
+
+def test_serve_answers_hedge_probes_over_documents():
+    responses = _serve_lines(
+        [
+            {"id": 1, "kind": "containment",
+             "exprs": ["following-sibling::*", "parent::*/*"]},
+            {"id": 2, "kind": "satisfiability", "exprs": ["/preceding-sibling::c"]},
+        ]
+    )
+    assert [
+        (r["outcome"]["holds"], r["outcome"]["counterexample"]) for r in responses
+    ] == [(True, None), (False, None)]
 
 
 def test_serve_survives_malformed_lines_and_unknown_ops():

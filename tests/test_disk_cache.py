@@ -1,5 +1,6 @@
 """Tests for the persistent solve cache (:mod:`repro.cache`)."""
 
+import hashlib
 import json
 
 import pytest
@@ -44,11 +45,11 @@ def test_digest_distinguishes_formulas():
 
 
 def test_solve_cache_key_is_pinned():
-    """Every published v3 address stays valid: the key of a fixed formula
+    """Every published v4 address stays valid: the key of a fixed formula
     must not move unless ``CACHE_FORMAT_VERSION`` is bumped on purpose."""
-    assert CACHE_FORMAT_VERSION == 3
+    assert CACHE_FORMAT_VERSION == 4
     assert solve_cache_key(sx.prop("a")) == (
-        "4428778812c4d5fdf6062c6d4469a2e1e88f27bcd8c5c5eeb1f2cfc9f1a91494"
+        "f5460c3197c9887ca28995baeb7e1963d0303fcdb990cdf42f998d86eda8b5ec"
     )
 
 
@@ -57,11 +58,11 @@ def test_solve_cache_key_is_pinned():
     [
         (
             parse_formula("a & <1>b"),
-            "5e3e859d0e40c057f67664f7bac09b0dd167c628512d867a9c214ea14a0b377d",
+            "280c9fc4066ab7f8eec303557b1b2f8de11875f6489e4568520f696416dc20f1",
         ),
         (
             sx.mu1(lambda x: sx.prop("a") | sx.dia(1, x)),
-            "70e3ee9180d528cf5e5794b1abd415e3be3f6c752802451fec93e1d6fd240e14",
+            "a1d5e10365677406e5156db9be379aa154bc2c877192402bfffea84d2a2e50b6",
         ),
     ],
     ids=["modal", "fixpoint"],
@@ -75,13 +76,13 @@ def test_solve_cache_key_pins_options_and_fixpoints(formula, expected):
 def test_v1_entries_are_clean_misses(tmp_path):
     """Old-format entries live under ``v1/`` (never read) or carry
     ``version: 1`` (well-formed mismatch): both are plain misses — no
-    quarantine, no deletion — and the next solve republishes under v3."""
+    quarantine, no deletion — and the next solve republishes under v4."""
     formula = sx.prop("a")
     cache = DiskSolveCache(tmp_path)
     v1_file = tmp_path / "v1" / "ab" / "abcdef.json"
     v1_file.parent.mkdir(parents=True)
     v1_file.write_text(json.dumps({"version": 1, "satisfiable": True}))
-    # A v1 payload parked at the entry's v3 path: versioned miss, kept as-is.
+    # A v1 payload parked at the entry's v4 path: versioned miss, kept as-is.
     stale = cache.path_for_key(cache.key_for(formula))
     stale.parent.mkdir(parents=True, exist_ok=True)
     stale.write_text(json.dumps({"version": 1, "key": cache.key_for(formula)}))
@@ -95,6 +96,44 @@ def test_v1_entries_are_clean_misses(tmp_path):
     )
     cache.put(formula, record)
     assert cache.get(formula) == record
+
+
+def test_v3_hedge_verdict_is_not_read(tmp_path):
+    """A v3 entry may hold a verdict over hedges of top-level trees: the
+    containment below read ``satisfiable: true`` with the lone-node witness
+    ``<_!/>``, although a node with a sibling has a parent.  Its v3 address
+    is never read, so a ``cache_dir`` analyzer solves and answers it holds."""
+    query = Query.containment("following-sibling::*", "parent::*/*")
+    formula = StaticAnalyzer()._reduce(query)[0]
+    alphabet = lean_alphabet(formula)
+    material = "\n".join(
+        [
+            "repro-solve-cache/v3",
+            formula_digest(formula),
+            "labels=" + ",".join(alphabet["labels"]),
+            "attributes=" + ",".join(alphabet["attributes"]),
+            "track_marks=True",
+        ]
+    )
+    v3_key = hashlib.sha256(material.encode()).hexdigest()
+    stale = tmp_path / "v3" / v3_key[:2] / f"{v3_key}.json"
+    stale.parent.mkdir(parents=True)
+    stale.write_text(
+        json.dumps(
+            {
+                "version": 3,
+                "key": v3_key,
+                **SolveRecord(True, "<_!/>", {}, 0.0).as_dict(),
+            }
+        )
+    )
+
+    analyzer = StaticAnalyzer(cache_dir=str(tmp_path))
+    outcome = analyzer.solve(query)
+    assert outcome.definite and outcome.holds is True, outcome.as_dict()
+    assert outcome.cache is None and outcome.counterexample is None
+    assert analyzer.solver_runs == 1 and analyzer.disk_cache_hits == 0
+    assert stale.exists()
 
 
 def test_solve_cache_key_covers_options_and_alphabet():

@@ -13,7 +13,6 @@ from repro.testing.fuzz import (
     case_formula,
     evaluate_case,
     run_fuzz,
-    single_root,
 )
 from repro.testing.generators import (
     GeneratorConfig,
@@ -33,7 +32,7 @@ from repro.testing.oracle import (
     type_holds_at,
 )
 from repro.testing.shrink import case_size, shrink_case
-from repro.trees.focus import all_focuses, focus_at
+from repro.trees.focus import focus_at
 from repro.trees.unranked import Tree, parse_tree
 from repro.xmltypes import content as cm
 from repro.xmltypes.dtd import parse_dtd
@@ -218,41 +217,33 @@ def test_replay_witness_rejects_bad_documents():
 
 
 def test_replay_witness_rejects_hedge_models():
-    # The single-root anchoring of fuzzed problems forbids hedge witnesses;
-    # a multi-tree forest surfacing here is itself a finding.
+    # A document has one root: a multi-tree forest surfacing here is itself
+    # a finding, whatever its trees select.
     case = FuzzCase(kind="satisfiability", exprs=("foll-sibling::b",))
     hedge = (parse_tree("<a!/>"), parse_tree("<b/>"))
     problems = replay_witness(case, hedge)
-    assert problems and "hedge" in problems[0]
+    assert problems and "2 top-level trees" in problems[0]
 
 
-# -- single-root anchoring ------------------------------------------------------
-
-
-def test_single_root_holds_everywhere_in_a_document():
-    from repro.logic.semantics import interpret
-
-    document = parse_tree("<r!><a><b/></a><c/></r>")
-    universe = frozenset(all_focuses(document))
-    assert interpret(single_root(), universe) == universe
+# -- the model class: single-rooted documents -----------------------------------
 
 
 def test_case_formula_is_tree_satisfiable_only():
-    from repro.solver.symbolic import SymbolicSolver
+    """Satisfiable over hedges (two top-level siblings) but not over
+    single-rooted documents: production answers "unsatisfiable"."""
+    from repro.api import Query, StaticAnalyzer
 
-    # Satisfiable over hedges (two top-level siblings) but not over
-    # single-rooted documents: the fuzz reduction must answer "unsat".
-    case = FuzzCase(kind="satisfiability", exprs=("/foll-sibling::a",))
-    formula = case_formula(case, None, pruned=False)
-    assert not SymbolicSolver(formula).solve().satisfiable
+    outcome = StaticAnalyzer().solve(Query.satisfiability("/foll-sibling::a"))
+    assert outcome.definite and outcome.satisfiable is False
+    assert outcome.counterexample is None
 
 
 @pytest.mark.parametrize("pruned", (False, True), ids=["unpruned", "pruned"])
 def test_case_formula_is_the_reduction_serve_runs(pruned):
     """The fuzzer checks the formula ``repro serve`` builds for the same
-    problem sent over the wire (one inline DTD shared by every side), up to
-    the single-root restriction.  Digests, not identity: every translation
-    draws fresh bound-variable names."""
+    problem sent over the wire (one inline DTD shared by every side).
+    Digests, not identity: every translation draws fresh bound-variable
+    names."""
     from repro.api import StaticAnalyzer
     from repro.cache import formula_digest
     from repro.cli import wire
@@ -268,9 +259,7 @@ def test_case_formula_is_the_reduction_serve_runs(pruned):
         query = wire.query_from_dict(payload, wire.DTDCache())
         served = StaticAnalyzer(prune_labels=pruned)._reduce(query)[0]
         fuzzed = case_formula(case, case.dtd(), pruned)
-        assert formula_digest(fuzzed) == formula_digest(
-            sx.mk_and(served, single_root())
-        ), entry.name
+        assert formula_digest(fuzzed) == formula_digest(served), entry.name
 
 
 # -- shrinking ------------------------------------------------------------------
@@ -333,6 +322,42 @@ def test_evaluate_case_agrees_on_known_problems():
         assert outcome.satisfiable is satisfiable, case.describe()
         assert outcome.holds is holds, case.describe()
         assert len(outcome.ablation) == 2
+
+
+def test_evaluate_case_replays_the_served_witness(monkeypatch):
+    """The replay oracle reads the counterexample the front door serves, so
+    a witness broken after the solver ran (here: its mark dropped) is a
+    finding."""
+    import repro.api as api
+
+    solver = api.run_solver
+
+    def unmarked(formula, budget=None):
+        satisfiable, document, statistics, seconds = solver(formula, budget)
+        return satisfiable, document and document.unmark_all(), statistics, seconds
+
+    monkeypatch.setattr(api, "run_solver", unmarked)
+    case = FuzzCase(kind="satisfiability", exprs=("child::a",))
+    outcome = evaluate_case(case, Bounds(max_documents=50))
+    assert outcome.replay_checked and outcome.satisfiable
+    assert any(
+        d["oracle"] == "witness" and "0 start marks" in d["detail"]
+        for d in outcome.disagreements
+    ), outcome.disagreements
+
+
+def test_a_non_definite_answer_is_a_trial_error(monkeypatch):
+    import repro.api as api
+    from repro.core.errors import BudgetExceeded
+
+    def exhausted(formula, budget=None):
+        raise BudgetExceeded("steps", "injected")
+
+    monkeypatch.setattr(api, "run_solver", exhausted)
+    report = run_fuzz(FuzzConfig(budget=1, seed=11, bounds=Bounds(max_documents=50)))
+    (trial,) = report.trials
+    assert trial.error is not None and "answered unknown: steps" in trial.error
+    assert trial.satisfiable is None and not report.disagreements
 
 
 def test_ablation_matrix_is_pruning_only():

@@ -28,17 +28,13 @@ from repro.trees.unranked import parse_tree
 
 
 def model_satisfies(result, formula) -> bool:
-    """Check a solver model against the declarative semantics."""
+    """Check a solver model against the declarative semantics: one
+    document, one start mark, and the formula holds at some node."""
     forest = result.model_forest()
     assert forest is not None
-    assert sum(tree.mark_count() for tree in forest) == 1
-    for tree in forest:
-        if tree.mark_count() != 1:
-            continue
-        universe = frozenset(all_focuses(tree))
-        if interpret(formula, universe):
-            return True
-    return False
+    (document,) = forest
+    assert document.mark_count() == 1
+    return bool(interpret(formula, frozenset(all_focuses(document))))
 
 
 # -- truth assignment ------------------------------------------------------------------
@@ -149,8 +145,21 @@ def test_explicit_and_symbolic_agree(formula):
     symbolic = SymbolicSolver(formula).solve()
     assert explicit.satisfiable == symbolic.satisfiable
     if explicit.satisfiable:
-        forest = binary_forest_to_unranked(explicit.model)
-        assert sum(tree.mark_count() for tree in forest) == 1
+        (document,) = binary_forest_to_unranked(explicit.model)
+        assert document.mark_count() == 1
+
+
+#: The marked node has no parent and no previous sibling: it is a root.
+LONE_ROOT = sx.START & sx.no_dia(-1) & sx.no_dia(-2)
+#: Satisfiable only over hedges: a root with a following sibling.  A
+#: document has one root, so both solvers must refute it.
+HEDGE_ONLY = LONE_ROOT & sx.dia(2, sx.TRUE)
+
+
+def test_explicit_and_symbolic_agree_on_a_hedge_only_formula():
+    for solver in (ExplicitSolver, SymbolicSolver):
+        assert not solver(HEDGE_ONLY).solve().satisfiable, solver.__name__
+        assert solver(LONE_ROOT).solve().satisfiable, solver.__name__
 
 
 def test_explicit_solver_reports_statistics():

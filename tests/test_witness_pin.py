@@ -19,6 +19,7 @@ from pathlib import Path
 
 from repro.api import StaticAnalyzer
 from repro.cli import wire
+from repro.trees.unranked import parse_tree
 
 REFERENCE = (
     Path(__file__).resolve().parent.parent
@@ -33,12 +34,16 @@ PINNED_PROBLEMS = 44
 PINNED_DIGEST = "eb6136a63d57a2c550eb0b208affd8372dcaa0cf2790b043d9df5bd4f3a8731a"
 
 
-def _pinned_requests() -> list[dict]:
+def _satisfiable_entries() -> list[dict]:
     pool = json.loads(REFERENCE.read_text(encoding="utf-8"))["pool"]
+    return [entry for entry in pool if entry["expected"]["satisfiable"]]
+
+
+def _pinned_requests() -> list[dict]:
     return [
         entry["request"]
-        for entry in pool
-        if entry["expected"]["satisfiable"] and entry["cold_solve_s"] < 0.1
+        for entry in _satisfiable_entries()
+        if entry["cold_solve_s"] < 0.1
     ]
 
 
@@ -53,3 +58,18 @@ def test_serialized_witnesses_are_byte_identical():
         answers.append([outcome.holds, outcome.counterexample])
     payload = json.dumps(answers, ensure_ascii=False).encode("utf-8")
     assert hashlib.sha256(payload).hexdigest() == PINNED_DIGEST
+
+
+def test_every_satisfiable_pool_problem_serves_one_marked_document():
+    """The model class is single-rooted documents: every satisfiable pool
+    problem, pinned or not, serves one tree carrying one start mark."""
+    analyzer = StaticAnalyzer()
+    entries = _satisfiable_entries()
+    assert len(entries) > PINNED_PROBLEMS
+    for entry in entries:
+        request = entry["request"]
+        outcome = analyzer.solve(wire.query_from_dict(request, {}))
+        assert outcome.definite and outcome.satisfiable, request
+        # parse_tree refuses trailing top-level trees.
+        witness = parse_tree(outcome.counterexample)
+        assert witness.mark_count() == 1, (request, outcome.counterexample)
