@@ -7,9 +7,9 @@ counters and time, giving the measured counterpart of the complexity claim.
 The measurement lives in :func:`repro.cli.bench.run_scaling` (shared with
 ``repro bench scaling``, so the CLI and the suite cannot drift): a warm-up
 solve runs first so one-off import/compile cost is reported separately
-instead of skewing the depth-1 row, and the depth-3 ``product_calls`` and
-``bdd_ite_calls`` counters are guarded by committed thresholds —
-deterministic performance checks that need no wall-clock.
+instead of skewing the depth-1 row, and the depth-3 ``product_calls``,
+``bdd_ite_calls`` and ``bdd_node_count`` counters are guarded by committed
+thresholds — deterministic performance checks that need no wall-clock.
 
 It also compares the explicit solver of Figure 16 with the symbolic solver
 of Section 7 on an instance small enough for both.
@@ -18,6 +18,7 @@ of Section 7 on an instance small enough for both.
 from conftest import write_bench_json, write_report
 from repro.cli.bench import (
     SCALING_ITE_CALLS_MAX_DEPTH3,
+    SCALING_NODE_COUNT_MAX_DEPTH3,
     SCALING_PRODUCT_CALLS_MAX_DEPTH3,
     run_scaling,
 )
@@ -37,6 +38,7 @@ def test_scaling_with_query_depth(benchmark):
     depth3 = next(row for row in rows if row["depth"] == 3)
     assert depth3["product_calls"] <= SCALING_PRODUCT_CALLS_MAX_DEPTH3
     assert depth3["bdd_ite_calls"] <= SCALING_ITE_CALLS_MAX_DEPTH3
+    assert depth3["bdd_node_count"] <= SCALING_NODE_COUNT_MAX_DEPTH3
 
     report = ["containment of nested queries (cold warm-up reported separately)"]
     warmup = payload["warmup"]

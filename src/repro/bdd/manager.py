@@ -19,9 +19,10 @@ swaps for the commutative ``∧``/``∨`` shapes), so equivalent calls share one
 cache entry.  Conjunction and disjunction run a binary kernel of their own
 that reads and writes that one table under the same canonical keys.
 Negation has a dedicated two-way cache, and renaming is one bottom-up pass
-that composes through ``ite`` only the nodes whose new level would not lie
-above their children (none, for the solver's primed/unprimed vector
-renames).  :meth:`BDDManager.statistics` exposes the node-table and cache
+that can quantify variables as it goes and composes through ``ite`` only the
+nodes whose new level would not lie above their children (none, for the
+solver's primed/unprimed vector renames).  Supports are memoised per node as
+level masks.  :meth:`BDDManager.statistics` exposes the node-table and cache
 counters the benchmarks report.
 
 The :class:`BDD` wrapper pairs a node id with its manager and provides
@@ -89,8 +90,10 @@ class BDDManager:
         self._neg_cache: dict[int, int] = {}
         # Per quantified level set: the level modes and the shared ∃ memo.
         self._quant_cache: dict[frozenset[int], tuple[list[int], dict[int, int]]] = {}
-        # Per mapping: renamed node ids.
+        # Per mapping and quantified level set: renamed node ids.
         self._rename_cache: dict[tuple, dict[int, int]] = {}
+        # Per node: the levels of its support as a bit mask.
+        self._support_masks: dict[int, int] = {self.FALSE: 0, self.TRUE: 0}
         self._restrict_cache: dict[tuple, int] = {}
         self._var_names: list[str] = []
         self._var_levels: dict[str, int] = {}
@@ -148,6 +151,7 @@ class BDDManager:
                 + sum(len(memo) for _mode, memo in self._quant_cache.values())
                 + sum(len(memo) for memo in self._rename_cache.values())
                 + len(self._restrict_cache)
+                + len(self._support_masks)
             ),
         )
 
@@ -598,26 +602,35 @@ class BDDManager:
 
     # -- substitution / renaming ----------------------------------------------
 
-    def rename(self, node: int, mapping: Mapping[str, str]) -> int:
-        """Rename variables according to ``mapping`` (old name -> new name).
+    def rename(
+        self, node: int, mapping: Mapping[str, str], quantify: Iterable[str] = ()
+    ) -> int:
+        """Rename variables according to ``mapping`` (old name -> new name),
+        quantifying the variables ``quantify`` existentially as it goes.
 
-        One iterative bottom-up pass rebuilds the function.  A node whose new
-        level lies strictly above the top levels of both renamed children is
-        relabelled in place; any other is composed with its new literal
-        through ``ite``.  That is correct for every mapping, needs no support
-        walk first, and composes nothing when the mapping keeps the order of
-        the variables on every path, as the solver's x-to-y vector renames
-        do (``rename_fast_paths`` counts those renames).  Renamed nodes are
-        memoised per mapping, so a function that shares nodes with one
-        renamed before (the fixpoint's growing sets) walks only its new part.
+        The result is ``∃ quantify . node`` renamed: ``quantify`` names
+        variables of ``node``, before renaming, and a quantified variable
+        that ``mapping`` also renames is simply gone.  One iterative
+        bottom-up pass rebuilds the function.  A quantified node becomes the
+        disjunction of its renamed cofactors (``⊤`` as soon as the low one
+        is).  Any other node whose new level lies strictly above the top
+        levels of both renamed children is relabelled in place; the rest are
+        composed with their new literal through ``ite``.  That is correct
+        for every mapping, needs no support walk first, and composes nothing
+        when the mapping keeps the order of the variables on every path, as
+        the solver's x-to-y vector renames do (``rename_fast_paths`` counts
+        those renames).  Renamed nodes are memoised per mapping and
+        quantified set, so a function that shares nodes with one renamed
+        before (the fixpoint's growing sets) walks only its new part.
         """
-        if node <= 1 or not mapping:
+        quantified = frozenset(self._var_levels[name] for name in quantify)
+        if node <= 1 or not (mapping or quantified):
             return node
-        items = tuple(sorted(mapping.items()))
-        renamed = self._rename_cache.get(items)
+        memo_key = (tuple(sorted(mapping.items())), quantified)
+        renamed = self._rename_cache.get(memo_key)
         if renamed is None:
             renamed = {self.FALSE: self.FALSE, self.TRUE: self.TRUE}
-            self._rename_cache[items] = renamed
+            self._rename_cache[memo_key] = renamed
         result = renamed.get(node)
         if result is not None:
             return result
@@ -635,11 +648,18 @@ class BDDManager:
             if new_low is None:
                 stack.append(low)
                 continue
+            if level in quantified and new_low == self.TRUE:
+                stack.pop()
+                renamed[current] = self.TRUE
+                continue
             new_high = renamed.get(high)
             if new_high is None:
                 stack.append(high)
                 continue
             stack.pop()
+            if level in quantified:
+                renamed[current] = self._apply(new_low, new_high, False)
+                continue
             new_level = level_map.get(level, level)
             if new_level < (nodes[new_low][0] if new_low > 1 else terminal_level) and (
                 new_level < (nodes[new_high][0] if new_high > 1 else terminal_level)
@@ -704,21 +724,33 @@ class BDDManager:
         return current == self.TRUE
 
     def support(self, node: int) -> set[str]:
-        """Names of the variables the function actually depends on."""
-        nodes = self._nodes
-        levels: set[int] = set()
-        seen = {node}
-        stack = [node] if node > 1 else []
-        while stack:
-            level, low, high = nodes[stack.pop()]
-            levels.add(level)
-            if low > 1 and low not in seen:
-                seen.add(low)
-                stack.append(low)
-            if high > 1 and high not in seen:
-                seen.add(high)
-                stack.append(high)
-        return {self._var_names[level] for level in levels}
+        """Names of the variables the function actually depends on.
+
+        Every node's support is memoised as a bit mask of levels, so the
+        support of a function that shares nodes with one asked before (the
+        fixpoint's growing frontiers) walks only its new nodes.
+        """
+        masks = self._support_masks
+        mask = masks.get(node)
+        if mask is None:
+            nodes = self._nodes
+            stack = [node]
+            while stack:
+                current = stack[-1]
+                level, low, high = nodes[current]
+                low_mask = masks.get(low)
+                if low_mask is None:
+                    stack.append(low)
+                    continue
+                high_mask = masks.get(high)
+                if high_mask is None:
+                    stack.append(high)
+                    continue
+                stack.pop()
+                masks[current] = (1 << level) | low_mask | high_mask
+            mask = masks[node]
+        names = self._var_names
+        return {names[level] for level in range(mask.bit_length()) if mask >> level & 1}
 
     def dag_size(self, node: int, limit: int | None = None) -> int:
         """Number of internal nodes reachable from ``node``.
@@ -903,8 +935,8 @@ class BDD:
             self.manager, self.manager.and_exists(self.node, other.node, names, cache)
         )
 
-    def rename(self, mapping: Mapping[str, str]) -> "BDD":
-        return BDD(self.manager, self.manager.rename(self.node, mapping))
+    def rename(self, mapping: Mapping[str, str], quantify: Iterable[str] = ()) -> "BDD":
+        return BDD(self.manager, self.manager.rename(self.node, mapping, quantify))
 
     def restrict(self, assignment: Mapping[str, bool]) -> "BDD":
         return BDD(self.manager, self.manager.restrict(self.node, assignment))

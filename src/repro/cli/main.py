@@ -240,8 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--quick",
         action="store_true",
         help="smoke mode: scaling runs depths 1-3 only, and the run fails "
-        "if the depth-3 product_calls or bdd_ite_calls counter regresses "
-        "above its committed threshold",
+        "if the depth-3 product_calls, bdd_ite_calls or bdd_node_count "
+        "counter regresses above its committed threshold",
     )
     bench.add_argument(
         "--output-dir",

@@ -41,7 +41,7 @@ class LeanEncoding:
         self.y_names = [f"y{i}" for i in range(len(lean))]
         self.manager = BDDManager(self.x_names + self.y_names)
         self._status_cache: dict[tuple[sx.Formula, bool], BDD] = {}
-        self._x_to_y = dict(zip(self.x_names, self.y_names))
+        self.x_to_y = dict(zip(self.x_names, self.y_names))
 
     # -- literals ------------------------------------------------------------------
 
@@ -53,9 +53,6 @@ class LeanEncoding:
 
     def literal(self, index: int, primed: bool) -> BDD:
         return self.y(index) if primed else self.x(index)
-
-    def to_primed(self, function: BDD) -> BDD:
-        return function.rename(self._x_to_y)
 
     # -- structural predicates (Section 7.1) ------------------------------------------
 
@@ -250,9 +247,16 @@ class TransitionRelation:
         self.program = program
         self.partitions = self._build_partitions()
         self._schedule = self._build_schedule()
-        self._partition_primed: frozenset[str] = frozenset().union(
+        partition_primed = frozenset().union(
             *(partition.primed_support for partition in self.partitions)
-        ) if self.partitions else frozenset()
+        )
+        # The x-copies of the primed variables no partition mentions: the
+        # frontier pass quantifies them while it primes the target.
+        self._unconstrained = frozenset(
+            x_name
+            for x_name, y_name in encoding.x_to_y.items()
+            if y_name not in partition_primed
+        )
         self._step_supports: dict[int, frozenset[str]] = {
             index: step.primed_support for index, step in enumerate(self._schedule)
         }
@@ -384,39 +388,21 @@ class TransitionRelation:
 
     # -- relational products -----------------------------------------------------------
 
-    def _product(self, frontier_y: BDD) -> BDD:
-        """``∃ y . frontier(y) ∧ ∆ₐ(x, y)`` with early quantification.
-
-        No primed variable is left over: one only the frontier mentions is
-        quantified first, one of a conjoined block lies in the eliminable set
-        of the last step that mentions it (and that step runs, since it
-        shares the block's component), and a skipped component's variables
-        never enter the product.
-        """
-        current = frontier_y
-        frontier_support = set(current.support()) & set(self.encoding.y_names)
-        # Variables only the frontier mentions can go immediately: no
-        # partition constrains them.
-        frontier_only = frontier_support - self._partition_primed
-        if frontier_only:
-            current = current.exists(frontier_only)
-        skipped = self._skippable_steps(frontier_support)
-        for index, step in enumerate(self._schedule):
-            if index in skipped:
-                self.partitions_skipped += step.partition_count
-                continue
-            current = current.and_exists(step.block, step.eliminable, step.cache)
-        return current
-
-    def _frontier(self, target_x: BDD) -> BDD:
-        """The primed frontier ``target(y) ∧ ischildₐ(y)`` of a product."""
-        return self.encoding.to_primed(target_x) & self.encoding.ischild(
-            self.program, primed=True
-        )
-
     def _witness_product(self, target_x: BDD) -> BDD:
-        """``∃y (target(y) ∧ ischildₐ(y) ∧ ∆ₐ(x,y))``."""
-        manager = self.encoding.manager
+        """``∃y (target(y) ∧ ischildₐ(y) ∧ ∆ₐ(x,y))`` with early quantification.
+
+        One memoised rename pass primes ``target ∧ ischildₐ`` into the
+        frontier and quantifies, as it goes, the primed variables that no
+        partition mentions: nothing constrains them, so they can go before
+        the first schedule step.  ``ischildₐ`` is conjoined on the unprimed
+        side first, because its own bit may be one of those.  No primed
+        variable is left over: one of a conjoined block lies in the
+        eliminable set of the last step that mentions it (and that step
+        runs, since it shares the block's component), and a skipped
+        component's variables never enter the product.
+        """
+        encoding = self.encoding
+        manager = encoding.manager
         if target_x.manager is not manager:
             # The per-step ``and_exists`` memos are keyed by node id, which
             # only means something inside the manager that made it.
@@ -429,7 +415,16 @@ class TransitionRelation:
             self.partitions_skipped += len(self.partitions)
             return manager.false()
         self.product_calls += 1
-        return self._product(self._frontier(target_x))
+        current = (target_x & encoding.ischild(self.program)).rename(
+            encoding.x_to_y, self._unconstrained
+        )
+        skipped = self._skippable_steps(current.support())
+        for index, step in enumerate(self._schedule):
+            if index in skipped:
+                self.partitions_skipped += step.partition_count
+                continue
+            current = current.and_exists(step.block, step.eliminable, step.cache)
+        return current
 
     def witness(self, target_x: BDD) -> BDD:
         """``Witₐ(target)``: ``isparentₐ(x) → ∃y (target(y) ∧ ischildₐ(y) ∧ ∆ₐ(x,y))``."""

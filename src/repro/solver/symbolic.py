@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from repro.bdd.manager import BDD
 from repro.logic import syntax as sx
@@ -194,54 +195,17 @@ class SymbolicSolver:
         statistics.translation_seconds = time.perf_counter() - start_translation
         start_solve = time.perf_counter()
 
-        manager = encoding.manager
-        false = manager.false()
-        unmarked = false
-        marked = false
+        unmarked = marked = encoding.manager.false()
         snapshots: list[tuple[BDD, BDD]] = []
         satisfiable = False
         model: BinTree | None = None
-
-        # Witness BDDs are recomputed only when the set they depend on
-        # actually changed in the previous iteration, which removes the
-        # redundant relational products the naive loop performs once one of
-        # the two sets has stabilised.  Every recomputation is a full product
-        # through the early-quantification schedule, whose persistent
-        # per-step memos make it incremental in practice: only the region of
-        # the set that changed does new work.
-        witness_unmarked: dict[int, BDD] = {}
-        strict_marked: dict[int, BDD] = {}
-        unmarked_node_seen: int | None = None
-        marked_node_seen: int | None = None
-
-        # Loop invariants hoisted out of the iteration: the mark-free type
-        # filter and the negated start literal.
-        types_unmarked = types & ~start_literal
-        not_start = ~start_literal
+        iterates = upd_iterates(relations, types, start_literal)
 
         for iteration in itertools.count(1):
             statistics.iterations = iteration
             if governor is not None:
                 governor.check_iteration(iteration)
-            if unmarked.node != unmarked_node_seen:
-                witness_unmarked = {
-                    program: relations[program].witness(unmarked)
-                    for program in (1, 2)
-                }
-                unmarked_node_seen = unmarked.node
-            both_witnessed = witness_unmarked[1] & witness_unmarked[2]
-            new_unmarked = types_unmarked & both_witnessed
-            if marked.node != marked_node_seen:
-                strict_marked = {
-                    program: relations[program].witness_strict(marked)
-                    for program in (1, 2)
-                }
-                marked_node_seen = marked.node
-            marked_here = start_literal & both_witnessed
-            marked_first = not_start & strict_marked[1] & witness_unmarked[2]
-            marked_second = not_start & witness_unmarked[1] & strict_marked[2]
-            new_marked = types & (marked_here | marked_first | marked_second)
-
+            new_unmarked, new_marked = next(iterates)
             # The update operator is monotone and the iteration starts from
             # ⊥, so the proved sets only grow: ``new_unmarked``/``new_marked``
             # already contain the previous sets and *are* the next sets (no
@@ -276,3 +240,56 @@ class SymbolicSolver:
             statistics=statistics,
             lean=self._lean,
         )
+
+
+def upd_iterates(
+    relations: dict[int, TransitionRelation], types: BDD, start_literal: BDD
+) -> Iterator[tuple[BDD, BDD]]:
+    """The iterates ``(U, M)`` of Figure 16's ``Upd`` from ``(⊥, ⊥)``.
+
+    ``types`` is χ_Types and ``start_literal`` the start mark, both over the
+    unprimed vector of the relations' encoding.  Each ``next`` runs one
+    iteration; the caller decides when to stop (success or stable sets).
+
+    Witness BDDs are recomputed only when the set they depend on actually
+    changed in the previous iteration, which removes the redundant
+    relational products the naive loop performs once one of the two sets
+    has stabilised.  Every recomputation is a full product through the
+    early-quantification schedule, whose persistent per-step memos make it
+    incremental in practice: only the region of the set that changed does
+    new work.
+
+    Every case of ``Upd`` lies inside χ_Types, and a witness set is huge
+    outside it, so each one is conjoined with χ_Types before it meets
+    another witness set: ``typed_first = χ ∧ W₁(U)`` and ``typed_both =
+    typed_first ∧ W₂(U)`` are built once per change of U and shared by U and
+    the marked cases, and nothing conjoins χ_Types afterwards.
+    """
+    unmarked = marked = types.manager.false()
+    not_start = ~start_literal
+    types_unmarked = types & not_start
+    unmarked_node_seen: int | None = None
+    marked_node_seen: int | None = None
+    while True:
+        if unmarked.node != unmarked_node_seen:
+            witness_unmarked = {
+                program: relations[program].witness(unmarked) for program in (1, 2)
+            }
+            typed_first = types & witness_unmarked[1]
+            typed_both = typed_first & witness_unmarked[2]
+            typed_first_unmarked = typed_first & not_start
+            unmarked_node_seen = unmarked.node
+        if marked.node != marked_node_seen:
+            strict_marked = {
+                program: relations[program].witness_strict(marked) for program in (1, 2)
+            }
+            typed_strict_first = types_unmarked & strict_marked[1]
+            marked_node_seen = marked.node
+        # U: no mark below.  M: marked here with both children in U, or
+        # marked through exactly one branch (M there, U in the other).
+        unmarked = typed_both & not_start
+        marked_here = typed_both & start_literal
+        marked_first = typed_strict_first & witness_unmarked[2]
+        marked_second = typed_first_unmarked & strict_marked[2]
+        marked = marked_here | marked_first | marked_second
+        yield unmarked, marked

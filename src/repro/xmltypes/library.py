@@ -39,7 +39,7 @@ def xhtml_strict_dtd() -> DTD:
 @functools.lru_cache(maxsize=None)
 def xhtml_core_dtd() -> DTD:
     """A 21-element structural subset of XHTML 1.0 Strict, rooted at ``html``."""
-    return _load("xhtml1_core.dtd", root="html", name="xhtmlcore")
+    return _load("xhtml1_core.dtd", root="html", name="xhtml-core")
 
 
 @functools.lru_cache(maxsize=None)

@@ -103,6 +103,26 @@ def test_a_dtd_parsed_under_a_registry_name_is_not_that_schema():
     assert analyzer.solve(Query.satisfiability(query.exprs[0], registry)).holds
 
 
+@pytest.mark.parametrize("schema", ["smil", "xhtml", "xhtml-core", "wikipedia"])
+def test_every_registry_schema_round_trips_as_one_schema(schema):
+    """A registry object is described by its registry name, so the wire
+    round trip reads back the same schema: one type-cache entry and one
+    solver run, the replay answered from the solve cache."""
+    from repro.cli import wire
+
+    query = Query.satisfiability("a", builtin_dtd(schema))
+    payload = json.loads(json.dumps(query.as_dict()))
+    assert payload["types"] == [builtin_dtd(schema).name]
+    analyzer = StaticAnalyzer()
+    original = analyzer.solve(query)
+    replayed = analyzer.solve(wire.query_from_dict(payload))
+    assert original.definite and replayed.from_cache
+    assert replayed.holds == original.holds
+    statistics = analyzer.cache_statistics()
+    assert statistics["type_cache_entries"] == 1
+    assert (statistics["solver_runs"], statistics["solve_cache_hits"]) == (1, 1)
+
+
 #: Problems whose only models are hedges of top-level trees, which no
 #: document is: a node with a sibling has a parent, and the root has no
 #: preceding sibling.

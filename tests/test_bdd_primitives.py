@@ -3,6 +3,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bdd.manager import BDDManager
 
@@ -284,3 +285,101 @@ def test_quantification_after_adding_a_variable():
     assert manager.and_exists(function, manager.neg(b), ["a"]) == manager.conj(
         manager.neg(b), c
     )
+
+
+# -- rename with quantification, memoised support (random functions) ----------
+
+RANDOM_NAMES = [f"v{i}" for i in range(8)]
+
+
+@st.composite
+def random_functions(draw):
+    """A random truth table over a random subset of :data:`RANDOM_NAMES`."""
+    names = draw(
+        st.lists(st.sampled_from(RANDOM_NAMES), min_size=1, max_size=5, unique=True)
+    )
+    table = draw(st.integers(min_value=0, max_value=2 ** (2 ** len(names)) - 1))
+    return names, table
+
+
+def _build(manager, function):
+    """The BDD of a truth table: bit ``i`` is the value at the assignment
+    that sets ``names[j]`` to bit ``j`` of ``i``."""
+    names, table = function
+
+    def shannon(table, count):
+        if count == 0:
+            return manager.TRUE if table & 1 else manager.FALSE
+        half = 1 << (count - 1)
+        low = shannon(table & ((1 << half) - 1), count - 1)
+        high = shannon(table >> half, count - 1)
+        return manager.ite(manager.var_node(names[count - 1]), high, low)
+
+    return shannon(table, len(names))
+
+
+def _walked_support(manager, node):
+    """The support by a plain walk of the DAG, with nothing memoised."""
+    levels, seen, stack = set(), set(), [node]
+    while stack:
+        current = stack.pop()
+        if current <= 1 or current in seen:
+            continue
+        seen.add(current)
+        level, low, high = manager._nodes[current]
+        levels.add(level)
+        stack += [low, high]
+    return {RANDOM_NAMES[level] for level in levels}
+
+
+#: An order-preserving map (the solver's vector renames look like it) and a
+#: map that swaps two levels.
+RENAME_MAPS = {
+    "order-preserving": {"v0": "v4", "v1": "v5", "v2": "v6", "v3": "v7"},
+    "swapping": {"v2": "v5", "v5": "v2"},
+}
+
+
+@pytest.mark.parametrize("mapping", list(RENAME_MAPS.values()), ids=list(RENAME_MAPS))
+@settings(max_examples=60, deadline=None)
+@given(
+    first=random_functions(),
+    second=random_functions(),
+    quantify=st.sets(st.sampled_from(RANDOM_NAMES), max_size=3),
+    renamed_too=st.booleans(),
+)
+def test_rename_with_quantification_is_exists_then_rename(
+    mapping, first, second, quantify, renamed_too
+):
+    """The fused pass equals ∃ followed by the rename, also for a quantified
+    variable the map renames, and also for a function that shares nodes
+    with one renamed before under the same map and quantified set."""
+    manager = BDDManager(RANDOM_NAMES)
+    if renamed_too:
+        quantify = quantify | {sorted(mapping)[0]}
+    f = _build(manager, first)
+    g = manager.disj(f, _build(manager, second))
+    for function in (f, g, manager.conj(g, manager.var_node("v3"))):
+        fused = manager.rename(function, mapping, quantify)
+        assert fused == manager.rename(manager.exists(function, quantify), mapping)
+
+
+@settings(max_examples=60, deadline=None)
+@given(first=random_functions(), second=random_functions())
+def test_memoised_support_matches_a_plain_walk_as_the_table_grows(first, second):
+    manager = BDDManager(RANDOM_NAMES)
+    f = _build(manager, first)
+    assert manager.support(f) == _walked_support(manager, f) == set(
+        name for name in first[0] if manager.cofactor(f, name, False)
+        != manager.cofactor(f, name, True)
+    )
+    # New nodes above and around f's: their masks build on f's memoised ones.
+    g = _build(manager, second)
+    for function in (
+        g,
+        manager.disj(f, g),
+        manager.conj(f, manager.neg(g)),
+        manager.exists(f, ["v0", "v4"]),
+        manager.rename(f, RENAME_MAPS["swapping"]),
+    ):
+        assert manager.support(function) == _walked_support(manager, function)

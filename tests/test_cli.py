@@ -491,12 +491,14 @@ def test_quick_scaling_records_its_depth3_ceilings(quick_scaling):
     ceilings = {
         "product_calls_max_depth3": bench.SCALING_PRODUCT_CALLS_MAX_DEPTH3,
         "bdd_ite_calls_max_depth3": bench.SCALING_ITE_CALLS_MAX_DEPTH3,
+        "bdd_node_count_max_depth3": bench.SCALING_NODE_COUNT_MAX_DEPTH3,
     }
     for key, ceiling in ceilings.items():
         assert quick_scaling[key] == SCALING_TABLE[key] == ceiling
     (depth3,) = [row for row in quick_scaling["rows"] if row["depth"] == 3]
     assert depth3["product_calls"] <= bench.SCALING_PRODUCT_CALLS_MAX_DEPTH3
     assert depth3["bdd_ite_calls"] <= bench.SCALING_ITE_CALLS_MAX_DEPTH3
+    assert depth3["bdd_node_count"] <= bench.SCALING_NODE_COUNT_MAX_DEPTH3
 
 
 @pytest.mark.parametrize(
@@ -504,8 +506,9 @@ def test_quick_scaling_records_its_depth3_ceilings(quick_scaling):
     [
         ("product_calls", "SCALING_PRODUCT_CALLS_MAX_DEPTH3"),
         ("bdd_ite_calls", "SCALING_ITE_CALLS_MAX_DEPTH3"),
+        ("bdd_node_count", "SCALING_NODE_COUNT_MAX_DEPTH3"),
     ],
-    ids=["product_calls", "bdd_ite_calls"],
+    ids=["product_calls", "bdd_ite_calls", "bdd_node_count"],
 )
 def test_quick_scaling_fails_above_a_depth3_ceiling(monkeypatch, counter, ceiling):
     monkeypatch.setattr(bench, ceiling, 1)

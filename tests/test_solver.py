@@ -246,12 +246,101 @@ def test_partitioned_product_equals_the_monolithic_one(formula):
         monolithic = encoding.manager.true()
         for partition in relation.partitions:
             monolithic = monolithic & partition.function
-        for target in (types, types & encoding.start(), types & ~encoding.start()):
-            frontier = encoding.to_primed(target) & encoding.ischild(program, primed=True)
+        mentioned = set().union(*(p.primed_support for p in relation.partitions))
+        free = [i for i, name in enumerate(encoding.y_names) if name not in mentioned]
+        bound = [i for i, name in enumerate(encoding.y_names) if name in mentioned]
+        assert free and bound
+        # A frontier mentioning a primed variable that no partition mentions,
+        # tied to one that some partition does.
+        tied = encoding.x(free[0]).iff(encoding.x(bound[-1]))
+        targets = (types, types & encoding.start(), types & ~encoding.start(), tied)
+        for target in targets:
+            frontier = target.rename(encoding.x_to_y) & encoding.ischild(
+                program, primed=True
+            )
             expected = (frontier & monolithic).exists(encoding.y_names)
             witness = relation.witness(target)
             assert set(witness.support()) <= set(encoding.x_names)
             assert witness == encoding.isparent(program).implies(expected)
+
+
+def _reference_iterates(relations, types, start_literal):
+    """The ``Upd`` iterates in Figure 16's plain association, the reference
+    for :func:`upd_iterates`: the two witness sets meet first and χ_Types
+    is conjoined last."""
+    unmarked = marked = types.manager.false()
+    while True:
+        witness_unmarked = {p: relations[p].witness(unmarked) for p in (1, 2)}
+        strict_marked = {p: relations[p].witness_strict(marked) for p in (1, 2)}
+        both_witnessed = witness_unmarked[1] & witness_unmarked[2]
+        unmarked = types & ~start_literal & both_witnessed
+        marked_here = start_literal & both_witnessed
+        marked_first = ~start_literal & strict_marked[1] & witness_unmarked[2]
+        marked_second = ~start_literal & witness_unmarked[1] & strict_marked[2]
+        marked = types & (marked_here | marked_first | marked_second)
+        yield unmarked, marked
+
+
+def _figure18_formula():
+    from repro.api import Query, StaticAnalyzer
+
+    query = Query.containment("child::c/preceding-sibling::a[child::b]", "child::c[child::b]")
+    return StaticAnalyzer()._reduce(query)[0]
+
+
+def _xhtml_core_formula():
+    from repro.api import Query, StaticAnalyzer
+
+    query = Query.containment(".//img", ".//img[@alt]", "xhtml-core")
+    return StaticAnalyzer()._reduce(query)[0]
+
+
+@pytest.mark.parametrize(
+    "make_formula",
+    [
+        *(lambda depth=depth: _containment_formula(depth) for depth in range(1, 6)),
+        _figure18_formula,
+        _xhtml_core_formula,
+        lambda: sx.START & sx.dia(1, sx.START),
+        lambda: sx.NSTART & sx.dia(1, sx.START),
+    ],
+    ids=[
+        *(f"scaling-{depth}" for depth in range(1, 6)),
+        "figure-18",
+        "xhtml-core",
+        "two-marks",
+        "mark-below",
+    ],
+)
+def test_upd_iterates_match_the_reference_association(make_formula):
+    """Conjoining inside χ_Types first computes the same sets: on one
+    encoding and one pair of relations, U and M are the same node as the
+    reference's at every iteration, up to the iteration at which the solver
+    stops."""
+    from repro.solver.relations import LeanEncoding, TransitionRelation
+    from repro.solver.symbolic import upd_iterates
+
+    solver = SymbolicSolver(make_formula())
+    expected = solver.solve()
+    encoding = LeanEncoding(solver.lean)
+    relations = {p: TransitionRelation(encoding, p) for p in (1, 2)}
+    types = encoding.types_constraint()
+    start_literal = encoding.start()
+    final_filter = encoding.root_filter(solver._plunged)
+    previous = None
+    iterations = 0
+    for actual, reference in zip(
+        upd_iterates(relations, types, start_literal),
+        _reference_iterates(relations, types, start_literal),
+    ):
+        iterations += 1
+        assert [s.node for s in actual] == [s.node for s in reference], iterations
+        _unmarked, marked = actual
+        if not (marked & final_filter).is_false or actual == previous:
+            break
+        previous = actual
+    assert iterations == expected.statistics.iterations
+    assert expected.satisfiable == (not (marked & final_filter).is_false)
 
 
 def test_solver_counters_are_deterministic_across_runs():
