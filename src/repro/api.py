@@ -93,7 +93,7 @@ from repro.logic import syntax as sx
 from repro.solver.governor import Budget
 from repro.solver.symbolic import SymbolicSolver
 from repro.trees.unranked import Tree, serialize_tree
-from repro.xmltypes.compile import compile_dtd
+from repro.xmltypes.compile import attribute_constraints, compile_dtd
 from repro.xmltypes.dtd import DTD
 from repro.xmltypes.membership import lift_wildcards
 from repro.xmltypes.library import builtin_dtd, schema_names
@@ -385,19 +385,23 @@ class BatchReport:
         return json.dumps(self.as_dict(), **kwargs)
 
 
-#: ``(schema, kept alphabet, rooted)``: what a pruned witness is lifted
+#: ``(schema, kept element names, rooted)``: what a pruned witness is lifted
 #: against (see :func:`_lift_witness`).
 LiftContext = tuple[DTD, tuple[str, ...], bool]
 
 
-def _lift_context(types: Sequence, labels: tuple[str, ...] | None) -> LiftContext | None:
-    """The schema and kept alphabet to lift pruned witnesses against, from a
-    problem's resolved types and pruning alphabet.
+def _lift_context(
+    types: Sequence, labels: tuple[str, ...] | None, attributes: tuple[str, ...]
+) -> LiftContext | None:
+    """The schema and kept element names to lift pruned witnesses against,
+    from a problem's resolved types, pruning alphabet and attribute alphabet.
 
     ``None`` when no lifting applies (pruning off or skipped, or no DTD in
-    the problem).  The alphabet is passed to
-    :func:`repro.xmltypes.membership.lift_wildcards` as the *excluded*
-    names: a collapsed node stands for a label the queries never test.
+    the problem).  :func:`repro.xmltypes.compile.compile_dtd` keeps the
+    queries' labels and every element whose attribute constraint is
+    non-trivial under ``attributes``; a collapsed node stands for one of
+    the other names, so the kept ones are passed to
+    :func:`repro.xmltypes.membership.lift_wildcards` as *excluded*.
     """
     if labels is None:
         return None
@@ -405,26 +409,46 @@ def _lift_context(types: Sequence, labels: tuple[str, ...] | None) -> LiftContex
         rooted = isinstance(xml_type, Rooted)
         schema = xml_type.xml_type if rooted else xml_type
         if isinstance(schema, DTD):
-            return schema, labels, rooted
+            kept = {*labels, *attribute_constraints(schema, attributes)}
+            return schema, tuple(sorted(kept)), rooted
     return None
 
 
 def _lift_witness(document: Tree, lift_context: LiftContext) -> Tree:
-    """The witness with concrete names for its collapsed labels, if any fit.
+    """The witness with concrete names for its typed subtree's collapsed
+    labels, if any fit.
 
-    Best effort (see :func:`repro.xmltypes.membership.lift_wildcards`): the
-    witness comes back unchanged when no assignment validates.  When the
-    schema came from a :class:`Rooted` type (``rooted``), the top node is the
-    virtual document node, which has no name, so only its single child — the
-    typed root element — is lifted.
+    A schema holds at the marked node and leaves its context free (Section
+    5.2); under :class:`Rooted` (``rooted``) the marked node is the virtual
+    document node and the schema holds at its single child.  That typed
+    subtree alone is fitted to the schema's root element; the context keeps
+    its labels.  Best effort (see
+    :func:`repro.xmltypes.membership.lift_wildcards`): the witness comes
+    back unchanged when no assignment validates.
     """
-    dtd, kept_labels, rooted = lift_context
-    if not rooted:
-        return lift_wildcards(dtd, document, exclude=kept_labels) or document
-    if len(document.children) != 1:
+    dtd, kept, rooted = lift_context
+    path = document.find_mark()
+    if path is None:
         return document
-    child = lift_wildcards(dtd, document.children[0], exclude=kept_labels)
-    return document if child is None else replace(document, children=(child,))
+    typed = document
+    for index in path:
+        typed = typed.children[index]
+    if rooted:
+        if len(typed.children) != 1:
+            return document
+        path += (0,)
+        typed = typed.children[0]
+    lifted = lift_wildcards(dtd, typed, exclude=kept)
+    return document if lifted is None else _replace_subtree(document, path, lifted)
+
+
+def _replace_subtree(tree: Tree, path: tuple[int, ...], subtree: Tree) -> Tree:
+    """``tree`` with the node at ``path`` (child indexes) replaced by ``subtree``."""
+    if not path:
+        return subtree
+    children = list(tree.children)
+    children[path[0]] = _replace_subtree(children[path[0]], path[1:], subtree)
+    return replace(tree, children=tuple(children))
 
 
 #: One solver run, as a worker process sends it back: ``(satisfiable,
@@ -843,16 +867,17 @@ class StaticAnalyzer:
         """
         types = tuple(self._resolve_type(xml_type) for xml_type in query.types)
         labels = self._label_projection(query.exprs, types)
+        attributes = self._problem_attributes(query, types)
         formula, positive = reduce_problem(
             query.kind,
             query.exprs,
             types,
             self.query_formula,
             self.type_formula,
-            attributes=self._problem_attributes(query, types),
+            attributes=attributes,
             labels=labels,
         )
-        return formula, positive, _lift_context(types, labels)
+        return formula, positive, _lift_context(types, labels, attributes)
 
     def _unanswered(self, query: Query) -> list[sx.Formula]:
         """The distinct formulas of ``query``'s parts that no cache layer

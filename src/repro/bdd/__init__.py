@@ -7,12 +7,13 @@ equivalent pure-Python engine, :class:`BDDManager`, with the operations the
 solver needs:
 
 * hash-consed node table with a fixed variable order,
-* boolean connectives via the ``apply`` / ``ite`` algorithms with memoisation,
-* existential and universal quantification, and the fused
-  conjunction-then-quantification (``and_exists``) used for relational
-  products,
+* conjunction and disjunction through one memoised ``apply`` kernel, and
+  negation; ``implies`` and ``iff`` are built from the three,
+* existential quantification, and the fused conjunction-then-quantification
+  (``and_exists``) used for relational products,
 * variable renaming (for the primed/unprimed vectors ``~x`` and ``~y``),
-* satisfying-assignment extraction and model counting.
+  which can quantify variables as it goes,
+* evaluation, satisfying-assignment extraction and model counting.
 """
 
 from repro.bdd.manager import BDD, BDDManager

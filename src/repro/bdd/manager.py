@@ -12,18 +12,20 @@ Because the node table is append-only, a node's children always have
 smaller indices than the node itself — several algorithms below rely on this
 for bottom-up passes.
 
-Operation caching follows the classical computed-table design [Brace, Rudell &
-Bryant, DAC'90]: every :meth:`BDDManager.ite` call is normalised to a
-*canonical* triple first (constant-argument simplifications, then argument
-swaps for the commutative ``∧``/``∨`` shapes), so equivalent calls share one
-cache entry.  Conjunction and disjunction run a binary kernel of their own
-that reads and writes that one table under the same canonical keys.
-Negation has a dedicated two-way cache, and renaming is one bottom-up pass
-that can quantify variables as it goes and composes through ``ite`` only the
-nodes whose new level would not lie above their children (none, for the
-solver's primed/unprimed vector renames).  Supports are memoised per node as
-level masks.  :meth:`BDDManager.statistics` exposes the node-table and cache
-counters the benchmarks report.
+The engine is ``∧``, ``∨``, ``¬``, ``∃`` and renaming, the operations Section 7
+states the solver in.  Conjunction and disjunction share one kernel,
+:meth:`BDDManager._apply`, whose computed table follows the classical design
+[Brace, Rudell & Bryant, DAC'90]: an operand pair is keyed with the larger id
+first, so ``a ∧ b`` and ``b ∧ a`` share one entry.  Negation has a dedicated
+two-way cache; ``implies`` and ``iff`` are built from the three connectives.
+Existential quantification, the fused relational product ``and_exists`` and
+renaming are memoised bottom-up passes that combine cofactors through the
+same kernel.  Renaming can quantify variables as it goes, and composes a node
+with its new literal, ``(l ∧ hi) ∨ (¬l ∧ lo)``, only when the node's new
+level would not lie above its renamed children (never, for the solver's
+x-to-y vector renames).  Supports are memoised per node as level masks.
+:meth:`BDDManager.statistics` exposes the node-table and cache counters the
+benchmarks report.
 
 The :class:`BDD` wrapper pairs a node id with its manager and provides
 operator overloading (``&``, ``|``, ``~``, ...) so client code reads like the
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 #: How a quantification treats each level (see ``BDDManager._quantification``):
 #: kept, quantified, or below every quantified level, where nothing is left
@@ -50,13 +52,15 @@ class BDDStatistics:
       (terminals excluded); ``peak_node_count`` is the largest the table has
       ever been, which is ``node_count`` itself because the table only grows.
     * ``ite_calls`` / ``ite_cache_hits`` — top-level *and* recursive frames
-      of the ternary ITE and of the binary ``∧``/``∨`` kernel (one frame of
-      ``a ∧ b`` counts as the ``ite(a, b, 0)`` frame it stands for), and
-      how many were answered from the computed table.
+      of the ``∧``/``∨`` kernel, and how many were answered from the
+      computed table.  The names are older than the kernel (each frame
+      stands for the ``ite(a, b, 0)`` or ``ite(a, 1, b)`` frame of the
+      classical ternary algorithm) and stay because the benchmarks read
+      them.
     * ``neg_calls`` / ``neg_cache_hits`` — negations and negation-cache hits
       (the cache stores both directions, so ``¬¬f`` is always a hit).
-    * ``rename_fast_paths`` — renamings that composed nothing through
-      ``ite``: every node was relabelled in place, as under a mapping that
+    * ``rename_fast_paths`` — renamings that composed no node with its new
+      literal: every node was relabelled in place, as under a mapping that
       preserves the variable order.
     * ``cache_entries`` — total entries across every operation cache.
     """
@@ -86,7 +90,8 @@ class BDDManager:
         # placeholders for the terminals and never dereferenced.
         self._nodes: list[tuple[int, int, int]] = [(-1, -1, -1), (-1, -1, -1)]
         self._unique: dict[tuple[int, int, int], int] = {}
-        self._ite_cache: dict[tuple[int, int, int], int] = {}
+        # The ∧/∨ computed table: (larger id, smaller id, conjunction).
+        self._apply_cache: dict[tuple[int, int, bool], int] = {}
         self._neg_cache: dict[int, int] = {}
         # Per quantified level set: the level modes and the shared ∃ memo.
         self._quant_cache: dict[frozenset[int], tuple[list[int], dict[int, int]]] = {}
@@ -94,12 +99,11 @@ class BDDManager:
         self._rename_cache: dict[tuple, dict[int, int]] = {}
         # Per node: the levels of its support as a bit mask.
         self._support_masks: dict[int, int] = {self.FALSE: 0, self.TRUE: 0}
-        self._restrict_cache: dict[tuple, int] = {}
         self._var_names: list[str] = []
         self._var_levels: dict[str, int] = {}
         # Counters behind ``statistics()``.
-        self._ite_calls = 0
-        self._ite_hits = 0
+        self._apply_calls = 0
+        self._apply_hits = 0
         self._neg_calls = 0
         self._neg_hits = 0
         self._rename_fast = 0
@@ -140,17 +144,16 @@ class BDDManager:
             var_count=len(self._var_names),
             node_count=self.node_count(),
             peak_node_count=self.node_count(),
-            ite_calls=self._ite_calls,
-            ite_cache_hits=self._ite_hits,
+            ite_calls=self._apply_calls,
+            ite_cache_hits=self._apply_hits,
             neg_calls=self._neg_calls,
             neg_cache_hits=self._neg_hits,
             rename_fast_paths=self._rename_fast,
             cache_entries=(
-                len(self._ite_cache)
+                len(self._apply_cache)
                 + len(self._neg_cache)
                 + sum(len(memo) for _mode, memo in self._quant_cache.values())
                 + sum(len(memo) for memo in self._rename_cache.values())
-                + len(self._restrict_cache)
                 + len(self._support_masks)
             ),
         )
@@ -159,7 +162,7 @@ class BDDManager:
         """Attach (or detach, with ``None``) a cooperative resource governor.
 
         While attached, every *expanded* kernel frame — a computed-table or
-        memo miss of ``ite``, ``∧``/``∨``, ``exists`` or ``and_exists`` —
+        memo miss of ``∧``/``∨``, ``exists`` or ``and_exists`` —
         calls ``governor.tick()`` (see :class:`repro.solver.governor.
         ResourceGovernor`), which may raise ``BudgetExceeded``.  Terminal and
         memoised frames do no work and are not counted.  A raise
@@ -194,110 +197,13 @@ class BDDManager:
 
     # -- core operations -------------------------------------------------------
 
-    def _ite_shortcut(self, cond: int, then: int, other: int) -> int | None:
-        """Terminal cases of ITE, or ``None`` when real work remains."""
-        if cond == self.TRUE:
-            return then
-        if cond == self.FALSE:
-            return other
-        if then == other:
-            return then
-        if then == self.TRUE and other == self.FALSE:
-            return cond
-        if then == self.FALSE and other == self.TRUE:
-            return self.neg(cond)
-        return None
-
-    @staticmethod
-    def _ite_key(cond: int, then: int, other: int) -> tuple[int, int, int]:
-        """Canonical computed-table key for a non-terminal ITE triple.
-
-        The two commutative shapes are normalised so the larger operand id
-        comes first: ``ite(f, 1, h) = f ∨ h = ite(h, 1, f)`` is keyed
-        ``(max, 1, min)`` and ``ite(f, g, 0) = f ∧ g = ite(g, f, 0)`` is keyed
-        ``(max, min, 0)``.  Conjunction and disjunction issued with swapped
-        operands therefore share one cache entry, and :meth:`_apply` reads
-        and writes the same keys.
-        """
-        if then == BDDManager.TRUE and other > cond:
-            return (other, BDDManager.TRUE, cond)
-        if other == BDDManager.FALSE and then > cond:
-            return (then, cond, BDDManager.FALSE)
-        return (cond, then, other)
-
-    def ite(self, cond: int, then: int, other: int) -> int:
-        """If-then-else ``(cond ∧ then) ∨ (¬cond ∧ other)``, iteratively.
-
-        The classical recursive cofactor expansion is run on an explicit
-        two-phase stack (``CALL`` frames expand a triple, ``BUILD`` frames pop
-        the two child results and hash-cons the node), so deeply nested
-        formulas never hit the Python recursion limit and every intermediate
-        triple goes through the canonical computed table.
-        """
-        CALL, BUILD = 0, 1
-        tasks: list[tuple] = [(CALL, cond, then, other)]
-        values: list[int] = []
-        nodes = self._nodes
-        terminal_level = len(self._var_names)
-        governor = self._governor
-        while tasks:
-            task = tasks.pop()
-            if task[0] == CALL:
-                _tag, f, g, h = task
-                self._ite_calls += 1
-                # Redundant-argument simplifications: ite(f, f, h) = ite(f, 1, h)
-                # and ite(f, g, f) = ite(f, g, 0).
-                if g == f:
-                    g = self.TRUE
-                if h == f:
-                    h = self.FALSE
-                shortcut = self._ite_shortcut(f, g, h)
-                if shortcut is not None:
-                    values.append(shortcut)
-                    continue
-                key = self._ite_key(f, g, h)
-                cached = self._ite_cache.get(key)
-                if cached is not None:
-                    self._ite_hits += 1
-                    values.append(cached)
-                    continue
-                if governor is not None:
-                    governor.tick()
-                f, g, h = key
-                f_level = nodes[f][0] if f > 1 else terminal_level
-                g_level = nodes[g][0] if g > 1 else terminal_level
-                h_level = nodes[h][0] if h > 1 else terminal_level
-                level = min(f_level, g_level, h_level)
-                if f_level == level:
-                    _l, f_low, f_high = nodes[f]
-                else:
-                    f_low = f_high = f
-                if g_level == level:
-                    _l, g_low, g_high = nodes[g]
-                else:
-                    g_low = g_high = g
-                if h_level == level:
-                    _l, h_low, h_high = nodes[h]
-                else:
-                    h_low = h_high = h
-                tasks.append((BUILD, level, key))
-                tasks.append((CALL, f_high, g_high, h_high))
-                tasks.append((CALL, f_low, g_low, h_low))
-            else:
-                _tag, level, key = task
-                high = values.pop()
-                low = values.pop()
-                result = self._mk(level, low, high)
-                self._ite_cache[key] = result
-                values.append(result)
-        return values[0]
-
     def neg(self, node: int) -> int:
         """Negation through a dedicated two-way complement cache.
 
         The cache records ``f -> ¬f`` in both directions, so double negation
         and the extremely common ``¬`` of an already-negated function are O(1).
-        The traversal is a bottom-up structural pass (no ITE involved).
+        The traversal is a bottom-up structural pass that never calls the
+        ``∧``/``∨`` kernel.
         """
         self._neg_calls += 1
         if node <= 1:
@@ -336,22 +242,21 @@ class BDDManager:
         return self._apply(a, b, False)
 
     def _apply(self, f: int, g: int, conjunction: bool) -> int:
-        """``f ∧ g`` (``conjunction``) or ``f ∨ g``: the binary AND/OR kernel.
+        """``f ∧ g`` (``conjunction``) or ``f ∨ g``: the one boolean kernel.
 
-        Frame for frame this is ``ite(f, g, 0)`` or ``ite(f, 1, g)``: the
-        same terminal cases, the same canonical keys in the one computed
-        table (``(max, min, 0)`` for ∧, ``(max, 1, min)`` for ∨), the same
-        low-then-high expansion and so the same nodes in the same order, and
-        each frame counts as one ITE call.  Only the ternary dispatch is
-        gone.  An operand pair is settled (terminal case or table hit) as
-        soon as it arises, and the explicit stack holds only expanded
-        frames, so deep operands never meet the Python recursion limit.
+        The classical cofactor expansion, low cofactor first, over one
+        computed table keyed ``(larger id, smaller id, conjunction)``, so a
+        swapped operand pair is a table hit.  Each frame counts as one
+        ``ite_calls`` (see :class:`BDDStatistics`).  An operand pair is
+        settled (terminal case or table hit) as soon as it arises, and the
+        explicit stack holds only expanded frames, so deep operands never
+        meet the Python recursion limit.
         """
         absorbing = self.FALSE if conjunction else self.TRUE
         identity = absorbing ^ 1
         nodes = self._nodes
         unique = self._unique
-        table = self._ite_cache
+        table = self._apply_cache
         governor = self._governor
         # Expanded frames ``[key, level, f_high, g_high, low]``; ``low`` is
         # -1 until the low cofactor is known.
@@ -363,7 +268,7 @@ class BDDManager:
                 if f > 1 and g > 1 and f != g:
                     if f < g:
                         f, g = g, f
-                    key = (f, g, 0) if conjunction else (f, 1, g)
+                    key = (f, g, conjunction)
                     value = table.get(key)
                     if value is None:
                         if governor is not None:
@@ -409,25 +314,18 @@ class BDDManager:
                 else:
                     return value
         finally:
-            self._ite_calls += calls
-            self._ite_hits += hits
-
-    def xor(self, a: int, b: int) -> int:
-        return self.ite(a, self.neg(b), b)
-
-    def iff(self, a: int, b: int) -> int:
-        return self.ite(a, b, self.neg(b))
+            self._apply_calls += calls
+            self._apply_hits += hits
 
     def implies(self, a: int, b: int) -> int:
-        return self.ite(a, b, self.TRUE)
+        """``a → b``, built as ``¬a ∨ b``."""
+        return self._apply(self.neg(a), b, False)
 
-    def conj_all(self, nodes: Iterable[int]) -> int:
-        result = self.TRUE
-        for node in nodes:
-            result = self.conj(result, node)
-            if result == self.FALSE:
-                return result
-        return result
+    def iff(self, a: int, b: int) -> int:
+        """``a ↔ b``, built as ``(a ∧ b) ∨ (¬a ∧ ¬b)``."""
+        both = self._apply(a, b, True)
+        neither = self._apply(self.neg(a), self.neg(b), True)
+        return self._apply(both, neither, False)
 
     # -- quantification --------------------------------------------------------
 
@@ -488,10 +386,6 @@ class BDDManager:
             result = self._mk(level, low, self._exists(high, mode, memo))
         memo[node] = result
         return result
-
-    def forall(self, node: int, names: Iterable[str]) -> int:
-        """Universal quantification over the given variables."""
-        return self.neg(self.exists(self.neg(node), names))
 
     def and_exists(
         self,
@@ -615,13 +509,14 @@ class BDDManager:
         disjunction of its renamed cofactors (``⊤`` as soon as the low one
         is).  Any other node whose new level lies strictly above the top
         levels of both renamed children is relabelled in place; the rest are
-        composed with their new literal through ``ite``.  That is correct
-        for every mapping, needs no support walk first, and composes nothing
-        when the mapping keeps the order of the variables on every path, as
-        the solver's x-to-y vector renames do (``rename_fast_paths`` counts
-        those renames).  Renamed nodes are memoised per mapping and
-        quantified set, so a function that shares nodes with one renamed
-        before (the fixpoint's growing sets) walks only its new part.
+        composed with their new literal ``l`` as ``(l ∧ hi) ∨ (¬l ∧ lo)``.
+        That is correct for every mapping, needs no support walk first, and
+        composes nothing when the mapping keeps the order of the variables
+        on every path, as the solver's x-to-y vector renames do
+        (``rename_fast_paths`` counts those renames).  Renamed nodes are
+        memoised per mapping and quantified set, so a function that shares
+        nodes with one renamed before (the fixpoint's growing sets) walks
+        only its new part.
         """
         quantified = frozenset(self._var_levels[name] for name in quantify)
         if node <= 1 or not (mapping or quantified):
@@ -668,50 +563,14 @@ class BDDManager:
             else:
                 composed = True
                 literal = self._mk(new_level, self.FALSE, self.TRUE)
-                renamed[current] = self.ite(literal, new_high, new_low)
+                renamed[current] = self._apply(
+                    self._apply(literal, new_high, True),
+                    self._apply(self.neg(literal), new_low, True),
+                    False,
+                )
         if not composed:
             self._rename_fast += 1
         return renamed[node]
-
-    def restrict(self, node: int, assignment: Mapping[str, bool]) -> int:
-        """Cofactor with respect to a partial assignment.
-
-        ``restrict(f, {v: b, ...})`` is ``f`` with each variable ``v`` fixed
-        to ``b`` — the generalised cofactor the relational layer uses to
-        specialise a relation to a concrete parent type.  Results are memoised
-        per ``(node, assignment)`` across calls.
-        """
-        if node <= 1 or not assignment:
-            return node
-        items = tuple(sorted(assignment.items()))
-        memo_key = (node, items)
-        memoised = self._restrict_cache.get(memo_key)
-        if memoised is not None:
-            return memoised
-        values = {self._var_levels[name]: value for name, value in assignment.items()}
-        cache: dict[int, int] = {}
-
-        def go(current: int) -> int:
-            if current <= 1:
-                return current
-            cached = cache.get(current)
-            if cached is not None:
-                return cached
-            level, low, high = self._nodes[current]
-            if level in values:
-                result = go(high) if values[level] else go(low)
-            else:
-                result = self._mk(level, go(low), go(high))
-            cache[current] = result
-            return result
-
-        result = go(node)
-        self._restrict_cache[memo_key] = result
-        return result
-
-    def cofactor(self, node: int, name: str, value: bool) -> int:
-        """Single-variable cofactor ``f|_{name=value}`` (see :meth:`restrict`)."""
-        return self.restrict(node, {name: value})
 
     # -- inspection -------------------------------------------------------------
 
@@ -838,38 +697,6 @@ class BDDManager:
         leading = position.get(top_level, 0)
         return count(top) * (2 ** leading)
 
-    def iter_assignments(self, node: int, over: Sequence[str]) -> Iterator[dict[str, bool]]:
-        """Iterate every satisfying assignment over exactly the given variables."""
-        # Walk the variables in level order, whatever order ``over`` lists
-        # them in: a node is only expanded when the walk reaches its level.
-        names = sorted(over, key=self._var_levels.__getitem__)
-
-        def go(current: int, index: int, partial: dict[str, bool]) -> Iterator[dict[str, bool]]:
-            if current == self.FALSE:
-                return
-            if index == len(names):
-                if current == self.TRUE:
-                    yield dict(partial)
-                return
-            name = names[index]
-            level = self._var_levels[name]
-            current_level = self._level(current)
-            if current_level == level:
-                _lvl, low, high = self._nodes[current]
-                partial[name] = False
-                yield from go(low, index + 1, partial)
-                partial[name] = True
-                yield from go(high, index + 1, partial)
-                del partial[name]
-            else:
-                partial[name] = False
-                yield from go(current, index + 1, partial)
-                partial[name] = True
-                yield from go(current, index + 1, partial)
-                del partial[name]
-
-        yield from go(node, 0, {})
-
     # -- wrapper construction ---------------------------------------------------
 
     def false(self) -> "BDD":
@@ -880,9 +707,6 @@ class BDDManager:
 
     def variable(self, name: str) -> "BDD":
         return BDD(self, self.var_node(name))
-
-    def wrap(self, node: int) -> "BDD":
-        return BDD(self, node)
 
 
 class BDD:
@@ -905,25 +729,16 @@ class BDD:
     def __or__(self, other: "BDD") -> "BDD":
         return BDD(self.manager, self.manager.disj(self.node, other.node))
 
-    def __xor__(self, other: "BDD") -> "BDD":
-        return BDD(self.manager, self.manager.xor(self.node, other.node))
-
     def iff(self, other: "BDD") -> "BDD":
         return BDD(self.manager, self.manager.iff(self.node, other.node))
 
     def implies(self, other: "BDD") -> "BDD":
         return BDD(self.manager, self.manager.implies(self.node, other.node))
 
-    def ite(self, then: "BDD", other: "BDD") -> "BDD":
-        return BDD(self.manager, self.manager.ite(self.node, then.node, other.node))
-
     # -- quantification ----------------------------------------------------------
 
     def exists(self, names: Iterable[str]) -> "BDD":
         return BDD(self.manager, self.manager.exists(self.node, names))
-
-    def forall(self, names: Iterable[str]) -> "BDD":
-        return BDD(self.manager, self.manager.forall(self.node, names))
 
     def and_exists(
         self,
@@ -937,12 +752,6 @@ class BDD:
 
     def rename(self, mapping: Mapping[str, str], quantify: Iterable[str] = ()) -> "BDD":
         return BDD(self.manager, self.manager.rename(self.node, mapping, quantify))
-
-    def restrict(self, assignment: Mapping[str, bool]) -> "BDD":
-        return BDD(self.manager, self.manager.restrict(self.node, assignment))
-
-    def cofactor(self, name: str, value: bool) -> "BDD":
-        return BDD(self.manager, self.manager.cofactor(self.node, name, value))
 
     # -- inspection ---------------------------------------------------------------
 
@@ -968,9 +777,6 @@ class BDD:
 
     def count_assignments(self, over: Sequence[str] | None = None) -> int:
         return self.manager.count_assignments(self.node, over)
-
-    def iter_assignments(self, over: Sequence[str]) -> Iterator[dict[str, bool]]:
-        return self.manager.iter_assignments(self.node, over)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BDD):

@@ -4,8 +4,8 @@ The cost of BDD operations is very sensitive to the variable order.  The paper
 found that ordering the Lean formulas by a breadth-first traversal of the
 formula to solve — which keeps sister subformulas close together — works best
 in practice.  The Lean computed by :func:`repro.logic.closure.lean` is already
-in that order, and :class:`repro.solver.relations.LeanEncoding` interleaves
-each unprimed variable with its primed copy.  What lives here is the
+in that order, and :class:`repro.solver.relations.LeanEncoding` places
+every unprimed variable above every primed one.  What lives here is the
 cone-of-influence closure the relational products use to skip partitions
 that cannot affect them.
 """

@@ -66,7 +66,11 @@ from repro.logic.printer import format_formula
 #: v4: verdicts over single-rooted documents (a v3 record may hold a hedge-only
 #: ``satisfiable: true``), and the key material dropped the constant
 #: ``track_marks=True`` line; v3 entries are clean misses under ``v3/``.
-CACHE_FORMAT_VERSION = 4
+#: v5: pruned witnesses are lifted at their typed subtree, onto names the
+#: projection collapsed (a v4 record may hold a witness fitted at its root,
+#: whose marked subtree is no document of its type); v4 entries are clean
+#: misses under ``v4/``.
+CACHE_FORMAT_VERSION = 5
 
 #: Characters of :func:`repro.logic.printer.format_formula` output stored in
 #: each entry for human inspection (informational only — never parsed back).

@@ -13,8 +13,8 @@ solver and the BDD manager poll:
   is *cooperative*: the fixpoint loop of :class:`repro.solver.symbolic.
   SymbolicSolver` calls :meth:`~ResourceGovernor.poll` once per iteration,
   and the BDD manager calls :meth:`~ResourceGovernor.tick` once per
-  *expanded* kernel frame (a computed-table or memo miss of ``ite``,
-  ``∧``/``∨``, ``exists`` or ``and_exists``; terminal and memoised frames do
+  *expanded* kernel frame (a computed-table or memo miss of ``∧``/``∨``,
+  ``exists`` or ``and_exists``; terminal and memoised frames do
   no work and are not counted), which polls the clock every
   :data:`~ResourceGovernor.POLL_STRIDE` frames.  A single fixpoint
   iteration can conjoin astronomically large BDDs, so iteration-level checks

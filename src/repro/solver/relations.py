@@ -33,6 +33,10 @@ class LeanEncoding:
     docs/ARCHITECTURE.md).  The sets of types and the reconstruction
     constraints are BDDs over ``x`` only, and both orders rank the ``x``
     variables alike, so the choice never moves a witness.
+
+    Every status, literal, χ_Types and root filter is built over ``x``.  A
+    relation primes what it needs with one ``rename(x_to_y)``, which keeps
+    the variables' order and so relabels every node in place.
     """
 
     def __init__(self, lean: Lean):
@@ -40,7 +44,7 @@ class LeanEncoding:
         self.x_names = [f"x{i}" for i in range(len(lean))]
         self.y_names = [f"y{i}" for i in range(len(lean))]
         self.manager = BDDManager(self.x_names + self.y_names)
-        self._status_cache: dict[tuple[sx.Formula, bool], BDD] = {}
+        self._status_cache: dict[sx.Formula, BDD] = {}
         self.x_to_y = dict(zip(self.x_names, self.y_names))
 
     # -- literals ------------------------------------------------------------------
@@ -51,26 +55,23 @@ class LeanEncoding:
     def y(self, index: int) -> BDD:
         return self.manager.variable(self.y_names[index])
 
-    def literal(self, index: int, primed: bool) -> BDD:
-        return self.y(index) if primed else self.x(index)
-
     # -- structural predicates (Section 7.1) ------------------------------------------
 
     def top_index(self, program: int) -> int:
         return self.lean.position(sx.dia(program, sx.TRUE))
 
-    def isparent(self, program: int, primed: bool = False) -> BDD:
+    def isparent(self, program: int) -> BDD:
         """``isparentₐ``: the bit for ``⟨a⟩⊤`` is set."""
-        return self.literal(self.top_index(program), primed)
+        return self.x(self.top_index(program))
 
-    def ischild(self, program: int, primed: bool = False) -> BDD:
+    def ischild(self, program: int) -> BDD:
         """``ischildₐ``: the bit for ``⟨ā⟩⊤`` is set."""
-        return self.literal(self.top_index(-program), primed)
+        return self.x(self.top_index(-program))
 
-    def start(self, primed: bool = False) -> BDD:
-        return self.literal(self.lean.start_index, primed)
+    def start(self) -> BDD:
+        return self.x(self.lean.start_index)
 
-    def root_filter(self, formula: sx.Formula, primed: bool = False) -> BDD:
+    def root_filter(self, formula: sx.Formula) -> BDD:
         """Root types satisfying ``formula``: no pending backward modality,
         and no ⟨2⟩ successor, so that a model is one document, not a hedge.
 
@@ -78,18 +79,22 @@ class LeanEncoding:
         ¬ischild₂ ∧ ¬isparent₂ ∧ statusᵩ``.
         """
         return (
-            ~self.ischild(1, primed)
-            & ~self.ischild(2, primed)
-            & ~self.isparent(2, primed)
-            & self.status(formula, primed)
+            ~self.ischild(1)
+            & ~self.ischild(2)
+            & ~self.isparent(2)
+            & self.status(formula)
         )
 
     # -- the truth-status of a formula as a boolean function ----------------------------
 
-    def status(self, formula: sx.Formula, primed: bool = False) -> BDD:
-        """The BDD of ``statusᵩ`` over the (un)primed vector (Section 7.1)."""
-        key = (formula, primed)
-        cached = self._status_cache.get(key)
+    def status(self, formula: sx.Formula) -> BDD:
+        """The BDD of ``statusᵩ`` over ``x`` (Section 7.1).
+
+        Evaluated at a type's bits it is Figure 15's truth assignment
+        ``ϕ ∈̇ t``; :func:`repro.solver.truth.status_on_set` is the
+        reference the tests hold it to.
+        """
+        cached = self._status_cache.get(formula)
         if cached is not None:
             return cached
         kind = formula.kind
@@ -99,33 +104,33 @@ class LeanEncoding:
         elif kind == sx.KIND_FALSE:
             result = manager.false()
         elif kind == sx.KIND_PROP:
-            result = self.literal(self.lean.proposition_index(formula.label), primed)
+            result = self.x(self.lean.proposition_index(formula.label))
         elif kind == sx.KIND_NPROP:
-            result = ~self.literal(self.lean.proposition_index(formula.label), primed)
+            result = ~self.x(self.lean.proposition_index(formula.label))
         elif kind == sx.KIND_ATTR:
-            result = self._attribute_status(formula.label, primed)
+            result = self._attribute_status(formula.label)
         elif kind == sx.KIND_NATTR:
-            result = ~self._attribute_status(formula.label, primed)
+            result = ~self._attribute_status(formula.label)
         elif kind == sx.KIND_START:
-            result = self.start(primed)
+            result = self.start()
         elif kind == sx.KIND_NSTART:
-            result = ~self.start(primed)
+            result = ~self.start()
         elif kind == sx.KIND_NDIA:
-            result = ~self.literal(self.top_index(formula.prog), primed)
+            result = ~self.x(self.top_index(formula.prog))
         elif kind == sx.KIND_DIA:
-            result = self.literal(self.lean.position(formula), primed)
+            result = self.x(self.lean.position(formula))
         elif kind == sx.KIND_AND:
-            result = self.status(formula.left, primed) & self.status(formula.right, primed)
+            result = self.status(formula.left) & self.status(formula.right)
         elif kind == sx.KIND_OR:
-            result = self.status(formula.left, primed) | self.status(formula.right, primed)
+            result = self.status(formula.left) | self.status(formula.right)
         elif formula.is_fixpoint:
-            result = self.status(sx.expand_fixpoint(formula), primed)
+            result = self.status(sx.expand_fixpoint(formula))
         else:
             raise ValueError(f"cannot compute the status of {formula!r}")
-        self._status_cache[key] = result
+        self._status_cache[formula] = result
         return result
 
-    def _attribute_status(self, name: str, primed: bool) -> BDD:
+    def _attribute_status(self, name: str) -> BDD:
         """The BDD of an attribute proposition ``@name``.
 
         The wildcard ``@*`` is not a bit of its own: it is the disjunction of
@@ -135,15 +140,13 @@ class LeanEncoding:
         if name == sx.ANY_ATTRIBUTE:
             result = self.manager.false()
             for attribute in self.lean.attributes:
-                result = result | self.literal(
-                    self.lean.attribute_index(attribute), primed
-                )
+                result = result | self.x(self.lean.attribute_index(attribute))
             return result
-        return self.literal(self.lean.attribute_index(name), primed)
+        return self.x(self.lean.attribute_index(name))
 
     # -- the characteristic function of Types(ψ) ------------------------------------------
 
-    def types_constraint(self, primed: bool = False) -> BDD:
+    def types_constraint(self) -> BDD:
         """χ_Types: modal consistency, first/second child exclusion, one label."""
         manager = self.manager
         constraint = manager.true()
@@ -151,17 +154,16 @@ class LeanEncoding:
         for program, _sub, index in self.lean.modal_items():
             if index == self.top_index(program):
                 continue
-            constraint = constraint & self.literal(index, primed).implies(
-                self.literal(self.top_index(program), primed)
+            constraint = constraint & self.x(index).implies(
+                self.x(self.top_index(program))
             )
         # A node cannot be both a first child and a second child.
         constraint = constraint & ~(
-            self.literal(self.top_index(-1), primed)
-            & self.literal(self.top_index(-2), primed)
+            self.x(self.top_index(-1)) & self.x(self.top_index(-2))
         )
         # Exactly one atomic proposition.
         label_literals = [
-            self.literal(self.lean.proposition_index(label), primed)
+            self.x(self.lean.proposition_index(label))
             for label in self.lean.propositions
         ]
         at_least_one = manager.false()
@@ -272,10 +274,11 @@ class TransitionRelation:
                 continue
             if item_program == self.program:
                 # x_i  <=>  status_sub(y)
-                function = encoding.x(index).iff(encoding.status(sub, primed=True))
+                primed_status = encoding.status(sub).rename(encoding.x_to_y)
+                function = encoding.x(index).iff(primed_status)
             elif item_program == -self.program:
                 # y_i  <=>  status_sub(x)
-                function = encoding.y(index).iff(encoding.status(sub, primed=False))
+                function = encoding.y(index).iff(encoding.status(sub))
             else:
                 continue
             primed_support = frozenset(
@@ -441,7 +444,8 @@ class TransitionRelation:
 
         Used by model reconstruction: given the parent's bit-vector, a child
         type must support exactly the parent's ``⟨a⟩ϕ`` claims and claim
-        exactly the ``⟨ā⟩ϕ`` formulas whose body holds at the parent.
+        exactly the ``⟨ā⟩ϕ`` formulas whose body holds at the parent, which
+        the body's status BDD tells, evaluated at the parent's bits.
 
         The conjunction of all parts can be exponentially larger than any
         individual part, so the constraint is returned *partitioned* — cheap
@@ -450,24 +454,23 @@ class TransitionRelation:
         of types (which prunes the intermediates), exactly like the solver
         never builds ``∆ₐ`` monolithically.
         """
-        from repro.solver.truth import status_on_set
-
-        lean = self.encoding.lean
-        members = frozenset(
-            item for index, item in enumerate(lean.items) if parent_bits.get(index, False)
-        )
-        literal_parts: list[BDD] = [self.encoding.ischild(self.program, primed=False)]
+        encoding = self.encoding
+        parent = {
+            name: parent_bits.get(index, False)
+            for index, name in enumerate(encoding.x_names)
+        }
+        literal_parts: list[BDD] = [encoding.ischild(self.program)]
         status_parts: list[BDD] = []
-        for item_program, sub, index in lean.modal_items():
+        for item_program, sub, index in encoding.lean.modal_items():
             if sub is sx.TRUE:
                 continue
             if item_program == self.program:
                 required = parent_bits.get(index, False)
-                status = self.encoding.status(sub, primed=False)
+                status = encoding.status(sub)
                 status_parts.append(status if required else ~status)
             elif item_program == -self.program:
-                holds_at_parent = status_on_set(sub, members)
-                literal = self.encoding.x(index)
+                holds_at_parent = encoding.status(sub).evaluate(parent)
+                literal = encoding.x(index)
                 literal_parts.append(literal if holds_at_parent else ~literal)
         status_parts.sort(key=lambda part: part.dag_size())
         return literal_parts + status_parts

@@ -63,8 +63,10 @@ class SolverStatistics:
       :class:`repro.solver.relations.TransitionRelation` objects.
     * ``bdd_node_count`` / ``bdd_peak_node_count`` — live and peak nodes of
       the solver's BDD manager at the end of the run.
-    * ``bdd_ite_calls`` / ``bdd_ite_cache_hits`` — ITE and ``∧``/``∨``
-      kernel frames the manager ran and computed-table hits among them.
+    * ``bdd_ite_calls`` / ``bdd_ite_cache_hits`` — ``∧``/``∨`` kernel
+      frames the manager ran and computed-table hits among them (the names
+      are the classical ITE frames each stands for; see
+      :class:`repro.bdd.manager.BDDStatistics`).
     * ``translation_seconds`` — time to build the Lean encoding, the ``∆ₐ``
       partitions with their elimination schedule, and the root filter.
     * ``solve_seconds`` — time spent in the fixpoint loop itself (the "time"
@@ -188,9 +190,9 @@ class SymbolicSolver:
             len(relation.partitions) for relation in relations.values()
         )
 
-        types = encoding.types_constraint(primed=False)
-        start_literal = encoding.start(primed=False)
-        final_filter = encoding.root_filter(self._plunged, primed=False)
+        types = encoding.types_constraint()
+        start_literal = encoding.start()
+        final_filter = encoding.root_filter(self._plunged)
 
         statistics.translation_seconds = time.perf_counter() - start_translation
         start_solve = time.perf_counter()

@@ -11,6 +11,11 @@ A ψ-type (Hintikka set) is a subset ``t ⊆ Lean(ψ)`` such that:
 The *truth assignment* ``ϕ ∈̇ t`` decides whether a formula of the closure is
 implied by a type, by structural recursion that unfolds fixpoints; it is the
 boolean function called ``status`` in the implementation section (7.1).
+
+This module is a reference: the explicit solver runs on it, and the tests
+hold the symbolic solver's status BDDs
+(:meth:`repro.solver.relations.LeanEncoding.status`), which share no code
+with it, to it.
 """
 
 from __future__ import annotations

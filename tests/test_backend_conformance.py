@@ -5,16 +5,17 @@ functions, keep node ids canonical (equal functions are the same id) and
 report deterministic statistics.  The suite finishes with a seeded
 differential check that builds a few hundred random formula DAGs and
 compares each against a truth table computed in plain Python over all 256
-assignments of the 8 variables (every assignment, the model count, the model
-enumeration, the constant tests and the picked model) — an oracle that
-shares no code with the engine.
+assignments of the 8 variables (every assignment, the model count, the
+constant tests and the picked model) — an oracle that shares no code with
+the engine.  The engine's connectives are ∧, ∨ and ¬; the check builds
+exclusive-or and if-then-else from them.
 
 None of these properties may depend on the variable order, so the law and
 differential tests run under three orders of the same 8 variables: as
 declared, reversed, and scrambled.  Under the scrambled order most renames
 between the two halves of the variables do not preserve the relative order
-of the renamed variables, which sends ``rename`` down its general
-(``ite``-composition) path instead of the structural relabelling.
+of the renamed variables, which sends ``rename`` down its general path,
+composing ``(l ∧ hi) ∨ (¬l ∧ lo)``, instead of the structural relabelling.
 """
 
 import itertools
@@ -47,6 +48,10 @@ def brute_force(function, names=NAMES):
     return table
 
 
+def _xor(f, g):
+    return (f & ~g) | (~f & g)
+
+
 # ---------------------------------------------------------------------------
 # Algebraic laws
 # ---------------------------------------------------------------------------
@@ -54,21 +59,45 @@ def brute_force(function, names=NAMES):
 
 def test_negation_involution(manager):
     a, b = manager.variable("v0"), manager.variable("v1")
-    f = (a & ~b) | (b ^ a)
+    f = (a & ~b) | (~a & b)
     assert (~~f).node == f.node
     assert (~f).node != f.node
     assert (~manager.true()).node == manager.false().node
 
 
-def test_ite_identities(manager):
+def test_derived_connective_identities(manager):
     a, b, c = (manager.variable(n) for n in ("v0", "v1", "v2"))
     f = a.iff(b) | c
-    assert f.ite(manager.true(), manager.false()).node == f.node
-    assert f.ite(b, b).node == b.node
-    assert a.ite(b, c).node == ((a & b) | (~a & c)).node
-    assert (a ^ b).node == a.ite(~b, b).node
-    assert a.iff(b).node == a.ite(b, ~b).node
+    assert a.iff(b).node == ((a & b) | (~a & ~b)).node
+    assert a.iff(b).node == (~_xor(a, b)).node
     assert a.implies(b).node == (~a | b).node
+    assert f.iff(f).is_true and f.implies(f).is_true
+    assert f.iff(manager.true()).node == f.node
+    assert manager.false().implies(f).is_true
+
+
+def test_iff_implies_and_composing_rename_match_truth_tables(manager):
+    """``iff``, ``implies`` and ``rename``'s composing step are built from
+    ∧, ∨ and ¬; each matches its plain-Python truth table in every order."""
+    a, b, c, d = (manager.variable(n) for n in ("v1", "v3", "v4", "v6"))
+    ta, tb, tc, td = (_var_table(n) for n in ("v1", "v3", "v4", "v6"))
+    functions = [
+        (a, ta),
+        ((a & ~d) | (d & b), (ta & ~td) | (td & tb)),
+        (_xor(a, d) | b, (ta ^ td) | tb),
+        (~(a & c), FULL ^ (ta & tc)),
+    ]
+    for (f, tf), (g, tg) in itertools.product(functions, repeat=2):
+        assert _truth_table(f.iff(g)) == FULL ^ tf ^ tg
+        assert _truth_table(f.implies(g)) == (FULL ^ tf) | tg
+    # A swap inverts the relative order of the two variables under every
+    # variable order, so a function with both on one path is composed.
+    swap = {"v1": "v6", "v6": "v1"}
+    for f, tf in functions[1:3]:
+        fast_before = manager.statistics().rename_fast_paths
+        renamed = f.rename(swap)
+        assert manager.statistics().rename_fast_paths == fast_before
+        assert _truth_table(renamed) == _rename_table(tf, swap)
 
 
 def test_de_morgan_and_absorption(manager):
@@ -81,14 +110,11 @@ def test_de_morgan_and_absorption(manager):
 def test_quantifier_laws(manager):
     a, b, c = (manager.variable(n) for n in ("v0", "v1", "v2"))
     f = (a & b) | (~a & c)
-    # ∃x f == f|x=0 ∨ f|x=1 ; ∀x f == f|x=0 ∧ f|x=1.
-    assert f.exists(["v0"]).node == (f.restrict({"v0": False}) | f.restrict({"v0": True})).node
-    assert f.forall(["v0"]).node == (f.restrict({"v0": False}) & f.restrict({"v0": True})).node
+    # ∃x f is f with x either way: here (a ∧ b) ∨ (¬a ∧ c) loses a.
+    assert f.exists(["v0"]).node == (b | c).node
     # Quantifiers over distinct variables commute.
     assert f.exists(["v0"]).exists(["v1"]).node == f.exists(["v1"]).exists(["v0"]).node
     assert f.exists(["v0", "v1"]).node == f.exists(["v1"]).exists(["v0"]).node
-    # ∀x f == ¬∃x ¬f.
-    assert f.forall(["v1"]).node == (~((~f).exists(["v1"]))).node
     # and_exists is the fused relational product.
     g = b.iff(c)
     assert f.and_exists(g, ["v1", "v2"]).node == (f & g).exists(["v1", "v2"]).node
@@ -96,7 +122,7 @@ def test_quantifier_laws(manager):
 
 def test_rename_quantifier_commutation(manager):
     a, b, c = (manager.variable(n) for n in ("v0", "v2", "v4"))
-    f = (a ^ b) | (b & c)
+    f = _xor(a, b) | (b & c)
     mapping = {"v0": "v1", "v2": "v3", "v4": "v5"}
     fast_before = manager.statistics().rename_fast_paths
     renamed = f.rename(mapping)
@@ -120,7 +146,7 @@ def test_canonicity_equal_functions_equal_ids(manager):
     left = (a & b) | (a & c) | (b & c)
     right = (a | b) & (a | c) & (b | c)  # majority, factored differently
     assert left.node == right.node
-    assert ((a ^ b) ^ c ^ d).node == (a ^ (b ^ (c ^ d))).node
+    assert _xor(_xor(_xor(a, b), c), d).node == _xor(a, _xor(b, _xor(c, d))).node
     assert (left & ~left).node == manager.false().node
     assert (left | ~left).node == manager.true().node
 
@@ -135,16 +161,13 @@ def test_counting_and_assignments(manager):
     assert picked is not None
     full = {name: picked.get(name, False) for name in NAMES}
     assert f.evaluate(full)
-    models = list(f.iter_assignments(["v0", "v1", "v2"]))
-    assert len(models) == f.count_assignments(["v0", "v1", "v2"])
-    assert all(f.evaluate({**{n: False for n in NAMES}, **m}) for m in models)
 
 
 def test_statistics_deterministic():
     def workload():
         m = BDDManager(NAMES)
         a, b, c = (m.variable(n) for n in ("v0", "v1", "v2"))
-        f = (a ^ b).iff(c) | (a & b)
+        f = _xor(a, b).iff(c) | (a & b)
         f = f.and_exists(b | c, ["v1"])
         _ = (~f).exists(["v0"])
         return m.statistics().as_dict()
@@ -186,13 +209,16 @@ def _var_table(name):
     return _table(lambda i: i >> j & 1)
 
 
-def _exists_table(table, names, universal=False):
+def _truth_table(function):
+    return _table(lambda i: function.evaluate(_assignment(i)))
+
+
+def _exists_table(table, names):
     for name in names:
         bit = 1 << NAMES.index(name)
 
         def quantified(i, table=table, bit=bit):
-            low, high = table >> (i & ~bit) & 1, table >> (i | bit) & 1
-            return (low and high) if universal else (low or high)
+            return table >> (i & ~bit) & 1 or table >> (i | bit) & 1
 
         table = _table(quantified)
     return table
@@ -226,20 +252,18 @@ def _random_dag(rng, manager):
         elif op == 2:
             pool.append((f | g, tf | tg))
         elif op == 3:
-            pool.append((f ^ g, tf ^ tg))
+            pool.append((_xor(f, g), tf ^ tg))
         elif op == 4:
-            pool.append((f.iff(g), FULL ^ tf ^ tg))
+            if rng.random() < 0.5:
+                pool.append((f.iff(g), FULL ^ tf ^ tg))
+            else:
+                pool.append((f.implies(g), (FULL ^ tf) | tg))
         elif op == 5:
             h, th = rng.choice(pool)
-            pool.append((f.ite(g, h), (tf & tg) | (~tf & th)))
+            pool.append(((f & g) | (~f & h), (tf & tg) | (~tf & th)))
         elif op == 6:
             names = rng.sample(NAMES, rng.randrange(1, 3))
-            if rng.random() < 0.5:
-                pool.append((f.exists(names), _exists_table(tf, names)))
-            else:
-                pool.append(
-                    (f.forall(names), _exists_table(tf, names, universal=True))
-                )
+            pool.append((f.exists(names), _exists_table(tf, names)))
         elif op == 7:
             half = len(NAMES) // 2
             mapping = dict(zip(NAMES[:half], NAMES[half:]))
@@ -264,8 +288,6 @@ def test_differential_random_dags(order):
                 f"{context}: assignment {i}"
             )
         assert function.count_assignments(NAMES) == bin(table).count("1"), context
-        models = [_index(model) for model in function.iter_assignments(NAMES)]
-        assert sorted(models) == [i for i in ASSIGNMENTS if table >> i & 1], context
         assert function.is_false == (table == 0), context
         assert function.is_true == (table == FULL), context
         picked = function.pick_assignment()

@@ -43,10 +43,8 @@ def test_connectives_against_truth_tables(manager):
     cases = {
         "and": (a & b, lambda va, vb, vc, vd: va and vb),
         "or": (a | b, lambda va, vb, vc, vd: va or vb),
-        "xor": (a ^ c, lambda va, vb, vc, vd: va != vc),
         "iff": (b.iff(d), lambda va, vb, vc, vd: vb == vd),
         "implies": (a.implies(d), lambda va, vb, vc, vd: (not va) or vd),
-        "ite": (a.ite(b, c), lambda va, vb, vc, vd: vb if va else vc),
     }
     for name, (function, predicate) in cases.items():
         expected = {
@@ -64,12 +62,11 @@ def test_reduction_canonical_form(manager):
     assert (a & ~a).is_false
 
 
-def test_exists_and_forall(manager):
+def test_exists(manager):
     a, b = manager.variable("a"), manager.variable("b")
     function = a & b
     assert brute_force(function.exists(["a"])) == brute_force(b)
-    assert function.forall(["a"]).is_false
-    assert (a | b).forall(["a"]).node == b.node
+    assert (a | b).exists(["a"]).is_true
 
 
 def test_and_exists_equals_conjoin_then_quantify(manager):
@@ -86,12 +83,6 @@ def test_rename(manager):
     renamed = (a & ~b).rename({"a": "c", "b": "d"})
     assert renamed.support() == {"c", "d"}
     assert renamed.evaluate({"c": True, "d": False})
-
-
-def test_restrict(manager):
-    a, b = manager.variable("a"), manager.variable("b")
-    assert (a & b).restrict({"a": True}).node == b.node
-    assert (a & b).restrict({"a": False}).is_false
 
 
 def test_support_and_dag_size(manager):
@@ -115,30 +106,6 @@ def test_count_assignments(manager):
     assert manager.true().count_assignments() == 16
     assert (a & b).count_assignments() == 4
     assert (a | b).count_assignments(["a", "b"]) == 3
-
-
-def test_iter_assignments(manager):
-    a, b = manager.variable("a"), manager.variable("b")
-    models = list((a ^ b).iter_assignments(["a", "b"]))
-    assert len(models) == 2
-    assert {frozenset(m.items()) for m in models} == {
-        frozenset({("a", True), ("b", False)}.items() if False else {("a", True), ("b", False)}),
-        frozenset({("a", False), ("b", True)}),
-    }
-
-
-def test_iter_assignments_walks_the_variable_order(manager):
-    a, b, c = (manager.variable(name) for name in ("a", "b", "c"))
-    function = (a & b) | c
-    expected = {
-        bits
-        for bits in itertools.product((False, True), repeat=3)
-        if function.evaluate(dict(zip("cba", bits)))
-    }
-    # ``over`` lists the variables against the manager's order.
-    models = list(function.iter_assignments(["c", "b", "a"]))
-    assert len(models) == len(expected) == 5
-    assert {(m["c"], m["b"], m["a"]) for m in models} == expected
 
 
 def test_cone_of_influence_closes_over_shared_variables():
@@ -187,7 +154,11 @@ def build_bdd(manager, expr):
     if expr[0] == "not":
         return ~build_bdd(manager, expr[1])
     left, right = build_bdd(manager, expr[1]), build_bdd(manager, expr[2])
-    return {"and": left & right, "or": left | right, "xor": left ^ right}[expr[0]]
+    if expr[0] == "and":
+        return left & right
+    if expr[0] == "or":
+        return left | right
+    return (left & ~right) | (~left & right)
 
 
 def eval_expr(expr, assignment):
@@ -213,14 +184,9 @@ def test_quantification_property(expr, name):
     manager = BDDManager(NAMES)
     function = build_bdd(manager, expr)
     exists = function.exists([name])
-    forall = function.forall([name])
     for bits in itertools.product((False, True), repeat=len(NAMES)):
         assignment = dict(zip(NAMES, bits))
         either = any(
             function.evaluate({**assignment, name: value}) for value in (False, True)
         )
-        both = all(
-            function.evaluate({**assignment, name: value}) for value in (False, True)
-        )
         assert exists.evaluate(assignment) == either
-        assert forall.evaluate(assignment) == both

@@ -15,17 +15,7 @@ def manager():
     return BDDManager(NAMES)
 
 
-def test_ite_computed_table_hits(manager):
-    a = manager.var_node("a")
-    b = manager.var_node("b")
-    manager.ite(a, b, manager.FALSE)
-    before = manager.statistics().ite_cache_hits
-    manager.ite(a, b, manager.FALSE)
-    after = manager.statistics().ite_cache_hits
-    assert after > before
-
-
-def test_ite_cache_key_is_canonical_for_commutative_shapes(manager):
+def test_computed_table_key_is_canonical_for_swapped_operands(manager):
     a = manager.var_node("a")
     b = manager.var_node("b")
     # Warm the cache with a ∧ b, then issue b ∧ a: the canonical computed
@@ -41,21 +31,23 @@ def test_ite_cache_key_is_canonical_for_commutative_shapes(manager):
     assert manager.statistics().ite_cache_hits > before
 
 
-def test_ite_handles_deep_chains_iteratively(manager):
-    # One ITE whose expansion descends through 3000 alternating levels would
-    # break a naively recursive ITE (default recursion limit: 1000); the
-    # iterative engine must not care.  The two operand chains are built
-    # bottom-up so each construction step is O(1).
+def _conjunction_chain(manager, names):
+    """``n0 ∧ n1 ∧ …``, built bottom-up in O(1) per level."""
+    chain = manager.TRUE
+    for name in reversed(names):
+        chain = manager.conj(manager.var_node(name), chain)
+    return chain
+
+
+def test_conjunction_handles_deep_chains_iteratively():
+    # One conjunction whose expansion descends through 3000 alternating
+    # levels would break a naively recursive kernel (default recursion
+    # limit: 1000); the iterative engine must not care.
     depth = 3000
-    deep = BDDManager([f"v{i}" for i in range(depth)])
-    evens = deep.TRUE
-    odds = deep.TRUE
-    for i in reversed(range(depth)):
-        node = deep.var_node(f"v{i}")
-        if i % 2 == 0:
-            evens = deep.ite(node, evens, deep.FALSE)
-        else:
-            odds = deep.ite(node, odds, deep.FALSE)
+    names = [f"v{i}" for i in range(depth)]
+    deep = BDDManager(names)
+    evens = _conjunction_chain(deep, names[0::2])
+    odds = _conjunction_chain(deep, names[1::2])
     result = deep.conj(evens, odds)
     assert deep.dag_size(result) == depth
     assert deep.dag_size(deep.neg(result)) == depth
@@ -71,28 +63,6 @@ def test_negation_cache_is_two_way(manager):
     assert manager.neg(negated) == function
     assert manager.neg(function) == negated
     assert manager.statistics().neg_cache_hits >= before + 2
-
-
-def test_restrict_cofactors(manager):
-    a = manager.var_node("a")
-    b = manager.var_node("b")
-    function = manager.ite(a, b, manager.FALSE)
-    assert manager.restrict(function, {"a": True}) == b
-    assert manager.restrict(function, {"a": False}) == manager.FALSE
-    assert manager.restrict(function, {"a": True, "b": True}) == manager.TRUE
-    assert manager.cofactor(function, "a", True) == b
-    # Restriction over variables outside the support is the identity.
-    assert manager.restrict(function, {"d": True}) == function
-
-
-def test_restrict_results_are_memoised(manager):
-    a = manager.var_node("a")
-    b = manager.var_node("b")
-    function = manager.conj(a, b)
-    first = manager.restrict(function, {"a": True})
-    entries = manager.statistics().cache_entries
-    assert manager.restrict(function, {"a": True}) == first
-    assert manager.statistics().cache_entries == entries
 
 
 def test_node_count_statistics(manager):
@@ -165,10 +135,8 @@ def _alternating_chain(manager, names):
     chain = manager.TRUE
     for i in reversed(range(len(names))):
         node = manager.var_node(names[i])
-        if i % 2 == 0:
-            chain = manager.ite(node, chain, manager.FALSE)
-        else:
-            chain = manager.ite(node, manager.FALSE, chain)
+        literal = node if i % 2 == 0 else manager.neg(node)
+        chain = manager.conj(literal, chain)
     return chain
 
 
@@ -176,8 +144,8 @@ def test_disjunction_handles_deep_chains_iteratively():
     depth = 3000
     names = [f"v{i}" for i in range(depth)]
     deep = BDDManager(names)
-    evens = deep.conj_all(deep.var_node(name) for name in reversed(names[0::2]))
-    odds = deep.conj_all(deep.var_node(name) for name in reversed(names[1::2]))
+    evens = _conjunction_chain(deep, names[0::2])
+    odds = _conjunction_chain(deep, names[1::2])
     result = deep.disj(evens, odds)
     everything = {name: True for name in names}
     assert deep.evaluate(result, everything)
@@ -207,13 +175,13 @@ def test_rename_swapping_adjacent_levels_of_a_deep_chain_is_iterative():
     assert deep.rename(renamed, swap) == chain
 
 
-def test_rename_of_disjoint_paths_is_built_without_ite():
-    # ite(v0, v1, v2) with v1 <-> v2 is not order-preserving over the
+def test_rename_of_disjoint_paths_relabels_in_place():
+    # (v0 ∧ v1) ∨ (¬v0 ∧ v2) with v1 <-> v2 is not order-preserving over the
     # support, but v1 and v2 never share a path, so every node is relabelled
-    # in place.
+    # in place and the ∧/∨ kernel never runs.
     manager = BDDManager(["v0", "v1", "v2"])
     v0, v1, v2 = (manager.var_node(name) for name in ("v0", "v1", "v2"))
-    function = manager.ite(v0, v1, v2)
+    function = manager.disj(manager.conj(v0, v1), manager.conj(manager.neg(v0), v2))
     before = manager.statistics()
     renamed = manager.rename(function, {"v1": "v2", "v2": "v1"})
     after = manager.statistics()
@@ -222,20 +190,6 @@ def test_rename_of_disjoint_paths_is_built_without_ite():
     for b0, b1, b2 in itertools.product((False, True), repeat=3):
         assignment = {"v0": b0, "v1": b1, "v2": b2}
         assert manager.evaluate(renamed, assignment) == (b2 if b0 else b1)
-
-
-def test_conjunction_and_ite_share_one_computed_table(manager):
-    a = manager.var_node("a")
-    b = manager.var_node("b")
-    conjunction = manager.conj(a, b)
-    before = manager.statistics().ite_cache_hits
-    assert manager.ite(a, b, manager.FALSE) == conjunction
-    assert manager.statistics().ite_cache_hits == before + 1
-    c = manager.var_node("c")
-    disjunction = manager.ite(c, manager.TRUE, b)
-    before = manager.statistics().ite_cache_hits
-    assert manager.disj(b, c) == disjunction
-    assert manager.statistics().ite_cache_hits == before + 1
 
 
 class _CountingGovernor:
@@ -313,7 +267,10 @@ def _build(manager, function):
         half = 1 << (count - 1)
         low = shannon(table & ((1 << half) - 1), count - 1)
         high = shannon(table >> half, count - 1)
-        return manager.ite(manager.var_node(names[count - 1]), high, low)
+        literal = manager.var_node(names[count - 1])
+        return manager.disj(
+            manager.conj(literal, high), manager.conj(manager.neg(literal), low)
+        )
 
     return shannon(table, len(names))
 
@@ -370,8 +327,7 @@ def test_memoised_support_matches_a_plain_walk_as_the_table_grows(first, second)
     manager = BDDManager(RANDOM_NAMES)
     f = _build(manager, first)
     assert manager.support(f) == _walked_support(manager, f) == set(
-        name for name in first[0] if manager.cofactor(f, name, False)
-        != manager.cofactor(f, name, True)
+        name for name in first[0] if manager.exists(f, [name]) != f
     )
     # New nodes above and around f's: their masks build on f's memoised ones.
     g = _build(manager, second)

@@ -45,11 +45,11 @@ def test_digest_distinguishes_formulas():
 
 
 def test_solve_cache_key_is_pinned():
-    """Every published v4 address stays valid: the key of a fixed formula
+    """Every published v5 address stays valid: the key of a fixed formula
     must not move unless ``CACHE_FORMAT_VERSION`` is bumped on purpose."""
-    assert CACHE_FORMAT_VERSION == 4
+    assert CACHE_FORMAT_VERSION == 5
     assert solve_cache_key(sx.prop("a")) == (
-        "f5460c3197c9887ca28995baeb7e1963d0303fcdb990cdf42f998d86eda8b5ec"
+        "14d25807e697a30767b4a2e3041c1425497e4e972271cb3c15d860ae57ea4d26"
     )
 
 
@@ -58,11 +58,11 @@ def test_solve_cache_key_is_pinned():
     [
         (
             parse_formula("a & <1>b"),
-            "280c9fc4066ab7f8eec303557b1b2f8de11875f6489e4568520f696416dc20f1",
+            "9275e18e34448437ce3914e0a52aa2da69139c963ac30a9ac2e1ebda7cafef85",
         ),
         (
             sx.mu1(lambda x: sx.prop("a") | sx.dia(1, x)),
-            "a1d5e10365677406e5156db9be379aa154bc2c877192402bfffea84d2a2e50b6",
+            "687cbe1cd5bc19d5a6908bf95a4d88c7125288fd399d8984b45739bbb703c350",
         ),
     ],
     ids=["modal", "fixpoint"],
@@ -76,13 +76,13 @@ def test_solve_cache_key_pins_options_and_fixpoints(formula, expected):
 def test_v1_entries_are_clean_misses(tmp_path):
     """Old-format entries live under ``v1/`` (never read) or carry
     ``version: 1`` (well-formed mismatch): both are plain misses — no
-    quarantine, no deletion — and the next solve republishes under v4."""
+    quarantine, no deletion — and the next solve republishes under v5."""
     formula = sx.prop("a")
     cache = DiskSolveCache(tmp_path)
     v1_file = tmp_path / "v1" / "ab" / "abcdef.json"
     v1_file.parent.mkdir(parents=True)
     v1_file.write_text(json.dumps({"version": 1, "satisfiable": True}))
-    # A v1 payload parked at the entry's v4 path: versioned miss, kept as-is.
+    # A v1 payload parked at the entry's v5 path: versioned miss, kept as-is.
     stale = cache.path_for_key(cache.key_for(formula))
     stale.parent.mkdir(parents=True, exist_ok=True)
     stale.write_text(json.dumps({"version": 1, "key": cache.key_for(formula)}))

@@ -168,6 +168,41 @@ def test_api_prunes_and_lifts_like_the_analyzer():
     assert dtd_accepts(builtin_dtd("wikipedia"), parse_tree(outcome.counterexample).unmark_all())
 
 
+def _marked_subtree(witness):
+    node = witness
+    for index in witness.find_mark():
+        node = node.children[index]
+    return node.unmark_all()
+
+
+def test_pruned_witness_is_lifted_at_its_typed_subtree():
+    """A schema holds at the marked node and leaves its context free
+    (Section 5.2): the marked subtree is fitted to the schema's root and
+    the context keeps its collapsed labels (lifting the whole witness made
+    ``<smil><head!/></smil>``, whose marked ``<head/>`` is no document)."""
+    outcome = solve(Query.satisfiability("parent::*", "smil"))
+    assert outcome.holds
+    assert outcome.counterexample == "<_><smil!/></_>"
+    assert dtd_accepts(builtin_dtd("smil"), _marked_subtree(parse_tree(outcome.counterexample)))
+
+
+def test_lifting_never_names_a_kept_element():
+    """The projection keeps every element whose attribute constraint is
+    non-trivial under the problem's attribute alphabet, so a collapsed node
+    stands for none of them: ``par`` declares no ``alt`` and must not name
+    the node carrying one (lifting once served
+    ``<smil!><body><par alt=""/></body></smil>``)."""
+    from repro.xmltypes.membership import dtd_attribute_violations
+
+    smil = builtin_dtd("smil")
+    outcome = solve(Query.satisfiability("descendant::*[@alt]", "smil"))
+    assert outcome.holds
+    assert outcome.counterexample == '<smil!><body><audio alt=""/></body></smil>'
+    typed = _marked_subtree(parse_tree(outcome.counterexample))
+    assert dtd_accepts(smil, typed)
+    assert dtd_attribute_violations(smil, typed, ("alt",)) == []
+
+
 def test_api_prune_labels_off_reproduces_unpruned_lean():
     query = Query.satisfiability("child::meta/child::title", "wikipedia")
     pruned = StaticAnalyzer().solve(query)

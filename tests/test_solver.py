@@ -61,6 +61,35 @@ def test_status_unfolds_fixpoints():
     assert not status_on_set(formula, frozenset({sx.prop("b")}))
 
 
+@pytest.mark.parametrize(
+    "formula",
+    [
+        sx.mk_and(sx.prop("a"), sx.dia(1, sx.prop("b"))),
+        sx.mu1(lambda x: sx.prop("a") | sx.dia(1, x)) & sx.dia(-1, sx.NSTART),
+        sx.attr("href") & sx.dia(2, sx.nattr("alt") | sx.dia(-2, sx.prop("a"))),
+        sx.attr(sx.ANY_ATTRIBUTE) & sx.dia(1, sx.nattr(sx.ANY_ATTRIBUTE) & sx.START),
+    ],
+    ids=["modal", "fixpoint", "attributes", "any-attribute"],
+)
+def test_status_bdd_evaluates_to_the_truth_assignment(formula):
+    """Reconstruction reads a parent's ⟨ā⟩ bits off the status BDDs: at the
+    bits of every ψ-type, each body's status evaluates to Figure 15's
+    ``status_on_set``."""
+    from repro.solver.relations import LeanEncoding
+
+    lean = compute_lean(formula)
+    encoding = LeanEncoding(lean)
+    bodies = [sub for _program, sub, _index in lean.modal_items()] + [formula]
+    checked = 0
+    for assignment in psi_types(lean):
+        bits = dict(zip(encoding.x_names, assignment.bits()))
+        for sub in bodies:
+            status = encoding.status(sub).evaluate(bits)
+            assert status == status_on_set(sub, assignment.members), (sub, assignment)
+            checked += 1
+    assert checked > 0
+
+
 def test_psi_types_satisfy_constraints():
     lean = compute_lean(sx.mk_and(sx.prop("a"), sx.dia(1, sx.prop("b"))))
     types = list(psi_types(lean))
@@ -254,10 +283,9 @@ def test_partitioned_product_equals_the_monolithic_one(formula):
         # tied to one that some partition does.
         tied = encoding.x(free[0]).iff(encoding.x(bound[-1]))
         targets = (types, types & encoding.start(), types & ~encoding.start(), tied)
+        primed_child = encoding.ischild(program).rename(encoding.x_to_y)
         for target in targets:
-            frontier = target.rename(encoding.x_to_y) & encoding.ischild(
-                program, primed=True
-            )
+            frontier = target.rename(encoding.x_to_y) & primed_child
             expected = (frontier & monolithic).exists(encoding.y_names)
             witness = relation.witness(target)
             assert set(witness.support()) <= set(encoding.x_names)

@@ -11,15 +11,24 @@ wikipedia, smil and xhtml-core schemas, ``rooted:`` types and inline DTDs.
 A change that moves a witness — a different variable order, another model
 pick, a different lifting — changes the digest.  When such a change is
 intended, the new digest must be recorded together with the reason.
+
+Every satisfiable pool problem, pinned or not, must also serve one marked
+document, and one whose typed subtree is a valid document of its schema.
 """
 
 import hashlib
 import json
 from pathlib import Path
 
+import pytest
+
+from repro.analysis.problems import Rooted
 from repro.api import StaticAnalyzer
 from repro.cli import wire
+from repro.solver.models import FRESH_LABEL
 from repro.trees.unranked import parse_tree
+from repro.xmltypes.dtd import DTD
+from repro.xmltypes.membership import dtd_accepts, dtd_attribute_violations
 
 REFERENCE = (
     Path(__file__).resolve().parent.parent
@@ -27,11 +36,18 @@ REFERENCE = (
 )
 
 PINNED_PROBLEMS = 44
-#: Last moved when the ``Rooted`` document node stopped carrying an element
-#: name: the pin's four ``rooted:`` witnesses (pool problems 97, 98, 100 and
-#: 102) changed only that node's label, from ``<title!>``, ``<text!>``,
-#: ``<title!>`` and ``<smil!>`` to ``<_!>``; every other byte is unchanged.
-PINNED_DIGEST = "eb6136a63d57a2c550eb0b208affd8372dcaa0cf2790b043d9df5bd4f3a8731a"
+#: Last moved when pruned witnesses were lifted at their typed subtree
+#: instead of at the document root: the pin's one such witness (pool
+#: problem 55, ``descendant::title[ancestor::history]`` under wikipedia)
+#: went from ``<history><_!><_><title/></_><_/></_></history>``, whose
+#: marked subtree was never lifted, to
+#: ``<history><article!><meta><title/></meta><text/></article></history>``;
+#: every other byte is unchanged.
+PINNED_DIGEST = "66700b5cd6f29ccc63a618b089676088faa8964da5d7e11ca41ae4520a64cadf"
+
+#: Satisfiable pool problems whose first type is a schema or ``Rooted`` of
+#: one.
+TYPED_PROBLEMS = 37
 
 
 def _satisfiable_entries() -> list[dict]:
@@ -60,16 +76,57 @@ def test_serialized_witnesses_are_byte_identical():
     assert hashlib.sha256(payload).hexdigest() == PINNED_DIGEST
 
 
-def test_every_satisfiable_pool_problem_serves_one_marked_document():
+@pytest.fixture(scope="module")
+def served() -> list[tuple[dict, object]]:
+    """``(request, outcome)`` of every satisfiable pool problem, answered by
+    one analyzer."""
+    analyzer = StaticAnalyzer()
+    return [
+        (entry["request"], analyzer.solve(wire.query_from_dict(entry["request"], {})))
+        for entry in _satisfiable_entries()
+    ]
+
+
+def test_every_satisfiable_pool_problem_serves_one_marked_document(served):
     """The model class is single-rooted documents: every satisfiable pool
     problem, pinned or not, serves one tree carrying one start mark."""
-    analyzer = StaticAnalyzer()
-    entries = _satisfiable_entries()
-    assert len(entries) > PINNED_PROBLEMS
-    for entry in entries:
-        request = entry["request"]
-        outcome = analyzer.solve(wire.query_from_dict(request, {}))
+    assert len(served) > PINNED_PROBLEMS
+    for request, outcome in served:
         assert outcome.definite and outcome.satisfiable, request
         # parse_tree refuses trailing top-level trees.
         witness = parse_tree(outcome.counterexample)
         assert witness.mark_count() == 1, (request, outcome.counterexample)
+
+
+def test_every_typed_pool_witness_is_a_document_of_its_type(served):
+    """A schema holds at the marked node, and under ``Rooted`` at the marked
+    document node's single child (Section 5.2 leaves the context free).
+    That typed subtree of every satisfiable pool problem under a schema is
+    fully lifted (no ``_``), validates, and breaks no ATTLIST over the
+    problem's attribute alphabet."""
+    analyzer = StaticAnalyzer()
+    checked = 0
+    for request, outcome in served:
+        # An equivalence serves the witness of its failing containment.
+        for part in outcome.parts or [outcome]:
+            if part.counterexample is None:
+                continue
+            types = tuple(analyzer._resolve_type(t) for t in part.query.types)
+            rooted = isinstance(types[0], Rooted)
+            schema = types[0].xml_type if rooted else types[0]
+            if not isinstance(schema, DTD):
+                continue
+            document = parse_tree(part.counterexample)
+            typed = document
+            for index in document.find_mark():
+                typed = typed.children[index]
+            if rooted:
+                (typed,) = typed.children
+            typed = typed.unmark_all()
+            context = (request, part.counterexample)
+            assert FRESH_LABEL not in typed.labels(), context
+            assert dtd_accepts(schema, typed), context
+            alphabet = analyzer._problem_attributes(part.query, types)
+            assert dtd_attribute_violations(schema, typed, alphabet) == [], context
+            checked += 1
+    assert checked == TYPED_PROBLEMS
